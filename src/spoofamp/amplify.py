@@ -10,6 +10,7 @@ that returns the clean input therefore yields a zero residual and the
 pipeline becomes the identity.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +103,15 @@ class ProcessDetails:
     enhanced: Waveform
 
 
+@contextmanager
+def _stage(name):
+    """Re-raise a SpoofampError from the body as a StageError naming the stage."""
+    try:
+        yield
+    except SpoofampError as e:
+        raise StageError(name, e) from e
+
+
 def process_utterance_details(x, config, enhancer, noise_seed=None):
     """Run noise addition, enhancement, extraction, and amplification on one
     utterance, returning all intermediate products.
@@ -115,7 +125,7 @@ def process_utterance_details(x, config, enhancer, noise_seed=None):
     if config.skip_noise_addition:
         y = x
     else:
-        try:
+        with _stage("noise-gen"):
             spec = noise.NoiseSpec(
                 color=config.noise_color,
                 length=len(x),
@@ -123,24 +133,14 @@ def process_utterance_details(x, config, enhancer, noise_seed=None):
                 seed=seed,
             )
             n = noise.generate(spec)
-        except SpoofampError as e:
-            raise StageError("noise-gen", e) from e
-        try:
+        with _stage("mixing"):
             y = mixing.add_noise_at_snr(x, n, mixing.MixSpec(config.snr_db))
-        except SpoofampError as e:
-            raise StageError("mixing", e) from e
-    try:
+    with _stage("enhance"):
         x_hat = enhance(enhancer, y, reference_clean=x)
-    except SpoofampError as e:
-        raise StageError("enhance", e) from e
-    try:
+    with _stage("extract"):
         r = extract_residual(x, x_hat, config.extraction_mode)
-    except SpoofampError as e:
-        raise StageError("extract", e) from e
-    try:
+    with _stage("amplify"):
         x_tilde = amplify(x, r, AmplifySpec(config.alpha))
-    except SpoofampError as e:
-        raise StageError("amplify", e) from e
     return ProcessDetails(x_tilde=x_tilde, residual=r, noisy=y, enhanced=x_hat)
 
 

@@ -11,7 +11,8 @@ import os
 import sys
 
 from . import detector, metrics, pipeline, synth
-from .amplify import AmplifySpec, Residual, amplify as _amplify_op, extract_residual
+from .amplify import EXTRACTION_MODES, AmplifySpec, Residual, extract_residual
+from .amplify import amplify as _amplify_op
 from .audio import read_wav, write_wav
 from .config import PipelineConfig, config_hash, derive_seed, load_config
 from .errors import ConfigError, SpoofampError
@@ -279,7 +280,7 @@ def build_parser():
     p = sub.add_parser("extract", help="extract the residual of raw vs enhanced audio")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--enhanced", required=True)
-    p.add_argument("--mode", default="projection", choices=("projection", "naive"))
+    p.add_argument("--mode", default="projection", choices=EXTRACTION_MODES)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_extract)
 

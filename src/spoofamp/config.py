@@ -11,11 +11,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .amplify import EXTRACTION_MODES
 from .enhance import ENHANCER_KINDS
 from .errors import ConfigError
 from .noise import NOISE_COLORS
-
-EXTRACTION_MODES = ("projection", "naive")
 
 # fixed release seed used by the acceptance experiments
 RELEASE_SEED = 555
@@ -69,29 +68,37 @@ class PipelineConfig:
         return replace(self, **kwargs)
 
 
+def _read_json_object(path, what, error=ConfigError, known=None):
+    """Parse a JSON file holding one object and drop its comment keys.
+
+    Keys starting with an underscore are comments and are dropped. When known
+    is given, any other key outside it is rejected so typos fail loudly. Every
+    failure raises error with a message naming what the file is and its path.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.load(f)
+    except OSError as e:
+        raise error(f"cannot read {what} {path}: {e}") from e
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise error(f"{what} {path} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    clean = {key: value for key, value in doc.items() if not key.startswith("_")}
+    if known is not None:
+        for key in clean:
+            if key not in known:
+                raise error(f"{what} {path}: unknown key {key!r}")
+    return clean
+
+
 def load_config(path):
     """Load a PipelineConfig from a flat JSON object.
 
     Unknown keys are rejected so typos fail loudly. Keys starting with an
     underscore are ignored (comment convention).
     """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    known = set(PipelineConfig.__dataclass_fields__)
-    clean = {}
-    for key, value in doc.items():
-        if key.startswith("_"):
-            continue
-        if key not in known:
-            raise ConfigError(f"config {path}: unknown key {key!r}")
-        clean[key] = value
+    clean = _read_json_object(path, "config", known=PipelineConfig.__dataclass_fields__)
     try:
         return PipelineConfig(**clean)
     except TypeError as e:

@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSignalError, MismatchError, MissingInputError, TrainingDataError
+from .config import _read_json_object
+from .errors import (
+    ConfigError,
+    DegenerateSignalError,
+    MismatchError,
+    MissingInputError,
+    SpoofampError,
+    TrainingDataError,
+)
 from .metrics import LABELS
 from .stft import StftConfig, stft
 
@@ -34,6 +42,12 @@ class FeatureConfig:
     def __post_init__(self):
         if self.n_bands < 2:
             raise DegenerateSignalError(f"n_bands must be >= 2, got {self.n_bands}")
+        StftConfig(self.window_length)  # rejects odd or too-short windows
+        # hop is stored in the model format but fixed by the STFT at half the window
+        if self.hop != self.window_length // 2:
+            raise ConfigError(
+                f"hop must be half of window_length {self.window_length}, got {self.hop}"
+            )
 
     @property
     def dim(self):
@@ -95,7 +109,7 @@ def extract_features(w, config=FeatureConfig()):
         raise DegenerateSignalError(
             f"input too short for features: {len(w)} < {config.window_length} samples"
         )
-    cfg = StftConfig(window_length=config.window_length, hop=config.hop)
+    cfg = StftConfig(config.window_length)
     power = np.abs(stft(w.samples, cfg)) ** 2
     edges = _band_edges(config, w.sample_rate)
     band_energy = np.add.reduceat(power, edges[:-1], axis=1)
@@ -198,8 +212,7 @@ def load_model(path):
     """Load a model written by save_model, validating format and version."""
     if not os.path.isfile(path):
         raise MissingInputError(f"no such model file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json_object(path, "model file", error=TrainingDataError)
     if doc.get("format") != _MODEL_FORMAT:
         raise TrainingDataError(f"{path}: not a {_MODEL_FORMAT} file")
     if doc.get("version") != _MODEL_VERSION:
@@ -207,14 +220,15 @@ def load_model(path):
             f"{path}: unsupported model version {doc.get('version')!r}"
         )
     means, variances, priors = {}, {}, {}
-    for label in LABELS:
-        cls = doc["classes"][label]
-        means[label] = np.asarray(cls["mean"], dtype=np.float64)
-        variances[label] = np.asarray(cls["variance"], dtype=np.float64)
-        priors[label] = float(cls["prior"])
+    try:
+        for label in LABELS:
+            cls = doc["classes"][label]
+            means[label] = np.asarray(cls["mean"], dtype=np.float64)
+            variances[label] = np.asarray(cls["variance"], dtype=np.float64)
+            priors[label] = float(cls["prior"])
+        feature_config = FeatureConfig.from_dict(doc["feature_config"])
+    except (KeyError, TypeError, ValueError, SpoofampError) as e:
+        raise TrainingDataError(f"{path}: malformed model: {e!r}") from e
     return GaussianModel(
-        means=means,
-        variances=variances,
-        priors=priors,
-        feature_config=FeatureConfig.from_dict(doc["feature_config"]),
+        means=means, variances=variances, priors=priors, feature_config=feature_config
     )

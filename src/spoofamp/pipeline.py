@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from . import detector, metrics
 from .amplify import process_utterance_details
 from .audio import crop_or_pad, read_wav, write_wav
-from .config import config_hash, derive_seed
+from .config import _read_json_object, config_hash, derive_seed
 from .enhance import EnhancerKind
 from .errors import (
     ConfigError,
@@ -292,40 +292,13 @@ def load_tdcf_params(path=None):
     defaults. Keys starting with an underscore are ignored."""
     if path is None:
         path = os.path.join(os.path.dirname(__file__), "data", "tdcf_default.json")
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"cannot read t-DCF parameters {path}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"t-DCF parameter file {path} is not valid JSON: {e}") from e
-    known = {
-        "p_target",
-        "p_nontarget",
-        "p_spoof",
-        "c_miss",
-        "c_fa",
-        "c_fa_spoof",
-        "asv_pmiss",
-        "asv_pfa",
-        "asv_pmiss_spoof",
-    }
-    clean = {}
-    for key, value in doc.items():
-        if key.startswith("_"):
-            continue
-        if key not in known:
-            raise ConfigError(f"t-DCF parameter file {path}: unknown key {key!r}")
-        clean[key] = float(value)
-    missing = known - set(clean)
+    what = "t-DCF parameter file"
+    known = metrics.TdcfParams.__dataclass_fields__
+    doc = _read_json_object(path, what, known=known)
+    missing = set(known) - set(doc)
     if missing:
-        raise ConfigError(f"t-DCF parameter file {path}: missing keys {sorted(missing)}")
+        raise ConfigError(f"{what} {path}: missing keys {sorted(missing)}")
     try:
-        return metrics.TdcfParams(**clean)
-    except SpoofampError as e:
-        raise ConfigError(f"t-DCF parameter file {path}: {e}") from e
-
-
-def evaluate_records(records, tdcf_params, group_by_attack=True):
-    """Convenience wrapper used by the CLI: records -> Report."""
-    return metrics.report(records, tdcf_params, group_by_attack=group_by_attack)
+        return metrics.TdcfParams(**{key: float(value) for key, value in doc.items()})
+    except (TypeError, ValueError, SpoofampError) as e:
+        raise ConfigError(f"{what} {path}: {e}") from e

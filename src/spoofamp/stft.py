@@ -2,39 +2,35 @@
 
 A periodic Hann window at 50% overlap sums to exactly 1.0 at every sample
 position, so analysis-windowed frames reconstruct the input by plain
-overlap-add with no synthesis window. Both edges are zero padded by
-window_length - hop so the first and last samples sit under a full window sum.
+overlap-add with no synthesis window. The hop is always half the window, so
+the padded signal is a run of hop-sized blocks and frame i spans blocks i and
+i + 1. Both edges are zero padded by one hop so the first and last samples
+sit under a full window sum.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError, DegenerateSignalError
 
 
 @dataclass(frozen=True)
 class StftConfig:
-    """Analysis parameters. Only the Hann window is supported, and the hop
-    must be half the window so overlap-add reconstruction is exact."""
+    """Analysis window length. The hop is always half the window, which is
+    what makes overlap-add reconstruction exact."""
 
     window_length: int = 512
-    hop: int = 256
-    window: str = "hann"
 
     def __post_init__(self):
-        if self.window != "hann":
-            raise ConfigError(f"unsupported window {self.window!r}; only 'hann'")
-        if not (0 < self.hop <= self.window_length):
+        if self.window_length < 2 or self.window_length % 2 != 0:
             raise ConfigError(
-                f"hop must satisfy 0 < hop <= window_length, got {self.hop}/{self.window_length}"
+                f"window_length must be a positive even integer, got {self.window_length}"
             )
-        if self.window_length % 2 != 0 or self.hop * 2 != self.window_length:
-            raise ConfigError(
-                "perfect reconstruction requires hop = window_length / 2 "
-                f"(got window {self.window_length}, hop {self.hop})"
-            )
+
+    @property
+    def hop(self):
+        return self.window_length // 2
 
 
 def hann_periodic(n):
@@ -42,13 +38,6 @@ def hann_periodic(n):
     copies sum to exactly 1."""
     k = np.arange(n, dtype=np.float64)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * k / n)
-
-
-def _frame_count(n_samples, cfg):
-    pad = cfg.window_length - cfg.hop
-    # cover pad + signal + pad so every real sample has full window coverage
-    covered = pad + n_samples + pad
-    return max(1, -(-(covered - cfg.window_length) // cfg.hop) + 1)
 
 
 def stft(samples, cfg):
@@ -61,14 +50,12 @@ def stft(samples, cfg):
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise DegenerateSignalError("stft input must be a non-empty 1-D array")
-    pad = cfg.window_length - cfg.hop
-    n_frames = _frame_count(x.size, cfg)
-    total = cfg.window_length + (n_frames - 1) * cfg.hop
-    buf = np.zeros(total, dtype=np.float64)
-    buf[pad : pad + x.size] = x
-    window = hann_periodic(cfg.window_length)
-    idx = np.arange(cfg.window_length)[None, :] + cfg.hop * np.arange(n_frames)[:, None]
-    frames = buf[idx] * window[None, :]
+    hop = cfg.hop
+    # one hop of zeros, the signal, then zeros up to a block boundary plus one hop
+    n_frames = -(-x.size // hop) + 1
+    blocks = np.zeros((n_frames + 1, hop), dtype=np.float64)
+    blocks.reshape(-1)[hop : hop + x.size] = x
+    frames = np.concatenate([blocks[:-1], blocks[1:]], axis=1) * hann_periodic(cfg.window_length)
     return np.fft.rfft(frames, axis=1)
 
 
@@ -79,7 +66,9 @@ def istft(spectra, cfg, n_samples):
     modified spectra this is the standard analysis-window-only resynthesis.
     """
     frames = np.fft.irfft(spectra, n=cfg.window_length, axis=1)
-    pad = cfg.window_length - cfg.hop
-    total = cfg.window_length + (spectra.shape[0] - 1) * cfg.hop
-    full = _kernels.overlap_add(frames, cfg.hop, total)
-    return full[pad : pad + n_samples]
+    hop = cfg.hop
+    blocks = np.zeros((frames.shape[0] + 1, hop), dtype=np.float64)
+    # block b sums the second half of frame b - 1 and the first half of frame b
+    blocks[1:] += frames[:, hop:]
+    blocks[:-1] += frames[:, :hop]
+    return blocks.reshape(-1)[hop : hop + n_samples]

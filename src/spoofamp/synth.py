@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .audio import Waveform, write_wav
 from .config import derive_seed
 from .errors import ConfigError, UnwritablePathError
@@ -21,6 +20,8 @@ from .manifest import ManifestEntry, write_manifest
 from .noise import NoiseSpec, generate
 
 ARTIFACT_KINDS = ("comb_filter", "quantization", "band_notch")
+
+_TWO_PI = 2.0 * np.pi
 
 COMB_DELAY_SAMPLES = 32
 NOTCH_CENTER_HZ = 3000.0
@@ -68,6 +69,25 @@ class SynthSpec:
             )
 
 
+def _harmonic_bank(n_samples, sample_rate, f0, vib_rate, vib_depth, amps, phases):
+    """Sum of sinusoidal harmonics with optional vibrato.
+
+    Harmonic k (1-based) contributes amps[k-1] * sin(2*pi*k*base(t) +
+    phases[k-1]), where base(t) integrates an instantaneous frequency of
+    f0 + vib_depth*cos(2*pi*vib_rate*t).
+    """
+    t = np.arange(n_samples, dtype=np.float64) / sample_rate
+    if vib_rate > 0.0:
+        base = f0 * t + vib_depth * np.sin(_TWO_PI * vib_rate * t) / (_TWO_PI * vib_rate)
+    else:
+        base = f0 * t
+    out = np.zeros(n_samples, dtype=np.float64)
+    # harmonics are summed in order k = 1, 2, ...; the corpus bytes depend on it
+    for k in range(len(amps)):
+        out += amps[k] * np.sin(_TWO_PI * (k + 1) * base + phases[k])
+    return out
+
+
 def _pseudo_speech(utt_id, spec):
     """One bona fide style utterance, deterministic in (spec.seed, utt_id)."""
     rng = np.random.default_rng(derive_seed(spec.seed, utt_id, "voice"))
@@ -82,7 +102,7 @@ def _pseudo_speech(utt_id, spec):
     phases = rng.uniform(0.0, 2.0 * np.pi, n_harm)
     vib_rate = rng.uniform(*VIB_RATE_RANGE_HZ)
     vib_depth = rng.uniform(*VIB_DEPTH_RANGE_HZ)
-    voiced = _kernels.harmonic_bank(n, sr, f0, vib_rate, vib_depth, amps, phases)
+    voiced = _harmonic_bank(n, sr, f0, vib_rate, vib_depth, amps, phases)
 
     t = np.arange(n, dtype=np.float64) / sr
     am_rate = rng.uniform(*AM_RATE_RANGE_HZ)

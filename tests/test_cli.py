@@ -253,6 +253,26 @@ class TestMissingInputs:
         assert rc == 1
         assert "no such model file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("{not json", "not valid JSON"),
+            ('{"format": "spoofamp-gaussian-model", "version": 1}', "classes"),
+        ],
+        ids=["invalid_json", "no_classes"],
+    )
+    def test_score_malformed_model_runtime_error(self, ws, tmp_path, capsys, text, match):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        rc = main([
+            "score", "--model", str(model),
+            "--manifest", ws["manifest"], "--out-scores", str(tmp_path / "s.txt"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert match in err
+
     def test_report_missing_scores(self, ws, tmp_path, capsys):
         rc = main([
             "report", "--manifest", ws["manifest"],

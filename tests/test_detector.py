@@ -14,6 +14,7 @@ from spoofamp.detector import (
     score,
 )
 from spoofamp.errors import (
+    ConfigError,
     DegenerateSignalError,
     MismatchError,
     MissingInputError,
@@ -42,6 +43,11 @@ class TestFeatureConfig:
     def test_dict_roundtrip(self):
         cfg = FeatureConfig(n_bands=10, window_length=256, hop=128, split_hz=3000.0)
         assert FeatureConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_rejects_bad_hop(self):
+        # the STFT hop is always half the window
+        with pytest.raises(ConfigError):
+            FeatureConfig(window_length=512, hop=128)
 
 
 class TestExtractFeatures:
@@ -232,6 +238,20 @@ class TestModelIO:
         path = tmp_path / "model.json"
         path.write_text('{"format": "something-else", "version": 1}\n')
         with pytest.raises(TrainingDataError):
+            load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("{not json", "not valid JSON"),
+            ('{"format": "spoofamp-gaussian-model", "version": 1}', "classes"),
+        ],
+        ids=["invalid_json", "no_classes"],
+    )
+    def test_malformed_model_rejected(self, tmp_path, text, match):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(TrainingDataError, match=match):
             load_model(str(path))
 
     def test_missing_model_file(self, tmp_path):

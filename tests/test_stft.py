@@ -12,20 +12,11 @@ class TestStftConfig:
         cfg = StftConfig()
         assert cfg.window_length == 512
         assert cfg.hop == 256
-        assert cfg.window == "hann"
 
-    def test_rejects_non_hann(self):
-        with pytest.raises(ConfigError):
-            StftConfig(window="hamming")
-
-    def test_rejects_bad_hop(self):
-        with pytest.raises(ConfigError):
-            StftConfig(window_length=512, hop=0)
-        with pytest.raises(ConfigError):
-            StftConfig(window_length=512, hop=513)
-        # perfect reconstruction needs hop = window / 2 exactly
-        with pytest.raises(ConfigError):
-            StftConfig(window_length=512, hop=128)
+    def test_rejects_odd_or_short_window(self):
+        for window_length in (0, 1, 511):
+            with pytest.raises(ConfigError):
+                StftConfig(window_length=window_length)
 
 
 class TestHannWindow:
@@ -58,7 +49,7 @@ class TestReconstruction:
     def test_roundtrip_small_window(self):
         rng = np.random.default_rng(99)
         x = rng.standard_normal(300)
-        cfg = StftConfig(window_length=32, hop=16)
+        cfg = StftConfig(window_length=32)
         assert np.allclose(istft(stft(x, cfg), cfg, 300), x, atol=1e-12)
 
     def test_spectra_shape(self):
@@ -88,3 +79,32 @@ class TestReconstruction:
         spectra = stft(np.sin(2 * np.pi * freq * t), StftConfig())
         mag = np.abs(spectra[4])  # interior frame
         assert np.argmax(mag) == 32
+
+
+def _overlap_add_reference(frames, hop, length):
+    """Direct per-sample accumulation, written independently of istft."""
+    out = np.zeros(length)
+    for i, frame in enumerate(frames):
+        for j, v in enumerate(frame):
+            pos = i * hop + j
+            if pos < length:
+                out[pos] += v
+    return out
+
+
+class TestOverlapAdd:
+    def test_matches_reference(self):
+        """istft is a plain overlap-add of the irfft frames, trimmed of the
+        one-hop lead-in pad."""
+        rng = np.random.default_rng(10)
+        for _ in range(20):
+            n_frames = int(rng.integers(1, 12))
+            win = int(rng.choice([8, 16, 32]))
+            hop = win // 2
+            n_samples = int(rng.integers(1, n_frames * hop + 1))
+            spectra = np.fft.rfft(rng.standard_normal((n_frames, win)), axis=1)
+            frames = np.fft.irfft(spectra, n=win, axis=1)
+            want = _overlap_add_reference(frames, hop, (n_frames + 1) * hop)[hop : hop + n_samples]
+            got = istft(spectra, StftConfig(window_length=win), n_samples)
+            assert got.shape == (n_samples,)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)

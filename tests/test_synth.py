@@ -11,12 +11,48 @@ from spoofamp.metrics import ScoreRecord, eer
 from spoofamp.synth import (
     COMB_DELAY_SAMPLES,
     SynthSpec,
+    _harmonic_bank,
     apply_artifact,
     synth_corpus,
     synth_utterance,
 )
 
 SMALL = SynthSpec(n_bonafide=2, n_spoof=2, duration_s=0.5, seed=7)
+
+
+def _harmonic_bank_reference(n, sr, f0, vib_rate, vib_depth, amps, phases):
+    """Direct evaluation of the harmonic sum with vibrato phase integral."""
+    t = np.arange(n) / sr
+    if vib_rate > 0:
+        base = f0 * t + vib_depth / (2 * np.pi * vib_rate) * np.sin(2 * np.pi * vib_rate * t)
+    else:
+        base = f0 * t
+    out = np.zeros(n)
+    for k, (a, p) in enumerate(zip(amps, phases), start=1):
+        out += a * np.sin(2 * np.pi * k * base + p)
+    return out
+
+
+class TestHarmonicBank:
+    def test_matches_reference(self):
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            n = int(rng.integers(100, 2000))
+            f0 = float(rng.uniform(80, 300))
+            vib_rate = float(rng.choice([0.0, 5.0]))
+            vib_depth = float(rng.uniform(0.0, 3.0))
+            n_harm = int(rng.integers(1, 12))
+            amps = rng.uniform(0.1, 1.0, n_harm)
+            phases = rng.uniform(0, 2 * np.pi, n_harm)
+            got = _harmonic_bank(n, 16000, f0, vib_rate, vib_depth, amps, phases)
+            want = _harmonic_bank_reference(n, 16000, f0, vib_rate, vib_depth, amps, phases)
+            assert np.allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_single_harmonic_is_sine(self):
+        n = 1600
+        got = _harmonic_bank(n, 16000, 200.0, 0.0, 0.0, np.array([1.0]), np.array([0.0]))
+        t = np.arange(n) / 16000
+        assert np.allclose(got, np.sin(2 * np.pi * 200.0 * t), atol=1e-9)
 
 
 class TestSynthSpec:
