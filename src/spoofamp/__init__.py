@@ -7,166 +7,4 @@ artifacts survive enhancement poorly, so the residual concentrates them and
 re-adding it makes spoofed audio easier to separate from bona fide audio.
 """
 
-from .amplify import (
-    AmplifySpec,
-    ProcessDetails,
-    Residual,
-    extract_residual,
-    process_utterance,
-    process_utterance_details,
-)
-from .audio import Waveform, crop_or_pad, measure_snr, read_wav, write_wav
-from .config import (
-    RELEASE_SEED,
-    PipelineConfig,
-    config_hash,
-    derive_seed,
-    load_config,
-)
-from .detector import (
-    FeatureConfig,
-    GaussianModel,
-    extract_features,
-    fit,
-    load_model,
-    save_model,
-    score,
-)
-from .enhance import EnhancerKind, run_external
-from .errors import (
-    AudioIOError,
-    CoefficientDegeneracyError,
-    ConfigError,
-    DegenerateSignalError,
-    DuplicateIdError,
-    EnhancerError,
-    EnhancerOutputError,
-    EnhancerProcessError,
-    EnhancerTimeoutError,
-    InfiniteSnrError,
-    MalformedWavError,
-    ManifestError,
-    MismatchError,
-    MissingFileError,
-    MissingIdError,
-    MissingInputError,
-    MissingReferenceError,
-    ScoreFileError,
-    SingleClassError,
-    SpoofampError,
-    StageError,
-    TrainingDataError,
-    UnsupportedEncodingError,
-    UnwritablePathError,
-)
-from .manifest import ManifestEntry, load_manifest, write_manifest
-from .metrics import (
-    Report,
-    ScoreRecord,
-    TdcfParams,
-    det_curve,
-    eer,
-    min_tdcf,
-    parse_score_file,
-    report,
-    write_score_file,
-)
-from .mixing import MixSpec, add_noise_at_snr, wada_snr_estimate
-from .noise import NoiseSpec, generate, psd_slope
-from .pipeline import (
-    RunResult,
-    SweepCell,
-    join_scores,
-    load_tdcf_params,
-    run_pipeline,
-    score_external,
-    sweep,
-    sweep_csv_text,
-)
-from .stft import StftConfig, istft
-from .synth import SynthSpec, apply_artifact, synth_corpus
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmplifySpec",
-    "AudioIOError",
-    "CoefficientDegeneracyError",
-    "ConfigError",
-    "DegenerateSignalError",
-    "DuplicateIdError",
-    "EnhancerError",
-    "EnhancerKind",
-    "EnhancerOutputError",
-    "EnhancerProcessError",
-    "EnhancerTimeoutError",
-    "FeatureConfig",
-    "GaussianModel",
-    "InfiniteSnrError",
-    "MalformedWavError",
-    "ManifestEntry",
-    "ManifestError",
-    "MismatchError",
-    "MissingFileError",
-    "MissingIdError",
-    "MissingInputError",
-    "MissingReferenceError",
-    "MixSpec",
-    "NoiseSpec",
-    "PipelineConfig",
-    "ProcessDetails",
-    "RELEASE_SEED",
-    "Report",
-    "Residual",
-    "RunResult",
-    "ScoreFileError",
-    "ScoreRecord",
-    "SingleClassError",
-    "SpoofampError",
-    "StageError",
-    "StftConfig",
-    "SweepCell",
-    "SynthSpec",
-    "TdcfParams",
-    "TrainingDataError",
-    "UnsupportedEncodingError",
-    "UnwritablePathError",
-    "Waveform",
-    "add_noise_at_snr",
-    "apply_artifact",
-    "config_hash",
-    "crop_or_pad",
-    "derive_seed",
-    "det_curve",
-    "eer",
-    "extract_features",
-    "extract_residual",
-    "fit",
-    "generate",
-    "istft",
-    "join_scores",
-    "load_config",
-    "load_manifest",
-    "load_model",
-    "load_tdcf_params",
-    "measure_snr",
-    "min_tdcf",
-    "parse_score_file",
-    "process_utterance",
-    "process_utterance_details",
-    "psd_slope",
-    "read_wav",
-    "report",
-    "run_external",
-    "run_pipeline",
-    "save_model",
-    "score",
-    "score_external",
-    "sweep",
-    "sweep_csv_text",
-    "synth_corpus",
-    "wada_snr_estimate",
-    "write_manifest",
-    "write_score_file",
-    "write_wav",
-]

@@ -106,6 +106,8 @@ def read_wav(path):
         raise MissingFileError(f"no such audio file: {path}")
     with open(path, "rb") as f:
         riff = f.read(12)
+        if riff[:4] == b"fLaC":
+            raise UnsupportedEncodingError(f"FLAC is not supported, only WAV: {path}")
         if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
             raise MalformedWavError(f"not a RIFF/WAVE file: {path}")
         fmt = None
@@ -147,15 +149,18 @@ def read_wav(path):
         raise MalformedWavError("fmt chunk declares zero channels")
 
     if tag == _FMT_PCM and bits == 16:
-        raw = np.frombuffer(data, dtype="<i2")
-        scale = 1.0 / 32768.0
-        samples = raw.astype(np.float64) * scale
+        dtype, scale = "<i2", 1.0 / 32768.0
     elif tag == _FMT_IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        dtype, scale = "<f4", 1.0
     else:
         raise UnsupportedEncodingError(
             f"unsupported WAV encoding: format tag {tag}, {bits} bits per sample"
         )
+    if len(data) % (bits // 8) != 0:
+        raise MalformedWavError(
+            f"data chunk of {len(data)} bytes is not a whole number of {bits}-bit samples: {path}"
+        )
+    samples = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
 
     if samples.size == 0:
         raise MalformedWavError(f"data chunk holds no samples: {path}")

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .amplify import EXTRACTION_MODES
-from .enhance import ENHANCER_KINDS
+from .enhance import EnhancerKind
 from .errors import ConfigError
 from .noise import NOISE_COLORS
 
@@ -42,12 +42,8 @@ class PipelineConfig:
             raise ConfigError(
                 f"unknown noise_color {self.noise_color!r}; choose from {NOISE_COLORS}"
             )
-        if self.enhancer not in ENHANCER_KINDS:
-            raise ConfigError(
-                f"unknown enhancer {self.enhancer!r}; choose from {ENHANCER_KINDS}"
-            )
-        if not isinstance(self.enhancer_params, dict):
-            raise ConfigError("enhancer_params must be a mapping")
+        # checks the tag and its parameters; the fields keep the values as given
+        EnhancerKind(self.enhancer, self.enhancer_params)
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
         if not (np.isfinite(self.crop_seconds) and self.crop_seconds > 0):

@@ -36,18 +36,16 @@ class FeatureConfig:
 
     n_bands: int = 24
     window_length: int = 512
-    hop: int = 256
     split_hz: float = 4000.0
 
     def __post_init__(self):
         if self.n_bands < 2:
             raise DegenerateSignalError(f"n_bands must be >= 2, got {self.n_bands}")
         StftConfig(self.window_length)  # rejects odd or too-short windows
-        # hop is stored in the model format but fixed by the STFT at half the window
-        if self.hop != self.window_length // 2:
-            raise ConfigError(
-                f"hop must be half of window_length {self.window_length}, got {self.hop}"
-            )
+
+    @property
+    def hop(self):
+        return self.window_length // 2
 
     @property
     def dim(self):
@@ -63,12 +61,17 @@ class FeatureConfig:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(
+        config = cls(
             n_bands=int(d["n_bands"]),
             window_length=int(d["window_length"]),
-            hop=int(d["hop"]),
             split_hz=float(d["split_hz"]),
         )
+        # the model format stores the hop, but the STFT fixes it at half the window
+        if int(d["hop"]) != config.hop:
+            raise ConfigError(
+                f"hop must be half of window_length {config.window_length}, got {d['hop']}"
+            )
+        return config
 
 
 def _mel(f):

@@ -9,9 +9,11 @@ noise; the constants below rescale it to the Rayleigh mean amplitude (for
 spectral subtraction) or RMS (for the Wiener gain's power estimate).
 """
 
+import numbers
 import shlex
 import shutil
 import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -28,7 +30,15 @@ from .errors import (
 )
 from .stft import StftConfig, istft, stft
 
-ENHANCER_KINDS = ("identity", "oracle_clean", "spectral_subtraction", "wiener", "external")
+# the parameters each kind accepts and their defaults; an external command has none
+_PARAM_DEFAULTS = {
+    "identity": {},
+    "oracle_clean": {},
+    "spectral_subtraction": {"subtraction_factor": 1.0, "floor": 0.02},
+    "wiener": {"floor": 0.01},
+    "external": {"command": None, "timeout_s": 60.0},
+}
+ENHANCER_KINDS = tuple(_PARAM_DEFAULTS)
 
 _NOISE_PERCENTILE = 10.0
 # Rayleigh(sigma): 10th percentile = sigma*sqrt(-2 ln 0.9), mean = sigma*sqrt(pi/2),
@@ -51,6 +61,15 @@ class EnhancerKind:
       wiener: floor (0.01)
       external: command (required, with {in} and {out} placeholders),
                 timeout_s (60.0)
+
+    After construction params holds every key of the kind, defaults filled
+    in and numbers as floats.
+
+    Raises
+    ------
+    ConfigError
+        Unknown tag or key, a number that is not finite and >= 0, a zero
+        timeout_s, or an external kind without a command.
     """
 
     tag: str
@@ -59,10 +78,31 @@ class EnhancerKind:
     def __post_init__(self):
         if self.tag not in ENHANCER_KINDS:
             raise ConfigError(f"unknown enhancer {self.tag!r}; choose from {ENHANCER_KINDS}")
+        if not isinstance(self.params, dict):
+            raise ConfigError("enhancer_params must be a mapping")
+        checked = dict(_PARAM_DEFAULTS[self.tag])
+        for key, value in self.params.items():
+            if key not in checked:
+                raise ConfigError(
+                    f"unknown {self.tag} enhancer parameter {key!r}; choose from {tuple(checked)}"
+                )
+            if key != "command":
+                number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+                # NaN fails both comparisons; the upper one also stops ints too big for a float
+                if not (number and 0 <= value <= sys.float_info.max):
+                    raise ConfigError(
+                        f"{self.tag} enhancer parameter {key!r} must be a finite number >= 0, "
+                        f"got {value!r}"
+                    )
+                value = float(value)
+            checked[key] = value
         if self.tag == "external":
-            cmd = self.params.get("command", "")
+            cmd = checked["command"]
             if not isinstance(cmd, str) or not cmd.strip():
                 raise ConfigError("external enhancer requires a non-empty 'command' template")
+            if checked["timeout_s"] <= 0:
+                raise ConfigError(f"timeout_s must be positive, got {checked['timeout_s']}")
+        object.__setattr__(self, "params", checked)
 
 
 def _match_length(samples, n):
@@ -170,14 +210,9 @@ def enhance(kind, y, reference_clean=None):
         if reference_clean is None:
             raise MissingReferenceError("oracle_clean enhancer needs a clean reference")
         return y.with_samples(_match_length(reference_clean.samples, len(y)))
+    params = kind.params
     if kind.tag == "spectral_subtraction":
-        factor = float(kind.params.get("subtraction_factor", 1.0))
-        floor = float(kind.params.get("floor", 0.02))
-        return _spectral_subtraction(y, factor, floor)
+        return _spectral_subtraction(y, params["subtraction_factor"], params["floor"])
     if kind.tag == "wiener":
-        floor = float(kind.params.get("floor", 0.01))
-        return _wiener(y, floor)
-    if kind.tag == "external":
-        timeout_s = float(kind.params.get("timeout_s", 60.0))
-        return run_external(kind.params["command"], y, timeout_s=timeout_s)
-    raise ConfigError(f"unknown enhancer {kind.tag!r}")
+        return _wiener(y, params["floor"])
+    return run_external(params["command"], y, timeout_s=params["timeout_s"])

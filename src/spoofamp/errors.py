@@ -23,7 +23,8 @@ class MalformedWavError(AudioIOError):
 
 
 class UnsupportedEncodingError(AudioIOError):
-    """Valid WAV container with a sample encoding this package does not read."""
+    """Audio this package does not decode: a WAV sample encoding other than
+    PCM16 or float32, or another container such as FLAC."""
 
 
 class UnwritablePathError(AudioIOError):

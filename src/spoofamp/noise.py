@@ -9,10 +9,10 @@ and the result inverse transformed and normalized to unit RMS.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _scipy_signal
 
 from .audio import Waveform
 from .errors import ConfigError, DegenerateSignalError
+from .stft import hann_periodic
 
 NOISE_COLORS = ("white", "pink", "violet")
 
@@ -85,9 +85,14 @@ def psd_slope(w, f_lo, f_hi):
         raise DegenerateSignalError(
             f"signal too short for slope fit: {len(w)} < {min_len} samples"
         )
-    freqs, psd = _scipy_signal.welch(
-        w.samples, fs=w.sample_rate, nperseg=nperseg, noverlap=nperseg // 2
-    )
+    # Welch: half-overlapped Hann segments, each mean-removed, periodograms
+    # averaged and scaled to a one-sided density
+    segments = np.lib.stride_tricks.sliding_window_view(w.samples, nperseg)[:: nperseg // 2]
+    window = hann_periodic(nperseg)
+    spectra = np.fft.rfft((segments - segments.mean(axis=1, keepdims=True)) * window, axis=1)
+    psd = np.mean(np.abs(spectra) ** 2, axis=0) / (w.sample_rate * np.sum(window**2))
+    psd[1:-1] *= 2.0  # fold in negative frequencies; nperseg is even, so DC and Nyquist stay
+    freqs = np.fft.rfftfreq(nperseg, d=1.0 / w.sample_rate)
     band = (freqs >= f_lo) & (freqs <= f_hi) & (psd > 0)
     if np.count_nonzero(band) < 2:
         raise DegenerateSignalError("fewer than 2 usable PSD bins in the requested band")

@@ -1,4 +1,4 @@
-"""Batch execution: corpus processing, sweeps, and external score evaluation.
+"""Batch execution: corpus processing, sweeps, and score joining.
 
 Per-utterance work (read, crop, mix, enhance, extract, amplify, write) runs
 on a bounded thread pool. All randomness is derived per utterance id from the
@@ -39,10 +39,6 @@ class RunResult:
     out_dir: str
     log_path: str
     config_hash: str
-
-
-def _build_enhancer(config):
-    return EnhancerKind(config.enhancer, dict(config.enhancer_params))
 
 
 def _load_cropped(entry, config):
@@ -110,7 +106,7 @@ def run_pipeline(config, entries, out_dir):
     Failures are logged per utterance and counted, never raised.
     """
     os.makedirs(out_dir, exist_ok=True)
-    enhancer = _build_enhancer(config)
+    enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
     results = _map_entries(
         entries, lambda e: _process_one(e, config, enhancer, out_dir), config.parallelism
     )
@@ -141,7 +137,7 @@ def run_pipeline(config, entries, out_dir):
 
 def _amplified_features(config, crops, feature_config):
     """Features of the pipeline output for each (entry, cropped x) pair."""
-    enhancer = _build_enhancer(config)
+    enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
 
     def one(item):
         entry, x = item
@@ -272,19 +268,6 @@ def join_scores(entries, rows, polarity_flip=False, source="score file"):
     if n_extra:
         _log.info("%d score ids not in manifest; ignored", n_extra)
     return records, n_extra
-
-
-def score_external(entries, score_file_path, tdcf_params, polarity_flip=False, group_by_attack=True):
-    """Join manifest labels onto an externally produced score file and report.
-
-    Returns (Report, n_extra_ids).
-    """
-    parsed = metrics.parse_score_file(score_file_path)
-    records, n_extra = join_scores(
-        entries, parsed.rows, polarity_flip=polarity_flip, source=score_file_path
-    )
-    rep = metrics.report(records, tdcf_params, group_by_attack=group_by_attack)
-    return rep, n_extra
 
 
 def load_tdcf_params(path=None):

@@ -1,5 +1,7 @@
 """Shared fixtures and signal builders for the test suite."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,28 @@ def speechlike():
 @pytest.fixture
 def noise_wave():
     return make_noise_wave
+
+
+def write_minimal_wav(path, payload, fmt_tag, bits, channels, rate, extensible=False,
+                      extra_chunk=None):
+    """Hand-assemble a WAV file so reader tests do not depend on write_wav."""
+    block_align = channels * bits // 8
+    if extensible:
+        guid = struct.pack("<H", fmt_tag) + bytes.fromhex("000000001000800000aa00389b71")
+        body = struct.pack("<HHIIHH", 0xFFFE, channels, rate, rate * block_align,
+                           block_align, bits)
+        body += struct.pack("<HHI", 22, bits, 1) + guid
+        fmt = struct.pack("<4sI", b"fmt ", len(body)) + body
+    else:
+        fmt = struct.pack("<4sIHHIIHH", b"fmt ", 16, fmt_tag, channels, rate,
+                          rate * block_align, block_align, bits)
+    chunks = fmt
+    if extra_chunk is not None:
+        cid, cdata = extra_chunk
+        chunks += struct.pack("<4sI", cid, len(cdata)) + cdata
+        if len(cdata) % 2 == 1:
+            chunks += b"\x00"
+    chunks += struct.pack("<4sI", b"data", len(payload)) + payload
+    if len(payload) % 2 == 1:
+        chunks += b"\x00"
+    path.write_bytes(struct.pack("<4sI4s", b"RIFF", 4 + len(chunks), b"WAVE") + chunks)

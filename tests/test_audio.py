@@ -16,6 +16,8 @@ from spoofamp.errors import (
     UnwritablePathError,
 )
 
+from conftest import write_minimal_wav
+
 
 class TestWaveform:
     def test_rejects_empty(self):
@@ -82,7 +84,7 @@ class TestWavRoundTrip:
         # 16-bit levels 0, 16384, -16384 decode as 0, 0.5, -0.5
         payload = struct.pack("<3h", 0, 16384, -16384)
         p = tmp_path / "raw.wav"
-        _write_minimal_wav(p, payload, fmt_tag=1, bits=16, channels=1, rate=16000)
+        write_minimal_wav(p, payload, fmt_tag=1, bits=16, channels=1, rate=16000)
         w = read_wav(str(p))
         assert np.array_equal(w.samples, [0.0, 0.5, -0.5])
 
@@ -97,7 +99,7 @@ class TestWavRoundTrip:
     def test_stereo_is_averaged(self, tmp_path):
         payload = struct.pack("<2f", 1.0, 0.0)
         p = tmp_path / "st.wav"
-        _write_minimal_wav(p, payload, fmt_tag=3, bits=32, channels=2, rate=16000)
+        write_minimal_wav(p, payload, fmt_tag=3, bits=32, channels=2, rate=16000)
         w = read_wav(str(p))
         assert len(w) == 1
         assert w.samples[0] == pytest.approx(0.5)
@@ -105,8 +107,8 @@ class TestWavRoundTrip:
     def test_extensible_pcm16_read(self, tmp_path):
         payload = struct.pack("<2h", 16384, -16384)
         p = tmp_path / "ext.wav"
-        _write_minimal_wav(p, payload, fmt_tag=1, bits=16, channels=1, rate=16000,
-                           extensible=True)
+        write_minimal_wav(p, payload, fmt_tag=1, bits=16, channels=1, rate=16000,
+                          extensible=True)
         w = read_wav(str(p))
         assert np.array_equal(w.samples, [0.5, -0.5])
 
@@ -114,8 +116,8 @@ class TestWavRoundTrip:
         # a 3-byte LIST chunk before data must be skipped with its pad byte
         payload = struct.pack("<2h", 0, 16384)
         p = tmp_path / "pad.wav"
-        _write_minimal_wav(p, payload, fmt_tag=1, bits=16, channels=1, rate=16000,
-                           extra_chunk=(b"LIST", b"abc"))
+        write_minimal_wav(p, payload, fmt_tag=1, bits=16, channels=1, rate=16000,
+                          extra_chunk=(b"LIST", b"abc"))
         w = read_wav(str(p))
         assert np.array_equal(w.samples, [0.0, 0.5])
 
@@ -149,8 +151,25 @@ class TestWavErrors:
         # 8-bit PCM is not supported
         payload = bytes([128, 255])
         p = tmp_path / "u.wav"
-        _write_minimal_wav(p, payload, fmt_tag=1, bits=8, channels=1, rate=16000)
+        write_minimal_wav(p, payload, fmt_tag=1, bits=8, channels=1, rate=16000)
         with pytest.raises(UnsupportedEncodingError):
+            read_wav(str(p))
+
+    @pytest.mark.parametrize(
+        "payload, fmt_tag, bits",
+        [(b"\x00\x01\x02", 1, 16), (b"\x00" * 6, 3, 32)],
+        ids=["pcm16_3_bytes", "float32_6_bytes"],
+    )
+    def test_partial_sample_rejected(self, tmp_path, payload, fmt_tag, bits):
+        p = tmp_path / "partial.wav"
+        write_minimal_wav(p, payload, fmt_tag=fmt_tag, bits=bits, channels=1, rate=16000)
+        with pytest.raises(MalformedWavError, match="whole number"):
+            read_wav(str(p))
+
+    def test_flac_named(self, tmp_path):
+        p = tmp_path / "a.flac"
+        p.write_bytes(b"fLaC" + b"\x00" * 40)
+        with pytest.raises(UnsupportedEncodingError, match="FLAC"):
             read_wav(str(p))
 
     def test_unwritable_path(self, tmp_path):
@@ -241,28 +260,3 @@ class TestMeasureSnr:
     def test_rate_mismatch(self):
         with pytest.raises(MismatchError):
             measure_snr(Waveform(np.ones(8), 16000), Waveform(np.ones(8), 8000))
-
-
-def _write_minimal_wav(path, payload, fmt_tag, bits, channels, rate, extensible=False,
-                       extra_chunk=None):
-    """Hand-assemble a WAV file so reader tests do not depend on write_wav."""
-    block_align = channels * bits // 8
-    if extensible:
-        guid = struct.pack("<H", fmt_tag) + bytes.fromhex("000000001000800000aa00389b71")
-        body = struct.pack("<HHIIHH", 0xFFFE, channels, rate, rate * block_align,
-                           block_align, bits)
-        body += struct.pack("<HHI", 22, bits, 1) + guid
-        fmt = struct.pack("<4sI", b"fmt ", len(body)) + body
-    else:
-        fmt = struct.pack("<4sIHHIIHH", b"fmt ", 16, fmt_tag, channels, rate,
-                          rate * block_align, block_align, bits)
-    chunks = fmt
-    if extra_chunk is not None:
-        cid, cdata = extra_chunk
-        chunks += struct.pack("<4sI", cid, len(cdata)) + cdata
-        if len(cdata) % 2 == 1:
-            chunks += b"\x00"
-    chunks += struct.pack("<4sI", b"data", len(payload)) + payload
-    if len(payload) % 2 == 1:
-        chunks += b"\x00"
-    path.write_bytes(struct.pack("<4sI4s", b"RIFF", 4 + len(chunks), b"WAVE") + chunks)

@@ -8,6 +8,8 @@ import pytest
 
 from spoofamp.audio import read_wav
 from spoofamp.cli import main
+from spoofamp.config import PipelineConfig
+from spoofamp.errors import ConfigError
 from spoofamp.metrics import parse_score_file
 
 
@@ -157,6 +159,30 @@ class TestProcess:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"enhancer_params": {"floor": "abc"}},
+            {"enhancer_params": {"flor": 0.5}},
+            {"enhancer_params": {"floor": float("nan")}},
+            {"enhancer": "external"},
+        ],
+        ids=["non_number", "unknown_key", "nan", "external_without_command"],
+    )
+    def test_bad_enhancer_params_usage_error(self, ws, tmp_path, capsys, fields):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**fields)
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as f:
+            json.dump(fields, f)
+        out = tmp_path / "out"
+        rc = main([
+            "process", "--config", bad, "--manifest", ws["manifest"], "--out-dir", str(out),
+        ])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (out / "run_log.json").exists()
 
 
 class TestFitScore:

@@ -1,5 +1,7 @@
 """Feature extraction and the diagonal Gaussian classifier."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -41,13 +43,22 @@ class TestFeatureConfig:
             FeatureConfig(n_bands=1)
 
     def test_dict_roundtrip(self):
-        cfg = FeatureConfig(n_bands=10, window_length=256, hop=128, split_hz=3000.0)
+        cfg = FeatureConfig(n_bands=10, window_length=256, split_hz=3000.0)
+        assert cfg.to_dict()["hop"] == 128
         assert FeatureConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_rejects_bad_hop(self):
-        # the STFT hop is always half the window
-        with pytest.raises(ConfigError):
-            FeatureConfig(window_length=512, hop=128)
+    def test_rejects_bad_hop(self, tmp_path):
+        # the model format stores the hop, but the STFT fixes it at half the window
+        stored = dict(FeatureConfig().to_dict(), hop=128)
+        with pytest.raises(ConfigError, match="hop"):
+            FeatureConfig.from_dict(stored)
+        path = tmp_path / "model.json"
+        save_model(fit(np.eye(4).repeat(2, axis=0), ["bonafide", "spoof"] * 4), str(path))
+        doc = json.loads(path.read_text())
+        doc["feature_config"] = stored
+        path.write_text(json.dumps(doc))
+        with pytest.raises(TrainingDataError, match="hop"):
+            load_model(str(path))
 
 
 class TestExtractFeatures:

@@ -42,7 +42,18 @@ class TestEnhancerKind:
             EnhancerKind("external")
         with pytest.raises(ConfigError):
             EnhancerKind("external", {"command": "   "})
+        with pytest.raises(ConfigError):
+            EnhancerKind("external", {"command": "prog {in} {out}", "timeout_s": 0})
         EnhancerKind("external", {"command": "prog {in} {out}"})
+
+    def test_params_checked_once_with_defaults(self):
+        assert EnhancerKind("wiener").params == {"floor": 0.01}
+        kind = EnhancerKind("spectral_subtraction", {"floor": 0})
+        assert kind.params == {"subtraction_factor": 1.0, "floor": 0.0}
+        assert type(kind.params["floor"]) is float
+        for bad in (-0.1, True, float("inf"), 10**400):
+            with pytest.raises(ConfigError):
+                EnhancerKind("wiener", {"floor": bad})
 
 
 class TestBuiltinEnhancers:

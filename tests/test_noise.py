@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from spoofamp.audio import Waveform
 from spoofamp.errors import ConfigError, DegenerateSignalError
@@ -72,6 +73,18 @@ class TestPsdSlope:
         t = np.arange(1 << 16) / 16000
         w = Waveform(np.sin(2 * np.pi * 1000.0 * t), 16000)
         assert np.isfinite(psd_slope(w, 100.0, 6000.0))
+
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    @pytest.mark.parametrize("length", [18432, 20000, 64001])
+    @pytest.mark.parametrize("color", NOISE_COLORS)
+    def test_matches_scipy_welch(self, color, length, rate):
+        # lengths on and off the 2048-sample segment hop; 18432 is the minimum
+        w = generate(NoiseSpec(color, length, rate, seed=length))
+        f_lo, f_hi = 100.0, 0.375 * rate
+        freqs, psd = signal.welch(w.samples, fs=rate, nperseg=4096, noverlap=2048)
+        band = (freqs >= f_lo) & (freqs <= f_hi) & (psd > 0)
+        want = np.polyfit(np.log2(freqs[band]), 10.0 * np.log10(psd[band]), 1)[0]
+        assert psd_slope(w, f_lo, f_hi) == pytest.approx(want, abs=1e-9)
 
     def test_rejects_bad_band(self):
         w = Waveform(np.random.default_rng(0).standard_normal(1 << 16), 16000)

@@ -1,4 +1,4 @@
-"""Batch pipeline runs, sweeps, and external score evaluation."""
+"""Batch pipeline runs, sweeps, and score joining."""
 
 import json
 import os
@@ -10,19 +10,20 @@ from spoofamp.audio import crop_or_pad, read_wav
 from spoofamp.config import PipelineConfig, config_hash, derive_seed
 from spoofamp.errors import ConfigError, MissingIdError, ScoreFileError
 from spoofamp.manifest import ManifestEntry, load_manifest
-from spoofamp.metrics import TdcfParams, eer, ScoreRecord, write_score_file
+from spoofamp.metrics import TdcfParams, eer, ScoreRecord
 from spoofamp.pipeline import (
     SWEEP_AXES,
     SweepCell,
     join_scores,
     load_tdcf_params,
     run_pipeline,
-    score_external,
     sweep,
     sweep_csv_text,
 )
 from spoofamp.detector import FeatureConfig, extract_features, fit, score
 from spoofamp.synth import SynthSpec, synth_corpus
+
+from conftest import write_minimal_wav
 
 UNIT_PARAMS = TdcfParams(
     p_target=0.25, p_nontarget=0.25, p_spoof=0.5,
@@ -143,6 +144,19 @@ class TestRunPipeline:
         assert failed[0]["utterance_id"] == entries[3].utterance_id
         assert failed[0]["stage"] == "io"
 
+    def test_partial_sample_file_logged_not_raised(self, corpus, tmp_path):
+        entries, _ = corpus
+        bad_path = tmp_path / "partial.wav"
+        write_minimal_wav(bad_path, b"\x00\x01\x02", fmt_tag=1, bits=16, channels=1, rate=16000)
+        bad = ManifestEntry("PARTIAL", str(bad_path), "bonafide", "-")
+        result = run_pipeline(_config(), entries + [bad], str(tmp_path / "run"))
+        assert (result.n_ok, result.n_failed) == (len(entries), 1)
+        with open(result.log_path) as f:
+            log = json.load(f)
+        outcome = {r["utterance_id"]: (r["status"], r.get("stage")) for r in log["entries"]}
+        assert outcome.pop("PARTIAL") == ("failed", "io")
+        assert set(outcome.values()) == {("ok", None)}
+
 
 class TestSweep:
     def test_zero_alpha_cell_matches_raw_baseline(self, corpus):
@@ -259,26 +273,6 @@ class TestJoinScores:
         entries = _entries(("U1", "bonafide"))
         records, _ = join_scores(entries, [("U1", None, None, 0.5)], polarity_flip=True)
         assert records[0].score == -0.5
-
-
-class TestScoreExternal:
-    def test_report_from_score_file(self, tmp_path):
-        entries = _entries(
-            ("U1", "bonafide"), ("U2", "bonafide"), ("U3", "spoof"), ("U4", "spoof")
-        )
-        recs = [
-            ScoreRecord("U1", "bonafide", "-", 0.8),
-            ScoreRecord("U2", "bonafide", "-", 0.4),
-            ScoreRecord("U3", "spoof", "A01", 0.6),
-            ScoreRecord("U4", "spoof", "A01", 0.2),
-        ]
-        path = str(tmp_path / "scores.txt")
-        write_score_file(path, recs)
-        rep, n_extra = score_external(entries, path, UNIT_PARAMS)
-        assert n_extra == 0
-        assert rep.eer == pytest.approx(0.25, abs=1e-12)
-        assert rep.n_bonafide == 2
-        assert rep.n_spoof == 2
 
 
 class TestLoadTdcfParams:
