@@ -10,15 +10,14 @@ that returns the clean input therefore yields a zero residual and the
 pipeline becomes the identity.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import mixing, noise
-from .audio import Waveform
+from .audio import Waveform, _check_aligned
 from .enhance import enhance
-from .errors import DegenerateSignalError, MismatchError, SpoofampError, StageError
+from .errors import DegenerateSignalError, _stage
 
 EXTRACTION_MODES = ("projection", "naive")
 
@@ -40,15 +39,6 @@ class AmplifySpec:
     def __post_init__(self):
         if not np.isfinite(self.alpha) or self.alpha < 0:
             raise DegenerateSignalError(f"alpha must be finite and >= 0, got {self.alpha}")
-
-
-def _check_aligned(a, b, name_a, name_b):
-    if len(a) != len(b):
-        raise MismatchError(f"length mismatch: {name_a} {len(a)} vs {name_b} {len(b)}")
-    if a.sample_rate != b.sample_rate:
-        raise MismatchError(
-            f"sample rate mismatch: {name_a} {a.sample_rate} vs {name_b} {b.sample_rate}"
-        )
 
 
 def extract_residual(x, x_hat, mode="projection"):
@@ -101,15 +91,6 @@ class ProcessDetails:
     residual: Residual
     noisy: Waveform
     enhanced: Waveform
-
-
-@contextmanager
-def _stage(name):
-    """Re-raise a SpoofampError from the body as a StageError naming the stage."""
-    try:
-        yield
-    except SpoofampError as e:
-        raise StageError(name, e) from e
 
 
 def process_utterance_details(x, config, enhancer, noise_seed=None):

@@ -85,6 +85,15 @@ class Waveform:
         return Waveform(samples, self.sample_rate)
 
 
+def _check_aligned(a, b, name_a, name_b):
+    if len(a) != len(b):
+        raise MismatchError(f"length mismatch: {name_a} {len(a)} vs {name_b} {len(b)}")
+    if a.sample_rate != b.sample_rate:
+        raise MismatchError(
+            f"sample rate mismatch: {name_a} {a.sample_rate} vs {name_b} {b.sample_rate}"
+        )
+
+
 def _read_exact(f, n, what):
     data = f.read(n)
     if len(data) != n:
@@ -262,12 +271,7 @@ def measure_snr(clean, mixture):
     InfiniteSnrError
         Mixture equals clean exactly (zero residual).
     """
-    if len(clean) != len(mixture):
-        raise MismatchError(f"length mismatch: clean {len(clean)} vs mixture {len(mixture)}")
-    if clean.sample_rate != mixture.sample_rate:
-        raise MismatchError(
-            f"sample rate mismatch: {clean.sample_rate} vs {mixture.sample_rate}"
-        )
+    _check_aligned(clean, mixture, "clean", "mixture")
     ce = clean.energy()
     if ce == 0.0:
         raise DegenerateSignalError("clean signal has zero energy")

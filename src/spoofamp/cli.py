@@ -6,7 +6,6 @@ invalid configuration or usage.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -14,7 +13,7 @@ from . import detector, metrics, pipeline, synth
 from .amplify import EXTRACTION_MODES, AmplifySpec, Residual, extract_residual
 from .amplify import amplify as _amplify_op
 from .audio import read_wav, write_wav
-from .config import PipelineConfig, config_hash, derive_seed, load_config
+from .config import PipelineConfig, _read_json_object, derive_seed, load_config
 from .errors import ConfigError, SpoofampError
 from .manifest import MANIFEST_FORMATS, load_manifest
 from .mixing import MixSpec, add_noise_at_snr
@@ -128,19 +127,17 @@ def _cmd_fit(args):
 
 
 def _read_run_hash(audio_dir):
+    """Config hash from audio_dir's run log, or None when there is no log."""
     if audio_dir is None:
         return None
     log_path = os.path.join(audio_dir, "run_log.json")
     if not os.path.isfile(log_path):
         return None
-    try:
-        with open(log_path, "r", encoding="utf-8") as f:
-            return json.load(f).get("config_hash")
-    except (OSError, json.JSONDecodeError):
-        return None
+    return _read_json_object(log_path, "run log").get("config_hash")
 
 
 def _cmd_score(args):
+    run_hash = _read_run_hash(args.audio_dir)
     entries = _remap_audio_dir(_load_entries(args), args.audio_dir)
     model = detector.load_model(args.model)
     fc = model.feature_config
@@ -150,7 +147,7 @@ def _cmd_score(args):
         records.append(
             metrics.ScoreRecord(e.utterance_id, e.label, e.attack_id, detector.score(model, f))
         )
-    metrics.write_score_file(args.out_scores, records, config_hash=_read_run_hash(args.audio_dir))
+    metrics.write_score_file(args.out_scores, records, config_hash=run_hash)
     print(f"scored {len(records)} utterances; scores: {args.out_scores}")
     return 0
 

@@ -101,11 +101,17 @@ def load_config(path):
         raise ConfigError(f"config {path}: {e}") from e
 
 
-def config_hash(config):
-    """Stable 16-hex-digit digest of all signal-affecting config fields."""
+def config_doc(config):
+    """Every config field but parallelism, which only schedules work: hashes
+    and run logs must match at any width."""
     doc = asdict(config)
     doc.pop("parallelism")
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return doc
+
+
+def config_hash(config):
+    """Stable 16-hex-digit digest of all signal-affecting config fields."""
+    canonical = json.dumps(config_doc(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 

@@ -69,7 +69,7 @@ class EnhancerKind:
     ------
     ConfigError
         Unknown tag or key, a number that is not finite and >= 0, a zero
-        timeout_s, or an external kind without a command.
+        timeout_s, or an external command without {in} and {out}.
     """
 
     tag: str
@@ -98,8 +98,8 @@ class EnhancerKind:
             checked[key] = value
         if self.tag == "external":
             cmd = checked["command"]
-            if not isinstance(cmd, str) or not cmd.strip():
-                raise ConfigError("external enhancer requires a non-empty 'command' template")
+            if not isinstance(cmd, str) or "{in}" not in cmd or "{out}" not in cmd:
+                raise ConfigError("external enhancer requires a 'command' with {in} and {out}")
             if checked["timeout_s"] <= 0:
                 raise ConfigError(f"timeout_s must be positive, got {checked['timeout_s']}")
         object.__setattr__(self, "params", checked)
@@ -139,7 +139,7 @@ def _wiener(y, floor):
     return y.with_samples(out)
 
 
-def run_external(command_template, y, timeout_s=60.0):
+def _run_external(command_template, y, timeout_s):
     """Round-trip a waveform through an external enhancer command.
 
     The template must contain {in} and {out} placeholders; the input is
@@ -148,14 +148,10 @@ def run_external(command_template, y, timeout_s=60.0):
 
     Raises
     ------
-    ConfigError
-        Placeholders missing from the template.
     EnhancerTimeoutError, EnhancerProcessError, EnhancerOutputError
         Process ran too long, exited nonzero, or produced unusable audio;
         each carries captured stderr text.
     """
-    if "{in}" not in command_template or "{out}" not in command_template:
-        raise ConfigError("command template must contain {in} and {out} placeholders")
     tmpdir = tempfile.mkdtemp(prefix="spoofamp-ext-")
     try:
         in_path = f"{tmpdir}/in.wav"
@@ -215,4 +211,4 @@ def enhance(kind, y, reference_clean=None):
         return _spectral_subtraction(y, params["subtraction_factor"], params["floor"])
     if kind.tag == "wiener":
         return _wiener(y, params["floor"])
-    return run_external(params["command"], y, timeout_s=params["timeout_s"])
+    return _run_external(params["command"], y, params["timeout_s"])

@@ -5,6 +5,8 @@ catch one base class. Subclasses exist wherever the contract requires a
 distinct, testable failure mode.
 """
 
+from contextlib import contextmanager
+
 
 class SpoofampError(Exception):
     """Base class for all spoofamp errors."""
@@ -74,6 +76,15 @@ class StageError(SpoofampError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+@contextmanager
+def _stage(name):
+    """Re-raise a SpoofampError or OSError as a StageError naming the stage."""
+    try:
+        yield
+    except (SpoofampError, OSError) as e:
+        raise StageError(name, e) from e
 
 
 class SingleClassError(SpoofampError):

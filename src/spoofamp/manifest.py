@@ -117,16 +117,15 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
 
 def write_manifest(path, entries):
     """Write entries in simple_tsv format; paths inside the manifest's own
-    directory are stored relative to it."""
+    directory are stored relative to it, all others absolute."""
     base_dir = os.path.dirname(os.path.abspath(path))
     with open(path, "w", encoding="utf-8") as f:
         for e in entries:
-            p = e.path
-            if os.path.isabs(p):
-                try:
-                    rel = os.path.relpath(p, base_dir)
-                except ValueError:
-                    rel = p
-                if not rel.startswith(".."):
-                    p = rel
+            p = os.path.abspath(e.path)
+            try:
+                rel = os.path.relpath(p, base_dir)
+            except ValueError:  # another drive on Windows
+                rel = p
+            if not rel.startswith(".."):
+                p = rel
             f.write(f"{e.utterance_id}\t{p}\t{e.label}\t{e.attack_id}\n")

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform
-from .errors import DegenerateSignalError, MismatchError
+from .audio import _check_aligned
+from .errors import DegenerateSignalError
 
 _WADA_DB_MIN = -20
 _WADA_DB_MAX = 100
@@ -77,10 +77,7 @@ def add_noise_at_snr(x, n, spec):
     DegenerateSignalError
         Zero-energy signal or noise.
     """
-    if len(x) != len(n):
-        raise MismatchError(f"length mismatch: signal {len(x)} vs noise {len(n)}")
-    if x.sample_rate != n.sample_rate:
-        raise MismatchError(f"sample rate mismatch: {x.sample_rate} vs {n.sample_rate}")
+    _check_aligned(x, n, "signal", "noise")
     ex = x.energy()
     en = n.energy()
     if ex == 0.0:

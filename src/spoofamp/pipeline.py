@@ -10,12 +10,12 @@ import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import detector, metrics
 from .amplify import process_utterance_details
 from .audio import crop_or_pad, read_wav, write_wav
-from .config import _read_json_object, config_hash, derive_seed
+from .config import _read_json_object, config_doc, config_hash, derive_seed
 from .enhance import EnhancerKind
 from .errors import (
     ConfigError,
@@ -23,6 +23,7 @@ from .errors import (
     ScoreFileError,
     SpoofampError,
     StageError,
+    _stage,
 )
 
 _log = logging.getLogger(__name__)
@@ -36,59 +37,48 @@ class RunResult:
 
     n_ok: int
     n_failed: int
-    out_dir: str
     log_path: str
     config_hash: str
 
 
-def _load_cropped(entry, config):
-    w = read_wav(entry.path)
-    return crop_or_pad(
-        w, config.crop_seconds, derive_seed(config.global_seed, entry.utterance_id, "crop")
-    )
+def _crop_seed(entry, config):
+    return derive_seed(config.global_seed, entry.utterance_id, "crop")
+
+
+def _load_cropped(entry, config, crop_seed):
+    return crop_or_pad(read_wav(entry.path), config.crop_seconds, crop_seed)
 
 
 def _process_one(entry, config, enhancer, out_dir):
+    """Process one entry and write its WAV. Only the run-log record is
+    returned, so no waveform outlives its utterance."""
     noise_seed = derive_seed(config.global_seed, entry.utterance_id, "noise")
-    crop_seed = derive_seed(config.global_seed, entry.utterance_id, "crop")
+    crop_seed = _crop_seed(entry, config)
     try:
-        x = _load_cropped(entry, config)
+        with _stage("io"):
+            x = _load_cropped(entry, config, crop_seed)
         details = process_utterance_details(x, config, enhancer, noise_seed=noise_seed)
-        if out_dir is not None:
+        with _stage("io"):
             write_wav(
                 details.x_tilde, os.path.join(out_dir, entry.utterance_id + ".wav"), "float32"
             )
-        record = {
-            "utterance_id": entry.utterance_id,
-            "status": "ok",
-            "crop_seed": crop_seed,
-            "noise_seed": noise_seed,
-            "projection_weight": details.residual.projection_weight,
-            "input_energy": x.energy(),
-            "enhanced_energy": details.enhanced.energy(),
-            "residual_energy": details.residual.a_hat.energy(),
-        }
-        return record, details
     except StageError as e:
-        return (
-            {
-                "utterance_id": entry.utterance_id,
-                "status": "failed",
-                "stage": e.stage,
-                "error": str(e.cause),
-            },
-            None,
-        )
-    except (SpoofampError, OSError) as e:
-        return (
-            {
-                "utterance_id": entry.utterance_id,
-                "status": "failed",
-                "stage": "io",
-                "error": str(e),
-            },
-            None,
-        )
+        return {
+            "utterance_id": entry.utterance_id,
+            "status": "failed",
+            "stage": e.stage,
+            "error": str(e.cause),
+        }
+    return {
+        "utterance_id": entry.utterance_id,
+        "status": "ok",
+        "crop_seed": crop_seed,
+        "noise_seed": noise_seed,
+        "projection_weight": details.residual.projection_weight,
+        "input_energy": x.energy(),
+        "enhanced_energy": details.enhanced.energy(),
+        "residual_energy": details.residual.a_hat.energy(),
+    }
 
 
 def _map_entries(entries, fn, parallelism):
@@ -107,17 +97,14 @@ def run_pipeline(config, entries, out_dir):
     """
     os.makedirs(out_dir, exist_ok=True)
     enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
-    results = _map_entries(
+    records = _map_entries(
         entries, lambda e: _process_one(e, config, enhancer, out_dir), config.parallelism
     )
-    records = [r for r, _ in results]
     n_failed = sum(1 for r in records if r["status"] != "ok")
     chash = config_hash(config)
-    cfg_doc = asdict(config)
-    cfg_doc.pop("parallelism")  # scheduling detail; logs must match at any width
     log_doc = {
         "config_hash": chash,
-        "config": cfg_doc,
+        "config": config_doc(config),
         "n_ok": len(records) - n_failed,
         "n_failed": n_failed,
         "entries": records,
@@ -129,7 +116,6 @@ def run_pipeline(config, entries, out_dir):
     return RunResult(
         n_ok=len(records) - n_failed,
         n_failed=n_failed,
-        out_dir=out_dir,
         log_path=log_path,
         config_hash=chash,
     )
@@ -200,8 +186,8 @@ def sweep(
     if feature_config is None:
         feature_config = detector.FeatureConfig()
     # crop once; crop seeds do not depend on the swept axis
-    train_crops = [(e, _load_cropped(e, config)) for e in train_entries]
-    eval_crops = [(e, _load_cropped(e, config)) for e in eval_entries]
+    train_crops = [(e, _load_cropped(e, config, _crop_seed(e, config))) for e in train_entries]
+    eval_crops = [(e, _load_cropped(e, config, _crop_seed(e, config))) for e in eval_entries]
     raw_train_features = None
     if include_raw_training:
         raw_train_features = [

@@ -258,5 +258,5 @@ class TestMeasureSnr:
             measure_snr(Waveform(np.ones(8), 16000), Waveform(np.ones(9), 16000))
 
     def test_rate_mismatch(self):
-        with pytest.raises(MismatchError):
+        with pytest.raises(MismatchError, match="clean 16000 vs mixture 8000"):
             measure_snr(Waveform(np.ones(8), 16000), Waveform(np.ones(8), 8000))

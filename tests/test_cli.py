@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -167,8 +168,12 @@ class TestProcess:
             {"enhancer_params": {"flor": 0.5}},
             {"enhancer_params": {"floor": float("nan")}},
             {"enhancer": "external"},
+            {"enhancer": "external", "enhancer_params": {"command": "cp a b"}},
         ],
-        ids=["non_number", "unknown_key", "nan", "external_without_command"],
+        ids=[
+            "non_number", "unknown_key", "nan", "external_without_command",
+            "external_without_placeholders",
+        ],
     )
     def test_bad_enhancer_params_usage_error(self, ws, tmp_path, capsys, fields):
         with pytest.raises(ConfigError):
@@ -184,6 +189,26 @@ class TestProcess:
         assert "error:" in capsys.readouterr().err
         assert not (out / "run_log.json").exists()
 
+    def test_relative_out_dirs(self, tmp_path, monkeypatch):
+        # the README quickstart: synth and process with paths relative to the cwd
+        monkeypatch.chdir(tmp_path)
+        rc = main([
+            "synth", "--out-dir", "corpus", "--n-bonafide", "2", "--n-spoof", "2",
+            "--duration", "0.5",
+        ])
+        assert rc == 0
+        with open(os.path.join("corpus", "manifest.tsv")) as f:
+            assert f.readline().split("\t")[1] == "SYN_B_0000.wav"
+        rc = main([
+            "process", "--manifest", os.path.join("corpus", "manifest.tsv"),
+            "--out-dir", "amplified",
+        ])
+        assert rc == 0
+        with open(os.path.join("amplified", "run_log.json")) as f:
+            log = json.load(f)
+        assert log["n_ok"] == 4
+        assert all(e["status"] == "ok" for e in log["entries"])
+
 
 class TestFitScore:
     def test_model_file_written(self, ws):
@@ -197,6 +222,26 @@ class TestFitScore:
         assert len(parsed.rows) == 6
         with open(os.path.join(ws["processed"], "run_log.json")) as f:
             assert parsed.config_hash == json.load(f)["config_hash"]
+
+    def test_unparsable_run_log_usage_error(self, ws, tmp_path, capsys):
+        audio = tmp_path / "audio"
+        shutil.copytree(ws["processed"], audio)
+        log_text = (audio / "run_log.json").read_text()
+        (audio / "run_log.json").write_text(log_text[: len(log_text) // 2])
+        scores = tmp_path / "scores.txt"
+        argv = [
+            "score", "--model", ws["model"], "--manifest", ws["manifest"],
+            "--audio-dir", str(audio), "--out-scores", str(scores),
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "run log" in err
+        assert not scores.exists()
+        # with no run log at all the scores are written without a hash
+        (audio / "run_log.json").unlink()
+        assert main(argv) == 0
+        assert parse_score_file(str(scores)).config_hash is None
 
     def test_fit_single_class_runtime_error(self, ws, tmp_path, capsys):
         manifest = str(tmp_path / "bona_only.tsv")

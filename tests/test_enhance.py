@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spoofamp.audio import Waveform, measure_snr, read_wav, write_wav
-from spoofamp.enhance import ENHANCER_KINDS, EnhancerKind, enhance, run_external
+from spoofamp.enhance import ENHANCER_KINDS, EnhancerKind, enhance
 from spoofamp.errors import (
     ConfigError,
     EnhancerOutputError,
@@ -45,6 +45,11 @@ class TestEnhancerKind:
         with pytest.raises(ConfigError):
             EnhancerKind("external", {"command": "prog {in} {out}", "timeout_s": 0})
         EnhancerKind("external", {"command": "prog {in} {out}"})
+
+    def test_missing_placeholders_rejected(self):
+        for command in ("prog --flag", "prog {in} out.wav", "prog in.wav {out}"):
+            with pytest.raises(ConfigError, match="{in} and {out}"):
+                EnhancerKind("external", {"command": command})
 
     def test_params_checked_once_with_defaults(self):
         assert EnhancerKind("wiener").params == {"floor": 0.01}
@@ -151,10 +156,14 @@ def _src_dir():
     return str(sys.modules["spoofamp"].__path__[0].rsplit("/spoofamp", 1)[0])
 
 
+def _run_external(template, x, timeout_s=60.0):
+    return enhance(EnhancerKind("external", {"command": template, "timeout_s": timeout_s}), x)
+
+
 class TestRunExternal:
     def test_copy_backend_roundtrip(self):
         x = make_speechlike(seed=50, seconds=0.5)
-        out = run_external(_backend_template(_COPY_BACKEND), x, timeout_s=60.0)
+        out = _run_external(_backend_template(_COPY_BACKEND), x, timeout_s=60.0)
         # float32 write/read round-trip bounds the error
         assert np.max(np.abs(out.samples - x.samples)) <= 1e-6
         assert len(out) == len(x)
@@ -162,18 +171,18 @@ class TestRunExternal:
     def test_nonzero_exit_reports_stderr(self):
         x = make_speechlike(seed=51, seconds=0.2)
         with pytest.raises(EnhancerProcessError) as exc:
-            run_external(_backend_template(_FAIL_BACKEND), x, timeout_s=60.0)
+            _run_external(_backend_template(_FAIL_BACKEND), x, timeout_s=60.0)
         assert "backend blew up" in exc.value.stderr
 
     def test_timeout(self):
         x = make_speechlike(seed=52, seconds=0.2)
         with pytest.raises(EnhancerTimeoutError):
-            run_external(_backend_template(_SLOW_BACKEND), x, timeout_s=1.0)
+            _run_external(_backend_template(_SLOW_BACKEND), x, timeout_s=1.0)
 
     def test_extra_sample_trimmed(self):
         x = make_speechlike(seed=53, seconds=0.2)
         template = _backend_template(_EXTRA_SAMPLE_BACKEND.format(src=_src_dir()))
-        out = run_external(template, x, timeout_s=60.0)
+        out = _run_external(template, x, timeout_s=60.0)
         assert len(out) == len(x)
         assert np.max(np.abs(out.samples - x.samples)) <= 1e-6
 
@@ -181,22 +190,17 @@ class TestRunExternal:
         x = make_speechlike(seed=54, seconds=0.2)
         template = _backend_template(_RATE_CHANGE_BACKEND.format(src=_src_dir()))
         with pytest.raises(EnhancerOutputError):
-            run_external(template, x, timeout_s=60.0)
+            _run_external(template, x, timeout_s=60.0)
 
     def test_no_output_file_rejected(self):
         x = make_speechlike(seed=55, seconds=0.2)
         with pytest.raises(EnhancerOutputError):
-            run_external(_backend_template("pass"), x, timeout_s=60.0)
-
-    def test_missing_placeholders_rejected(self):
-        x = make_speechlike(seed=56, seconds=0.2)
-        with pytest.raises(ConfigError):
-            run_external("prog --flag", x)
+            _run_external(_backend_template("pass"), x, timeout_s=60.0)
 
     def test_unlaunchable_command(self):
         x = make_speechlike(seed=57, seconds=0.2)
         with pytest.raises(EnhancerProcessError):
-            run_external("/no/such/binary {in} {out}", x, timeout_s=5.0)
+            _run_external("/no/such/binary {in} {out}", x, timeout_s=5.0)
 
     def test_enhance_dispatches_external(self, tmp_path):
         x = make_speechlike(seed=58, seconds=0.3)

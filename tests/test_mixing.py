@@ -69,7 +69,7 @@ class TestAddNoiseAtSnr:
             )
 
     def test_rate_mismatch(self):
-        with pytest.raises(MismatchError):
+        with pytest.raises(MismatchError, match="signal 16000 vs noise 8000"):
             add_noise_at_snr(
                 Waveform(np.ones(8), 16000), Waveform(np.ones(8), 8000), MixSpec(0.0)
             )

@@ -2,11 +2,14 @@
 
 import json
 import os
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spoofamp.audio import crop_or_pad, read_wav
+from spoofamp import pipeline
+from spoofamp.audio import crop_or_pad, read_wav, write_wav
 from spoofamp.config import PipelineConfig, config_hash, derive_seed
 from spoofamp.errors import ConfigError, MissingIdError, ScoreFileError
 from spoofamp.manifest import ManifestEntry, load_manifest
@@ -23,7 +26,7 @@ from spoofamp.pipeline import (
 from spoofamp.detector import FeatureConfig, extract_features, fit, score
 from spoofamp.synth import SynthSpec, synth_corpus
 
-from conftest import write_minimal_wav
+from conftest import make_speechlike, write_minimal_wav
 
 UNIT_PARAMS = TdcfParams(
     p_target=0.25, p_nontarget=0.25, p_spoof=0.5,
@@ -156,6 +159,53 @@ class TestRunPipeline:
         outcome = {r["utterance_id"]: (r["status"], r.get("stage")) for r in log["entries"]}
         assert outcome.pop("PARTIAL") == ("failed", "io")
         assert set(outcome.values()) == {("ok", None)}
+
+    def test_memory_does_not_grow_with_corpus(self, tmp_path):
+        # only each utterance's log record outlives it, never its waveforms
+        path = str(tmp_path / "x.wav")
+        write_wav(make_speechlike(seed=5, seconds=0.5), path, "float32")
+
+        def peak_bytes(n):
+            entries = [ManifestEntry(f"U{i:03d}", path, "bonafide", "-") for i in range(n)]
+            tracemalloc.start()
+            try:
+                result = run_pipeline(_config(), entries, str(tmp_path / f"run{n}"))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.n_ok == n
+            return peak
+
+        small = peak_bytes(4)
+        assert peak_bytes(40) - small < 1 << 20
+
+    def test_enhancer_oserror_logged_at_enhance(self, corpus, tmp_path, monkeypatch):
+        entries, _ = corpus
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        cfg = _config(enhancer="external", enhancer_params={"command": "cp {in} {out}"})
+        result = run_pipeline(cfg, entries[:2], str(tmp_path / "run"))
+        with open(result.log_path) as f:
+            log = json.load(f)
+        assert [(r["status"], r["stage"]) for r in log["entries"]] == [("failed", "enhance")] * 2
+
+    def test_read_oserror_logged_at_io(self, corpus, tmp_path, monkeypatch):
+        entries, _ = corpus
+        real_read_wav = pipeline.read_wav
+
+        def read_wav_denied(path):
+            if path == entries[0].path:
+                raise PermissionError(13, "Permission denied", path)
+            return real_read_wav(path)
+
+        monkeypatch.setattr(pipeline, "read_wav", read_wav_denied)
+        result = run_pipeline(_config(), entries, str(tmp_path / "run"))
+        assert (result.n_ok, result.n_failed) == (len(entries) - 1, 1)
+        with open(result.log_path) as f:
+            log = json.load(f)
+        failed = log["entries"][0]
+        assert (failed["status"], failed["stage"]) == ("failed", "io")
+        assert "Permission denied" in failed["error"]
+        assert all(r["status"] == "ok" for r in log["entries"][1:])
 
 
 class TestSweep:
