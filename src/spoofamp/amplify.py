@@ -30,17 +30,6 @@ class Residual:
     projection_weight: float
 
 
-@dataclass(frozen=True)
-class AmplifySpec:
-    """Residual amplification factor alpha >= 0."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.alpha) or self.alpha < 0:
-            raise DegenerateSignalError(f"alpha must be finite and >= 0, got {self.alpha}")
-
-
 def extract_residual(x, x_hat, mode="projection"):
     """Extract the residual of x against the enhanced estimate x_hat.
 
@@ -71,16 +60,25 @@ def extract_residual(x, x_hat, mode="projection"):
     return Residual(a_hat, w)
 
 
-def amplify(x, r, spec):
+def amplify(x, a_hat, alpha):
     """Add the scaled residual back onto the utterance.
 
     Returns x_tilde = x + alpha * a_hat elementwise; alpha = 0 returns x
     exactly.
+
+    Raises
+    ------
+    DegenerateSignalError
+        alpha is not finite and >= 0.
+    MismatchError
+        Lengths or sample rates differ.
     """
-    _check_aligned(x, r.a_hat, "x", "residual")
-    if spec.alpha == 0.0:
+    if not np.isfinite(alpha) or alpha < 0:
+        raise DegenerateSignalError(f"alpha must be finite and >= 0, got {alpha}")
+    _check_aligned(x, a_hat, "x", "residual")
+    if alpha == 0.0:
         return x
-    return x.with_samples(x.samples + spec.alpha * r.a_hat.samples)
+    return x.with_samples(x.samples + alpha * a_hat.samples)
 
 
 @dataclass(frozen=True)
@@ -107,21 +105,15 @@ def process_utterance_details(x, config, enhancer, noise_seed=None):
         y = x
     else:
         with _stage("noise-gen"):
-            spec = noise.NoiseSpec(
-                color=config.noise_color,
-                length=len(x),
-                sample_rate=x.sample_rate,
-                seed=seed,
-            )
-            n = noise.generate(spec)
+            n = noise.generate(config.noise_color, len(x), x.sample_rate, seed)
         with _stage("mixing"):
-            y = mixing.add_noise_at_snr(x, n, mixing.MixSpec(config.snr_db))
+            y = mixing.add_noise_at_snr(x, n, config.snr_db)
     with _stage("enhance"):
         x_hat = enhance(enhancer, y, reference_clean=x)
     with _stage("extract"):
         r = extract_residual(x, x_hat, config.extraction_mode)
     with _stage("amplify"):
-        x_tilde = amplify(x, r, AmplifySpec(config.alpha))
+        x_tilde = amplify(x, r.a_hat, config.alpha)
     return ProcessDetails(x_tilde=x_tilde, residual=r, noisy=y, enhanced=x_hat)
 
 

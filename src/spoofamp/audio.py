@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateSignalError,
     InfiniteSnrError,
     MalformedWavError,
@@ -238,8 +239,12 @@ def crop_or_pad(w, target_seconds, rng_seed):
     end-to-end and truncated. Tiling rather than zero padding keeps the
     signal's energy statistics intact for the SNR arithmetic downstream.
     """
-    if target_seconds <= 0:
-        raise DegenerateSignalError(f"target_seconds must be positive, got {target_seconds}")
+    if not np.isfinite(target_seconds) or target_seconds <= 0:
+        raise DegenerateSignalError(
+            f"target_seconds must be finite and positive, got {target_seconds}"
+        )
+    if rng_seed < 0:
+        raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
     out_len = int(round(target_seconds * w.sample_rate))
     if out_len < 1:
         raise DegenerateSignalError(

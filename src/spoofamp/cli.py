@@ -8,16 +8,17 @@ invalid configuration or usage.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import detector, metrics, pipeline, synth
-from .amplify import EXTRACTION_MODES, AmplifySpec, Residual, extract_residual
+from .amplify import EXTRACTION_MODES, extract_residual
 from .amplify import amplify as _amplify_op
 from .audio import read_wav, write_wav
 from .config import PipelineConfig, _read_json_object, derive_seed, load_config
 from .errors import ConfigError, SpoofampError
 from .manifest import MANIFEST_FORMATS, load_manifest
-from .mixing import MixSpec, add_noise_at_snr
-from .noise import NOISE_COLORS, NoiseSpec, generate
+from .mixing import add_noise_at_snr
+from .noise import NOISE_COLORS, generate
 from .synth import ARTIFACT_KINDS, SynthSpec
 
 
@@ -45,36 +46,46 @@ def _load_entries(args, prefix=""):
     )
 
 
-def _remap_audio_dir(entries, audio_dir):
+def _read_run_log(audio_dir):
+    """Config hash and failed utterance ids from audio_dir's run log, or
+    (None, empty set) when there is no audio dir or no log."""
+    log_path = None if audio_dir is None else os.path.join(audio_dir, "run_log.json")
+    if log_path is None or not os.path.isfile(log_path):
+        return None, set()
+    log = _read_json_object(log_path, "run log")
+    records = log.get("entries", [])
+    if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
+        raise ConfigError(f"run log {log_path}: 'entries' must be a list of objects")
+    failed = {r.get("utterance_id") for r in records if r.get("status") == "failed"}
+    return log.get("config_hash"), failed
+
+
+def _remap_audio_dir(entries, audio_dir, failed):
+    """Point each entry at <audio_dir>/<id>.wav, skipping the failed ids."""
     if audio_dir is None:
         return entries
-    from .manifest import ManifestEntry
-
-    return [
-        ManifestEntry(
-            utterance_id=e.utterance_id,
-            path=os.path.join(audio_dir, e.utterance_id + ".wav"),
-            label=e.label,
-            attack_id=e.attack_id,
-        )
+    kept = [
+        replace(e, path=os.path.join(audio_dir, e.utterance_id + ".wav"))
         for e in entries
+        if e.utterance_id not in failed
     ]
+    if len(kept) < len(entries):
+        n_skipped = len(entries) - len(kept)
+        print(f"skipped {n_skipped} of {len(entries)} utterances that the run log marks failed")
+    return kept
 
 
 def _cmd_gen_noise(args):
     n = int(round(args.seconds * args.sample_rate))
-    spec = NoiseSpec(color=args.color, length=n, sample_rate=args.sample_rate, seed=args.seed)
-    write_wav(generate(spec), args.out, "float32")
+    write_wav(generate(args.color, n, args.sample_rate, args.seed), args.out, "float32")
     print(f"wrote {args.out}: {args.color} noise, {n} samples at {args.sample_rate} Hz")
     return 0
 
 
 def _cmd_mix(args):
     x = read_wav(args.infile)
-    spec = NoiseSpec(
-        color=args.noise_color, length=len(x), sample_rate=x.sample_rate, seed=args.seed
-    )
-    y = add_noise_at_snr(x, generate(spec), MixSpec(args.snr_db))
+    n = generate(args.noise_color, len(x), x.sample_rate, args.seed)
+    y = add_noise_at_snr(x, n, args.snr_db)
     write_wav(y, args.out, "float32")
     print(f"wrote {args.out}: {args.noise_color} noise mixed at {args.snr_db} dB")
     return 0
@@ -91,8 +102,7 @@ def _cmd_extract(args):
 
 def _cmd_amplify(args):
     x = read_wav(args.infile)
-    a_hat = read_wav(args.residual)
-    out = _amplify_op(x, Residual(a_hat=a_hat, projection_weight=1.0), AmplifySpec(args.alpha))
+    out = _amplify_op(x, read_wav(args.residual), args.alpha)
     write_wav(out, args.out, "float32")
     print(f"wrote {args.out}: alpha={args.alpha}")
     return 0
@@ -116,7 +126,8 @@ def _feature_config(args):
 
 
 def _cmd_fit(args):
-    entries = _remap_audio_dir(_load_entries(args), args.audio_dir)
+    _run_hash, failed = _read_run_log(args.audio_dir)
+    entries = _remap_audio_dir(_load_entries(args), args.audio_dir, failed)
     fc = _feature_config(args)
     feats = [detector.extract_features(read_wav(e.path), fc) for e in entries]
     labels = [e.label for e in entries]
@@ -126,19 +137,9 @@ def _cmd_fit(args):
     return 0
 
 
-def _read_run_hash(audio_dir):
-    """Config hash from audio_dir's run log, or None when there is no log."""
-    if audio_dir is None:
-        return None
-    log_path = os.path.join(audio_dir, "run_log.json")
-    if not os.path.isfile(log_path):
-        return None
-    return _read_json_object(log_path, "run log").get("config_hash")
-
-
 def _cmd_score(args):
-    run_hash = _read_run_hash(args.audio_dir)
-    entries = _remap_audio_dir(_load_entries(args), args.audio_dir)
+    run_hash, failed = _read_run_log(args.audio_dir)
+    entries = _remap_audio_dir(_load_entries(args), args.audio_dir, failed)
     model = detector.load_model(args.model)
     fc = model.feature_config
     records = []

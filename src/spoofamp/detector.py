@@ -24,28 +24,23 @@ from .errors import (
     TrainingDataError,
 )
 from .metrics import LABELS
-from .stft import StftConfig, stft
+from .stft import HOP, WINDOW_LENGTH, stft
 
 _VARIANCE_FLOOR = 1e-6
 _EPS = 1e-12
+_SPLIT_HZ = 4000.0
 
 
 @dataclass(frozen=True)
 class FeatureConfig:
-    """Feature extraction parameters; dimensionality is 2*n_bands + 2."""
+    """Feature extraction parameters; dimensionality is 2*n_bands + 2. The
+    STFT window and hop and the 4 kHz band split are fixed."""
 
     n_bands: int = 24
-    window_length: int = 512
-    split_hz: float = 4000.0
 
     def __post_init__(self):
         if self.n_bands < 2:
             raise DegenerateSignalError(f"n_bands must be >= 2, got {self.n_bands}")
-        StftConfig(self.window_length)  # rejects odd or too-short windows
-
-    @property
-    def hop(self):
-        return self.window_length // 2
 
     @property
     def dim(self):
@@ -54,23 +49,22 @@ class FeatureConfig:
     def to_dict(self):
         return {
             "n_bands": self.n_bands,
-            "window_length": self.window_length,
-            "hop": self.hop,
-            "split_hz": self.split_hz,
+            "window_length": WINDOW_LENGTH,
+            "hop": HOP,
+            "split_hz": _SPLIT_HZ,
         }
 
     @classmethod
     def from_dict(cls, d):
-        config = cls(
-            n_bands=int(d["n_bands"]),
-            window_length=int(d["window_length"]),
-            split_hz=float(d["split_hz"]),
-        )
-        # the model format stores the hop, but the STFT fixes it at half the window
-        if int(d["hop"]) != config.hop:
-            raise ConfigError(
-                f"hop must be half of window_length {config.window_length}, got {d['hop']}"
-            )
+        config = cls(n_bands=int(d["n_bands"]))
+        # the model format stores the window, hop and split, which are fixed
+        for key, kind, fixed in (
+            ("window_length", int, WINDOW_LENGTH),
+            ("hop", int, HOP),
+            ("split_hz", float, _SPLIT_HZ),
+        ):
+            if kind(d[key]) != fixed:
+                raise ConfigError(f"{key} must be {fixed}, got {d[key]!r}")
         return config
 
 
@@ -84,9 +78,9 @@ def _mel_inv(m):
 
 def _band_edges(config, sample_rate):
     """Bin indices of mel-spaced band edges, strictly increasing."""
-    n_bins = config.window_length // 2 + 1
+    n_bins = WINDOW_LENGTH // 2 + 1
     hz = _mel_inv(np.linspace(0.0, _mel(sample_rate / 2.0), config.n_bands + 1))
-    spacing = sample_rate / config.window_length
+    spacing = sample_rate / WINDOW_LENGTH
     edges = np.round(hz / spacing).astype(int)
     edges[0] = 0
     edges[-1] = n_bins
@@ -108,21 +102,20 @@ def extract_features(w, config=FeatureConfig()):
     DegenerateSignalError
         Input shorter than one analysis window.
     """
-    if len(w) < config.window_length:
+    if len(w) < WINDOW_LENGTH:
         raise DegenerateSignalError(
-            f"input too short for features: {len(w)} < {config.window_length} samples"
+            f"input too short for features: {len(w)} < {WINDOW_LENGTH} samples"
         )
-    cfg = StftConfig(config.window_length)
-    power = np.abs(stft(w.samples, cfg)) ** 2
+    power = np.abs(stft(w.samples)) ** 2
     edges = _band_edges(config, w.sample_rate)
     band_energy = np.add.reduceat(power, edges[:-1], axis=1)
     log_energy = np.log(band_energy + _EPS)
     means = log_energy.mean(axis=0)
     variances = log_energy.var(axis=0)
     flatness = np.exp(np.mean(np.log(power + _EPS), axis=1)) / (power.mean(axis=1) + _EPS)
-    freqs = np.fft.rfftfreq(config.window_length, d=1.0 / w.sample_rate)
-    hi = float(power[:, freqs >= config.split_hz].sum())
-    lo = float(power[:, freqs < config.split_hz].sum())
+    freqs = np.fft.rfftfreq(WINDOW_LENGTH, d=1.0 / w.sample_rate)
+    hi = float(power[:, freqs >= _SPLIT_HZ].sum())
+    lo = float(power[:, freqs < _SPLIT_HZ].sum())
     ratio = hi / (lo + _EPS)
     return np.concatenate([means, variances, [float(flatness.mean())], [ratio]])
 

@@ -28,7 +28,7 @@ from .errors import (
     EnhancerTimeoutError,
     MissingReferenceError,
 )
-from .stft import StftConfig, istft, stft
+from .stft import istft, stft
 
 # the parameters each kind accepts and their defaults; an external command has none
 _PARAM_DEFAULTS = {
@@ -119,23 +119,21 @@ def _noise_profile(mag):
 
 
 def _spectral_subtraction(y, factor, floor):
-    cfg = StftConfig()
-    spectra = stft(y.samples, cfg)
+    spectra = stft(y.samples)
     mag = np.abs(spectra)
     nhat = _OVERSUBTRACTION * _RAYLEIGH_MEAN_OVER_Q10 * _noise_profile(mag)
     target = np.maximum(mag - factor * nhat[None, :], floor * mag)
     ratio = np.where(mag > 0.0, target / np.where(mag > 0.0, mag, 1.0), floor)
-    out = istft(spectra * ratio, cfg, len(y))
+    out = istft(spectra * ratio, len(y))
     return y.with_samples(out)
 
 
 def _wiener(y, floor):
-    cfg = StftConfig()
-    spectra = stft(y.samples, cfg)
+    spectra = stft(y.samples)
     power = np.abs(spectra) ** 2
     nhat = _OVERSUBTRACTION * _RAYLEIGH_RMS_OVER_Q10 * _noise_profile(np.sqrt(power))
     gain = np.maximum(1.0 - nhat[None, :] ** 2 / np.maximum(power, 1e-300), floor)
-    out = istft(spectra * gain, cfg, len(y))
+    out = istft(spectra * gain, len(y))
     return y.with_samples(out)
 
 

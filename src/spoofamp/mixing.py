@@ -12,8 +12,6 @@ knots at 1 dB spacing over [-20, +100] dB, the range the method covers before
 the statistic saturates.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .audio import _check_aligned
@@ -52,18 +50,7 @@ _WADA_DB = np.arange(_WADA_DB_MIN, _WADA_DB_MAX + 1, dtype=np.float64)
 _EPS_ABS = 1e-10  # floor on |z| before the log, after peak normalization
 
 
-@dataclass(frozen=True)
-class MixSpec:
-    """Target signal-to-noise ratio for noise addition."""
-
-    snr_db: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise DegenerateSignalError(f"snr_db must be finite, got {self.snr_db}")
-
-
-def add_noise_at_snr(x, n, spec):
+def add_noise_at_snr(x, n, snr_db):
     """Mix noise into a signal at an exact target SNR.
 
     Returns y = x + sqrt(||x||^2 / (||n||^2 * 10^(snr/10))) * n. The inputs
@@ -75,8 +62,10 @@ def add_noise_at_snr(x, n, spec):
     MismatchError
         Length or sample rate mismatch between x and n.
     DegenerateSignalError
-        Zero-energy signal or noise.
+        Non-finite snr_db, or zero-energy signal or noise.
     """
+    if not np.isfinite(snr_db):
+        raise DegenerateSignalError(f"snr_db must be finite, got {snr_db}")
     _check_aligned(x, n, "signal", "noise")
     ex = x.energy()
     en = n.energy()
@@ -84,7 +73,7 @@ def add_noise_at_snr(x, n, spec):
         raise DegenerateSignalError("signal has zero energy")
     if en == 0.0:
         raise DegenerateSignalError("noise has zero energy")
-    scale = np.sqrt(ex / (en * 10.0 ** (spec.snr_db / 10.0)))
+    scale = np.sqrt(ex / (en * 10.0 ** (snr_db / 10.0)))
     return x.with_samples(x.samples + scale * n.samples)
 
 

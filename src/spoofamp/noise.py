@@ -6,8 +6,6 @@ pink -1/2, violet +1, giving power laws f**0, 1/f, f**2), the DC bin zeroed,
 and the result inverse transformed and normalized to unit RMS.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .audio import Waveform
@@ -20,45 +18,40 @@ NOISE_COLORS = ("white", "pink", "violet")
 _AMPLITUDE_EXPONENT = {"white": 0.0, "pink": -0.5, "violet": 1.0}
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Recipe for one deterministic noise realization."""
+def generate(color, length, sample_rate, seed):
+    """Synthesize one noise realization as a unit-RMS Waveform.
 
-    color: str
-    length: int
-    sample_rate: int
-    seed: int
+    Deterministic: the same arguments always yield the same samples.
 
-    def __post_init__(self):
-        if self.color not in NOISE_COLORS:
-            raise ConfigError(f"unknown noise color {self.color!r}; choose from {NOISE_COLORS}")
-        if self.length < 1:
-            raise ConfigError(f"noise length must be >= 1, got {self.length}")
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-
-
-def generate(spec):
-    """Synthesize the noise described by spec as a unit-RMS Waveform.
-
-    Deterministic: the same spec always yields the same samples.
+    Raises
+    ------
+    ConfigError
+        Unknown color, length < 1, sample_rate <= 0 or a negative seed.
     """
-    rng = np.random.default_rng(spec.seed)
-    white = rng.standard_normal(spec.length)
-    if spec.length == 1:
+    if color not in NOISE_COLORS:
+        raise ConfigError(f"unknown noise color {color!r}; choose from {NOISE_COLORS}")
+    if length < 1:
+        raise ConfigError(f"noise length must be >= 1, got {length}")
+    if sample_rate <= 0:
+        raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
+    if seed < 0:
+        raise ConfigError(f"noise seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    white = rng.standard_normal(length)
+    if length == 1:
         # a single sample has no spectrum to shape; normalize its magnitude
-        return Waveform(np.array([1.0 if white[0] >= 0 else -1.0]), spec.sample_rate)
+        return Waveform(np.array([1.0 if white[0] >= 0 else -1.0]), sample_rate)
     spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(spec.length, d=1.0 / spec.sample_rate)
-    exponent = _AMPLITUDE_EXPONENT[spec.color]
+    freqs = np.fft.rfftfreq(length, d=1.0 / sample_rate)
+    exponent = _AMPLITUDE_EXPONENT[color]
     weights = np.empty_like(freqs)
     weights[1:] = freqs[1:] ** exponent
     weights[0] = 0.0  # zero DC so the output is exactly zero mean
-    shaped = np.fft.irfft(spectrum * weights, n=spec.length)
+    shaped = np.fft.irfft(spectrum * weights, n=length)
     rms = np.sqrt(np.mean(shaped**2))
     if rms == 0.0:
         raise DegenerateSignalError("shaped noise collapsed to zero (degenerate spec)")
-    return Waveform(shaped / rms, spec.sample_rate)
+    return Waveform(shaped / rms, sample_rate)
 
 
 def psd_slope(w, f_lo, f_hi):

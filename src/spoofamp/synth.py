@@ -17,7 +17,7 @@ from .audio import Waveform, write_wav
 from .config import derive_seed
 from .errors import ConfigError, UnwritablePathError
 from .manifest import ManifestEntry, write_manifest
-from .noise import NoiseSpec, generate
+from .noise import generate
 
 ARTIFACT_KINDS = ("comb_filter", "quantization", "band_notch")
 
@@ -119,9 +119,7 @@ def _pseudo_speech(utt_id, spec):
         envelope[-ramp:] *= fade[::-1]
     sig = voiced * envelope
 
-    pink = generate(
-        NoiseSpec("pink", n, sr, derive_seed(spec.seed, utt_id, "pinkfloor"))
-    ).samples
+    pink = generate("pink", n, sr, derive_seed(spec.seed, utt_id, "pinkfloor")).samples
     noise_level = rng.uniform(*NOISE_FLOOR_RANGE) * np.sqrt(np.mean(sig**2))
     sig = sig + noise_level * pink
 

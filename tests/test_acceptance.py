@@ -20,8 +20,8 @@ from spoofamp.config import RELEASE_SEED, PipelineConfig, derive_seed
 from spoofamp.detector import FeatureConfig, extract_features, fit, score
 from spoofamp.enhance import EnhancerKind
 from spoofamp.metrics import ScoreRecord, eer, min_tdcf
-from spoofamp.mixing import MixSpec, add_noise_at_snr
-from spoofamp.noise import NoiseSpec, generate, psd_slope
+from spoofamp.mixing import add_noise_at_snr
+from spoofamp.noise import generate, psd_slope
 from spoofamp.pipeline import load_tdcf_params, run_pipeline, sweep, sweep_csv_text
 from spoofamp.synth import SynthSpec, synth_corpus
 
@@ -40,7 +40,7 @@ def test_criterion_1_snr_roundtrip():
         x = Waveform(rng.standard_normal(n), 16000)
         noise = Waveform(rng.standard_normal(n), 16000)
         s = float(rng.uniform(-20.0, 40.0))
-        y = add_noise_at_snr(x, noise, MixSpec(s))
+        y = add_noise_at_snr(x, noise, s)
         worst = max(worst, abs(measure_snr(x, y) - s))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 5.0
@@ -94,7 +94,7 @@ def test_criterion_4_noise_color_slopes():
     details = []
     ok = True
     for color, target in targets.items():
-        w = generate(NoiseSpec(color, 2**20, 16000, seed=1004))
+        w = generate(color, 2**20, 16000, seed=1004)
         slope = psd_slope(w, 100.0, 6000.0)
         details.append(f"{color} {slope:+.3f}")
         ok = ok and abs(slope - target) <= 0.5

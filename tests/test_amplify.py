@@ -6,8 +6,6 @@ import pytest
 
 from spoofamp.amplify import (
     EXTRACTION_MODES,
-    AmplifySpec,
-    Residual,
     amplify,
     extract_residual,
     process_utterance,
@@ -16,7 +14,7 @@ from spoofamp.amplify import (
 from spoofamp.audio import Waveform
 from spoofamp.config import PipelineConfig
 from spoofamp.enhance import EnhancerKind
-from spoofamp.errors import DegenerateSignalError, MismatchError, StageError
+from spoofamp.errors import ConfigError, DegenerateSignalError, MismatchError, StageError
 
 from conftest import make_speechlike
 
@@ -104,35 +102,35 @@ class TestExtractResidual:
 class TestAmplify:
     def test_alpha_zero_identity(self):
         x = make_speechlike(seed=64, seconds=0.31)
-        r = Residual(x.with_samples(np.ones(len(x))), 1.0)
-        assert amplify(x, r, AmplifySpec(0.0)) is x
+        a_hat = x.with_samples(np.ones(len(x)))
+        assert amplify(x, a_hat, 0.0) is x
 
     def test_hand_cases(self):
         x = _wave([1.0, 1.0])
-        r = Residual(_wave([0.0, 1.0]), 1.0)
-        assert np.allclose(amplify(x, r, AmplifySpec(1.4)).samples, [1.0, 2.4])
-        assert np.allclose(amplify(x, r, AmplifySpec(0.6)).samples, [1.0, 1.6])
+        a_hat = _wave([0.0, 1.0])
+        assert np.allclose(amplify(x, a_hat, 1.4).samples, [1.0, 2.4])
+        assert np.allclose(amplify(x, a_hat, 0.6).samples, [1.0, 1.6])
 
     def test_linearity_in_alpha(self):
         rng = np.random.default_rng(65)
         x = Waveform(rng.standard_normal(256), 16000)
-        r = Residual(Waveform(rng.standard_normal(256), 16000), 1.2)
+        a_hat = Waveform(rng.standard_normal(256), 16000)
         a1, a2 = 0.7, 0.9
-        once = amplify(amplify(x, r, AmplifySpec(a1)), r, AmplifySpec(a2))
-        combined = amplify(x, r, AmplifySpec(a1 + a2))
+        once = amplify(amplify(x, a_hat, a1), a_hat, a2)
+        combined = amplify(x, a_hat, a1 + a2)
         assert np.allclose(once.samples, combined.samples, atol=1e-12)
 
     def test_rejects_negative_alpha(self):
-        with pytest.raises(DegenerateSignalError):
-            AmplifySpec(-0.1)
-        with pytest.raises(DegenerateSignalError):
-            AmplifySpec(float("nan"))
+        x = _wave([1.0, 1.0])
+        with pytest.raises(DegenerateSignalError, match="alpha must be finite and >= 0, got -0.1"):
+            amplify(x, x, -0.1)
+        with pytest.raises(DegenerateSignalError, match="alpha must be finite and >= 0, got nan"):
+            amplify(x, x, float("nan"))
 
     def test_length_mismatch(self):
         x = _wave([1.0, 1.0])
-        r = Residual(_wave([1.0]), 1.0)
         with pytest.raises(MismatchError):
-            amplify(x, r, AmplifySpec(1.0))
+            amplify(x, _wave([1.0]), 1.0)
 
 
 class TestProcessUtterance:
@@ -188,6 +186,14 @@ class TestProcessUtterance:
         with pytest.raises(StageError) as exc:
             process_utterance(x, config, EnhancerKind("wiener"))
         assert exc.value.stage == "mixing"
+
+    def test_negative_seed_fails_at_noise_gen(self):
+        x = make_speechlike(seed=73, seconds=0.3)
+        config = PipelineConfig(global_seed=-1)
+        with pytest.raises(StageError) as exc:
+            process_utterance(x, config, EnhancerKind("wiener"))
+        assert exc.value.stage == "noise-gen"
+        assert isinstance(exc.value.cause, ConfigError)
 
     def test_enhance_failure_wrapped_with_stage(self):
         x = make_speechlike(seed=72, seconds=0.3)

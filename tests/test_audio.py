@@ -7,6 +7,7 @@ import pytest
 
 from spoofamp.audio import Waveform, crop_or_pad, measure_snr, read_wav, write_wav
 from spoofamp.errors import (
+    ConfigError,
     DegenerateSignalError,
     InfiniteSnrError,
     MalformedWavError,
@@ -229,6 +230,20 @@ class TestCropOrPad:
             crop_or_pad(w, 0.0, rng_seed=0)
         with pytest.raises(DegenerateSignalError):
             crop_or_pad(w, -1.0, rng_seed=0)
+
+    @pytest.mark.parametrize(
+        "target,seed,error",
+        [
+            (float("nan"), 0, DegenerateSignalError),
+            (float("inf"), 0, DegenerateSignalError),
+            (0.5, -1, ConfigError),
+        ],
+        ids=["nan_target", "inf_target", "negative_seed"],
+    )
+    def test_rejects_bad_input(self, target, seed, error):
+        w = Waveform(np.ones(16000), 16000)
+        with pytest.raises(error):
+            crop_or_pad(w, target, rng_seed=seed)
 
 
 class TestMeasureSnr:

@@ -63,6 +63,21 @@ def ws(tmp_path_factory):
     }
 
 
+def _manifest_with_missing_file(ws, tmp_path, utterance_id):
+    """The workspace manifest plus one line whose audio file does not exist."""
+    from spoofamp.manifest import load_manifest
+
+    manifest = str(tmp_path / "broken.tsv")
+    lines = [
+        f"{e.utterance_id}\t{e.path}\t{e.label}\t{e.attack_id}"
+        for e in load_manifest(ws["manifest"])
+    ]
+    lines.append(f"{utterance_id}\tmissing.wav\tbonafide\t-")
+    with open(manifest, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    return manifest
+
+
 class TestSignalCommands:
     def test_gen_noise(self, tmp_path, capsys):
         out = str(tmp_path / "noise.wav")
@@ -80,6 +95,16 @@ class TestSignalCommands:
             main(["gen-noise", "--color", "infrared", "--seconds", "1",
                   "--out", str(tmp_path / "x.wav")])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("command", ["gen-noise", "mix"])
+    def test_negative_seed_usage_error(self, ws, tmp_path, capsys, command):
+        src = os.path.join(ws["corpus"], "SYN_B_0000.wav")
+        args = {"gen-noise": ["--color", "white", "--seconds", "1"], "mix": ["--in", src]}
+        out = tmp_path / "x.wav"
+        rc = main([command, *args[command], "--seed", "-1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: noise seed must be >= 0")
+        assert not out.exists()
 
     def test_mix(self, ws, tmp_path):
         src = os.path.join(ws["corpus"], "SYN_B_0000.wav")
@@ -133,16 +158,7 @@ class TestProcess:
 
     def test_partial_failure_exit_code(self, ws, tmp_path, capsys):
         # a manifest line pointing at a missing file fails that utterance only
-        from spoofamp.manifest import load_manifest
-
-        manifest = str(tmp_path / "broken.tsv")
-        lines = [
-            f"{e.utterance_id}\t{e.path}\t{e.label}\t{e.attack_id}"
-            for e in load_manifest(ws["manifest"])
-        ]
-        lines.append("SYN_X_9999\tmissing.wav\tbonafide\t-")
-        with open(manifest, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        manifest = _manifest_with_missing_file(ws, tmp_path, "SYN_X_9999")
         rc = main([
             "process", "--config", ws["config"], "--manifest", manifest,
             "--out-dir", str(tmp_path / "out"),
@@ -242,6 +258,38 @@ class TestFitScore:
         (audio / "run_log.json").unlink()
         assert main(argv) == 0
         assert parse_score_file(str(scores)).config_hash is None
+
+    def test_failed_utterances_skipped(self, ws, tmp_path, capsys):
+        manifest = _manifest_with_missing_file(ws, tmp_path, "BAD")
+        amp = str(tmp_path / "amp")
+        rc = main(["process", "--config", ws["config"], "--manifest", manifest, "--out-dir", amp])
+        assert rc == 1
+        model = str(tmp_path / "model.json")
+        fit_argv = [
+            "fit", "--manifest", manifest, "--audio-dir", amp, "--n-bands", "4",
+            "--out-model", model,
+        ]
+        assert main(fit_argv) == 0
+        out = capsys.readouterr().out
+        assert "skipped 1 of 7 utterances" in out
+        assert "fitted on 6 utterances" in out
+        scores = str(tmp_path / "scores.txt")
+        rc = main([
+            "score", "--model", model, "--manifest", manifest, "--audio-dir", amp,
+            "--out-scores", scores,
+        ])
+        assert rc == 0
+        parsed = parse_score_file(scores)
+        assert len(parsed.rows) == 6
+        with open(os.path.join(amp, "run_log.json")) as f:
+            assert parsed.config_hash == json.load(f)["config_hash"]
+        # report still needs a score for every manifest id
+        assert main(["report", "--manifest", manifest, "--scores", scores]) == 1
+        assert "'BAD'" in capsys.readouterr().err
+        # with no run log nothing is skipped, so the missing WAV fails fit
+        os.remove(os.path.join(amp, "run_log.json"))
+        assert main(fit_argv) == 1
+        assert "no such audio file" in capsys.readouterr().err
 
     def test_fit_single_class_runtime_error(self, ws, tmp_path, capsys):
         manifest = str(tmp_path / "bona_only.tsv")

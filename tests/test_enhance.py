@@ -15,16 +15,16 @@ from spoofamp.errors import (
     EnhancerTimeoutError,
     MissingReferenceError,
 )
-from spoofamp.mixing import MixSpec, add_noise_at_snr
-from spoofamp.noise import NoiseSpec, generate
+from spoofamp.mixing import add_noise_at_snr
+from spoofamp.noise import generate
 
 from conftest import make_speechlike
 
 
 def _noisy_pair(seed, snr_db=0.0, seconds=2.0):
     x = make_speechlike(seed=seed, seconds=seconds)
-    n = generate(NoiseSpec("white", len(x), x.sample_rate, seed=seed + 1000))
-    return x, add_noise_at_snr(x, n, MixSpec(snr_db))
+    n = generate("white", len(x), x.sample_rate, seed=seed + 1000)
+    return x, add_noise_at_snr(x, n, snr_db)
 
 
 class TestEnhancerKind:

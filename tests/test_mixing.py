@@ -12,41 +12,41 @@ from spoofamp.errors import DegenerateSignalError, MismatchError
 from spoofamp.mixing import (
     _WADA_DB,
     _WADA_G,
-    MixSpec,
     add_noise_at_snr,
     wada_snr_estimate,
 )
-from spoofamp.noise import NoiseSpec, generate
+from spoofamp.noise import generate
 
 from conftest import make_speechlike
 
 
 class TestMixSpec:
     def test_rejects_non_finite(self):
-        with pytest.raises(DegenerateSignalError):
-            MixSpec(float("nan"))
-        with pytest.raises(DegenerateSignalError):
-            MixSpec(float("inf"))
+        x = Waveform(np.ones(8), 16000)
+        with pytest.raises(DegenerateSignalError, match="snr_db must be finite, got nan"):
+            add_noise_at_snr(x, x, float("nan"))
+        with pytest.raises(DegenerateSignalError, match="snr_db must be finite, got inf"):
+            add_noise_at_snr(x, x, float("inf"))
 
 
 class TestAddNoiseAtSnr:
     def test_zero_db_hand_case(self):
         x = Waveform(np.array([1.0, 1.0, 1.0, 1.0]), 16000)
         n = Waveform(np.array([1.0, -1.0, 1.0, -1.0]), 16000)
-        y = add_noise_at_snr(x, n, MixSpec(0.0))
+        y = add_noise_at_snr(x, n, 0.0)
         assert np.allclose(y.samples, [2.0, 0.0, 2.0, 0.0], atol=1e-15)
 
     def test_ten_db_hand_case(self):
         x = Waveform(np.array([1.0, 1.0, 1.0, 1.0]), 16000)
         n = Waveform(np.array([1.0, -1.0, 1.0, -1.0]), 16000)
-        y = add_noise_at_snr(x, n, MixSpec(10.0))
+        y = add_noise_at_snr(x, n, 10.0)
         s = 10.0 ** -0.5
         assert np.allclose(y.samples, [1 + s, 1 - s, 1 + s, 1 - s], atol=1e-12)
 
     def test_inputs_unmodified(self):
         x = Waveform(np.ones(8), 16000)
         n = Waveform(np.full(8, 0.5), 16000)
-        add_noise_at_snr(x, n, MixSpec(5.0))
+        add_noise_at_snr(x, n, 5.0)
         assert np.array_equal(x.samples, np.ones(8))
         assert np.array_equal(n.samples, np.full(8, 0.5))
 
@@ -54,24 +54,24 @@ class TestAddNoiseAtSnr:
         x = Waveform(np.ones(8), 16000)
         n = Waveform(np.zeros(8), 16000)
         with pytest.raises(DegenerateSignalError):
-            add_noise_at_snr(x, n, MixSpec(0.0))
+            add_noise_at_snr(x, n, 0.0)
 
     def test_zero_energy_signal(self):
         x = Waveform(np.zeros(8), 16000)
         n = Waveform(np.ones(8), 16000)
         with pytest.raises(DegenerateSignalError):
-            add_noise_at_snr(x, n, MixSpec(0.0))
+            add_noise_at_snr(x, n, 0.0)
 
     def test_length_mismatch(self):
         with pytest.raises(MismatchError):
             add_noise_at_snr(
-                Waveform(np.ones(8), 16000), Waveform(np.ones(9), 16000), MixSpec(0.0)
+                Waveform(np.ones(8), 16000), Waveform(np.ones(9), 16000), 0.0
             )
 
     def test_rate_mismatch(self):
         with pytest.raises(MismatchError, match="signal 16000 vs noise 8000"):
             add_noise_at_snr(
-                Waveform(np.ones(8), 16000), Waveform(np.ones(8), 8000), MixSpec(0.0)
+                Waveform(np.ones(8), 16000), Waveform(np.ones(8), 8000), 0.0
             )
 
     def test_snr_roundtrip_randomized(self):
@@ -82,7 +82,7 @@ class TestAddNoiseAtSnr:
             x = Waveform(rng.standard_normal(m), 16000)
             n = Waveform(rng.standard_normal(m), 16000)
             s = float(rng.uniform(-20.0, 40.0))
-            y = add_noise_at_snr(x, n, MixSpec(s))
+            y = add_noise_at_snr(x, n, s)
             assert measure_snr(x, y) == pytest.approx(s, abs=1e-6)
 
     def test_scale_covariance(self):
@@ -90,8 +90,8 @@ class TestAddNoiseAtSnr:
         x = Waveform(rng.standard_normal(512), 16000)
         n = Waveform(rng.standard_normal(512), 16000)
         for c in (0.1, 2.0, 37.5):
-            y1 = add_noise_at_snr(x.with_samples(c * x.samples), n, MixSpec(7.0))
-            y0 = add_noise_at_snr(x, n, MixSpec(7.0))
+            y1 = add_noise_at_snr(x.with_samples(c * x.samples), n, 7.0)
+            y0 = add_noise_at_snr(x, n, 7.0)
             assert np.allclose(y1.samples, c * y0.samples, rtol=1e-12)
 
 
@@ -140,14 +140,14 @@ class TestWadaSnrEstimate:
 
     def test_monotone_in_added_noise(self):
         x = make_speechlike(seed=30, seconds=3.0)
-        noise = generate(NoiseSpec("white", len(x), x.sample_rate, seed=31))
+        noise = generate("white", len(x), x.sample_rate, seed=31)
         estimates = []
         for snr in (20.0, 10.0, 0.0, -10.0):
-            y = add_noise_at_snr(x, noise, MixSpec(snr))
+            y = add_noise_at_snr(x, noise, snr)
             estimates.append(wada_snr_estimate(y))
         assert all(a >= b for a, b in zip(estimates, estimates[1:]))
         # clean version beats the 0 dB mixture strictly
-        mixed = add_noise_at_snr(x, noise, MixSpec(0.0))
+        mixed = add_noise_at_snr(x, noise, 0.0)
         assert wada_snr_estimate(x) > wada_snr_estimate(mixed)
 
     def test_pure_noise_near_lower_bound(self):

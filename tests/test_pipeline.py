@@ -233,6 +233,34 @@ class TestSweep:
         ]
         assert cells[0].eer == eer(recs)
 
+    def test_include_raw_training_appends_raw_features(self, corpus, monkeypatch):
+        entries, _ = corpus
+        fc = FeatureConfig(n_bands=4)
+        fitted = []
+
+        def fit_spy(features, labels, feature_config):
+            fitted.append((list(features), list(labels)))
+            return fit(features, labels, feature_config)
+
+        monkeypatch.setattr(pipeline.detector, "fit", fit_spy)
+        cells = sweep(
+            _config(), entries, entries, "alpha", [1.4], UNIT_PARAMS,
+            feature_config=fc, include_raw_training=True,
+        )
+        assert cells[0].error is None
+        [(features, labels)] = fitted
+        n = len(entries)
+        assert len(features) == 2 * n
+        assert labels == [e.label for e in entries] * 2
+        raw = [
+            extract_features(
+                crop_or_pad(read_wav(e.path), 0.5, derive_seed(99, e.utterance_id, "crop")), fc
+            )
+            for e in entries
+        ]
+        for got, want in zip(features[n:], raw):
+            assert np.array_equal(got, want)
+
     def test_boolean_axis_runs_both_cells(self, corpus):
         entries, _ = corpus
         cells = sweep(
