@@ -1,21 +1,20 @@
-"""Signal container, WAV file I/O, cropping, and SNR measurement.
+"""Signal container, WAV file I/O, and cropping.
 
 All audio is held as float64 internally regardless of file encoding, because
 the projection residual math downstream asserts orthogonality at 1e-9, which
-float32 cannot honor. Only mono PCM 16-bit and IEEE float32 WAV files are
-read; multichannel input is averaged down to mono.
+float32 cannot honor. PCM 16-bit and IEEE float32 WAV files are read, with
+multichannel input averaged down to mono; files are written as mono float32.
 """
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     ConfigError,
     DegenerateSignalError,
-    InfiniteSnrError,
     MalformedWavError,
     MismatchError,
     MissingFileError,
@@ -70,16 +69,9 @@ class Waveform:
     def __len__(self):
         return self.samples.size
 
-    @property
-    def duration_seconds(self):
-        return self.samples.size / self.sample_rate
-
     def energy(self):
         """Sum of squared samples."""
         return float(np.dot(self.samples, self.samples))
-
-    def rms(self):
-        return float(np.sqrt(self.energy() / self.samples.size))
 
     def with_samples(self, samples):
         """New Waveform with the same sample rate and different samples."""
@@ -157,6 +149,8 @@ def read_wav(path):
         tag = struct.unpack("<H", guid[:2])[0]
     if channels < 1:
         raise MalformedWavError("fmt chunk declares zero channels")
+    if sample_rate == 0:
+        raise MalformedWavError(f"fmt chunk declares a sample rate of 0: {path}")
 
     if tag == _FMT_PCM and bits == 16:
         dtype, scale = "<i2", 1.0 / 32768.0
@@ -174,6 +168,8 @@ def read_wav(path):
 
     if samples.size == 0:
         raise MalformedWavError(f"data chunk holds no samples: {path}")
+    if not np.all(np.isfinite(samples)):
+        raise MalformedWavError(f"data chunk holds NaN or infinite samples: {path}")
     if channels > 1:
         usable = (samples.size // channels) * channels
         samples = samples[:usable].reshape(-1, channels).mean(axis=1)
@@ -182,42 +178,29 @@ def read_wav(path):
     return Waveform(samples, int(sample_rate))
 
 
-def write_wav(w, path, encoding="float32"):
-    """Write a mono Waveform as a WAV file.
+def write_wav(w, path):
+    """Write a mono Waveform as an IEEE float32 WAV file.
 
-    encoding "float32" is lossless for the float64-held samples up to float32
-    rounding; "pcm16" clamps to [-1, 1 - 2**-15] then rounds to the nearest
-    16-bit level.
+    The samples are rounded to float32 and not clipped, so values outside
+    [-1, 1] survive the round trip through read_wav.
 
     Raises
     ------
     UnwritablePathError
     """
-    if encoding == "pcm16":
-        clipped = np.clip(w.samples, -1.0, 1.0 - 2.0**-15)
-        ints = np.rint(clipped * 32768.0).astype("<i2")
-        payload = ints.tobytes()
-        tag, bits = _FMT_PCM, 16
-        fact = b""
-    elif encoding == "float32":
-        payload = w.samples.astype("<f4").tobytes()
-        tag, bits = _FMT_IEEE_FLOAT, 32
-        # non-PCM encodings carry a fact chunk with the frame count
-        fact = struct.pack("<4sII", b"fact", 4, len(w))
-    else:
-        raise UnwritablePathError(f"unknown encoding {encoding!r}")
-
-    block_align = bits // 8
+    payload = w.samples.astype("<f4").tobytes()
+    # non-PCM encodings carry a fact chunk with the frame count
+    fact = struct.pack("<4sII", b"fact", 4, len(w))
     fmt = struct.pack(
         "<4sIHHIIHH",
         b"fmt ",
         16,
-        tag,
-        1,
+        _FMT_IEEE_FLOAT,
+        1,  # channels
         w.sample_rate,
-        w.sample_rate * block_align,
-        block_align,
-        bits,
+        w.sample_rate * 4,  # bytes per second
+        4,  # bytes per frame
+        32,  # bits per sample
     )
     data_head = struct.pack("<4sI", b"data", len(payload))
     pad = b"\x00" if len(payload) % 2 == 1 else b""
@@ -260,28 +243,3 @@ def crop_or_pad(w, target_seconds, rng_seed):
     reps = -(-out_len // n)  # ceil
     tiled = np.tile(w.samples, reps)[:out_len]
     return w.with_samples(tiled)
-
-
-def measure_snr(clean, mixture):
-    """SNR of a mixture against its clean reference, in dB.
-
-    Returns 10*log10(||clean||^2 / ||mixture - clean||^2).
-
-    Raises
-    ------
-    MismatchError
-        Lengths or sample rates differ.
-    DegenerateSignalError
-        Clean signal has zero energy.
-    InfiniteSnrError
-        Mixture equals clean exactly (zero residual).
-    """
-    _check_aligned(clean, mixture, "clean", "mixture")
-    ce = clean.energy()
-    if ce == 0.0:
-        raise DegenerateSignalError("clean signal has zero energy")
-    diff = mixture.samples - clean.samples
-    de = float(np.dot(diff, diff))
-    if de == 0.0:
-        raise InfiniteSnrError("mixture equals clean; SNR is out of range")
-    return 10.0 * np.log10(ce / de)

@@ -6,6 +6,7 @@ invalid configuration or usage.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -76,8 +77,10 @@ def _remap_audio_dir(entries, audio_dir, failed):
 
 
 def _cmd_gen_noise(args):
+    if not (math.isfinite(args.seconds) and args.seconds > 0):
+        raise ConfigError(f"--seconds must be finite and positive, got {args.seconds}")
     n = int(round(args.seconds * args.sample_rate))
-    write_wav(generate(args.color, n, args.sample_rate, args.seed), args.out, "float32")
+    write_wav(generate(args.color, n, args.sample_rate, args.seed), args.out)
     print(f"wrote {args.out}: {args.color} noise, {n} samples at {args.sample_rate} Hz")
     return 0
 
@@ -86,7 +89,7 @@ def _cmd_mix(args):
     x = read_wav(args.infile)
     n = generate(args.noise_color, len(x), x.sample_rate, args.seed)
     y = add_noise_at_snr(x, n, args.snr_db)
-    write_wav(y, args.out, "float32")
+    write_wav(y, args.out)
     print(f"wrote {args.out}: {args.noise_color} noise mixed at {args.snr_db} dB")
     return 0
 
@@ -95,7 +98,7 @@ def _cmd_extract(args):
     x = read_wav(args.infile)
     x_hat = read_wav(args.enhanced)
     r = extract_residual(x, x_hat, args.mode)
-    write_wav(r.a_hat, args.out, "float32")
+    write_wav(r.a_hat, args.out)
     print(f"projection_weight={r.projection_weight!r}")
     return 0
 
@@ -103,7 +106,7 @@ def _cmd_extract(args):
 def _cmd_amplify(args):
     x = read_wav(args.infile)
     out = _amplify_op(x, read_wav(args.residual), args.alpha)
-    write_wav(out, args.out, "float32")
+    write_wav(out, args.out)
     print(f"wrote {args.out}: alpha={args.alpha}")
     return 0
 

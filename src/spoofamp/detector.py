@@ -39,8 +39,10 @@ class FeatureConfig:
     n_bands: int = 24
 
     def __post_init__(self):
-        if self.n_bands < 2:
-            raise DegenerateSignalError(f"n_bands must be >= 2, got {self.n_bands}")
+        n_bins = WINDOW_LENGTH // 2 + 1  # every band needs a bin of its own
+        n = self.n_bands
+        if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= n_bins:
+            raise ConfigError(f"n_bands must be an integer in [2, {n_bins}], got {n!r}")
 
     @property
     def dim(self):

@@ -154,7 +154,7 @@ def _run_external(command_template, y, timeout_s):
     try:
         in_path = f"{tmpdir}/in.wav"
         out_path = f"{tmpdir}/out.wav"
-        write_wav(y, in_path, "float32")
+        write_wav(y, in_path)
         tokens = [
             tok.replace("{in}", in_path).replace("{out}", out_path)
             for tok in shlex.split(command_template)

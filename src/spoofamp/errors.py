@@ -37,10 +37,6 @@ class DegenerateSignalError(SpoofampError):
     """Signal violates an operation's preconditions (zero energy, too short)."""
 
 
-class InfiniteSnrError(SpoofampError):
-    """Residual between clean and mixture is exactly zero, so SNR is unbounded."""
-
-
 class MismatchError(SpoofampError):
     """Operands disagree in length, sample rate, or dimensionality."""
 

@@ -61,55 +61,59 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
     entries = []
     seen = {}
     base_dir = os.path.dirname(os.path.abspath(path))
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if fmt == "asvspoof_protocol":
-                tokens = line.split()
-                if len(tokens) != 5:
-                    raise ManifestError(
-                        f"{path}:{lineno}: expected 5 whitespace-separated fields "
-                        f"(speaker utterance - attack key), got {len(tokens)}"
-                    )
-                _speaker, utt, _unused, attack, key = tokens
-                if key not in ("bonafide", "spoof"):
-                    raise ManifestError(
-                        f"{path}:{lineno}: unknown key token {key!r} "
-                        "(expected 'bonafide' or 'spoof')"
-                    )
-                entry = ManifestEntry(
-                    utterance_id=utt,
-                    path=_resolve_protocol_path(audio_root, utt),
-                    label=key,
-                    attack_id=attack,
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ManifestError(f"{path}: manifest is not UTF-8 text: {e}") from e
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if fmt == "asvspoof_protocol":
+            tokens = line.split()
+            if len(tokens) != 5:
+                raise ManifestError(
+                    f"{path}:{lineno}: expected 5 whitespace-separated fields "
+                    f"(speaker utterance - attack key), got {len(tokens)}"
                 )
-            else:
-                tokens = line.split("\t")
-                if len(tokens) != 4:
-                    raise ManifestError(
-                        f"{path}:{lineno}: expected 4 tab-separated fields "
-                        f"(utterance_id path label attack_id), got {len(tokens)}"
-                    )
-                utt, audio_path, label, attack = tokens
-                if label not in ("bonafide", "spoof"):
-                    raise ManifestError(
-                        f"{path}:{lineno}: unknown label {label!r} "
-                        "(expected 'bonafide' or 'spoof')"
-                    )
-                if not os.path.isabs(audio_path):
-                    audio_path = os.path.join(base_dir, audio_path)
-                entry = ManifestEntry(
-                    utterance_id=utt, path=audio_path, label=label, attack_id=attack
+            _speaker, utt, _unused, attack, key = tokens
+            if key not in ("bonafide", "spoof"):
+                raise ManifestError(
+                    f"{path}:{lineno}: unknown key token {key!r} "
+                    "(expected 'bonafide' or 'spoof')"
                 )
-            if entry.utterance_id in seen:
-                raise DuplicateIdError(
-                    f"{path}: duplicate utterance id {entry.utterance_id!r} "
-                    f"on lines {seen[entry.utterance_id]} and {lineno}"
+            entry = ManifestEntry(
+                utterance_id=utt,
+                path=_resolve_protocol_path(audio_root, utt),
+                label=key,
+                attack_id=attack,
+            )
+        else:
+            tokens = line.split("\t")
+            if len(tokens) != 4:
+                raise ManifestError(
+                    f"{path}:{lineno}: expected 4 tab-separated fields "
+                    f"(utterance_id path label attack_id), got {len(tokens)}"
                 )
-            seen[entry.utterance_id] = lineno
-            entries.append(entry)
+            utt, audio_path, label, attack = tokens
+            if label not in ("bonafide", "spoof"):
+                raise ManifestError(
+                    f"{path}:{lineno}: unknown label {label!r} "
+                    "(expected 'bonafide' or 'spoof')"
+                )
+            if not os.path.isabs(audio_path):
+                audio_path = os.path.join(base_dir, audio_path)
+            entry = ManifestEntry(
+                utterance_id=utt, path=audio_path, label=label, attack_id=attack
+            )
+        if entry.utterance_id in seen:
+            raise DuplicateIdError(
+                f"{path}: duplicate utterance id {entry.utterance_id!r} "
+                f"on lines {seen[entry.utterance_id]} and {lineno}"
+            )
+        seen[entry.utterance_id] = lineno
+        entries.append(entry)
     if not entries:
         _log.warning("manifest %s is empty", path)
     return entries

@@ -1,7 +1,9 @@
-"""DET curve, equal error rate, and normalized minimum tandem detection cost.
+"""Equal error rate and normalized minimum tandem detection cost.
 
-Score polarity is fixed: higher scores mean more bona fide. The DET curve is
-the staircase of (p_miss, p_fa) over all distinct score thresholds; the EER
+Score polarity is fixed: higher scores mean more bona fide. Both metrics read
+the DET staircase of (p_miss, p_fa) over all distinct score thresholds, where
+p_miss is the fraction of bona fide scores below the threshold and p_fa the
+fraction of spoof scores at or above it, ending at (1, 0) for +inf. The EER
 is where miss and false-alarm rates meet, computed on the lower convex
 envelope of the DET operating points with linear interpolation between the
 two achievable points bracketing the miss = false-alarm diagonal.
@@ -89,23 +91,11 @@ def _split_scores(records):
 
 
 def _det_arrays(bona, spoof):
-    """Thresholds (distinct scores plus +inf) with p_miss and p_fa arrays."""
+    """p_miss and p_fa at every distinct score and at +inf."""
     thresholds = np.concatenate([np.unique(np.concatenate([bona, spoof])), [np.inf]])
     p_miss = np.searchsorted(bona, thresholds, side="left") / bona.size
     p_fa = (spoof.size - np.searchsorted(spoof, thresholds, side="left")) / spoof.size
-    return thresholds, p_miss, p_fa
-
-
-def det_curve(records):
-    """Operating points (threshold, p_miss, p_fa) over all distinct thresholds.
-
-    p_miss is the fraction of bona fide scores below the threshold, p_fa the
-    fraction of spoof scores at or above it; the final point at threshold
-    +inf is (1, 0).
-    """
-    bona, spoof = _split_scores(records)
-    thresholds, p_miss, p_fa = _det_arrays(bona, spoof)
-    return [(float(t), float(m), float(f)) for t, m, f in zip(thresholds, p_miss, p_fa)]
+    return p_miss, p_fa
 
 
 def _lower_hull(points):
@@ -127,7 +117,7 @@ def _lower_hull(points):
 def eer(records):
     """Equal error rate on the lower convex envelope of the DET points."""
     bona, spoof = _split_scores(records)
-    _, p_miss, p_fa = _det_arrays(bona, spoof)
+    p_miss, p_fa = _det_arrays(bona, spoof)
     # keep the best (lowest) miss rate at each distinct false-alarm rate
     best = {}
     for f, m in zip(p_fa, p_miss):
@@ -182,7 +172,7 @@ def min_tdcf(records, params):
         raise CoefficientDegeneracyError(
             f"tandem cost coefficients degenerate: C1={c1}, C2={c2}"
         )
-    _, p_miss, p_fa = _det_arrays(bona, spoof)
+    p_miss, p_fa = _det_arrays(bona, spoof)
     costs = c0 + c1 * p_miss + c2 * p_fa
     return float(np.min(costs) / (c0 + min(c1, c2)))
 
@@ -269,38 +259,42 @@ def parse_score_file(path):
         raise MissingInputError(f"no such score file: {path}")
     rows = []
     config_hash = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("config_hash="):
-                    config_hash = body.split("=", 1)[1].strip()
-                continue
-            tokens = line.split()
-            if len(tokens) == 4:
-                utt, attack, label, score_s = tokens
-                if label not in LABELS:
-                    raise ScoreFileError(
-                        f"{path}:{lineno}: unknown label {label!r} (expected one of {LABELS})"
-                    )
-            elif len(tokens) == 2:
-                utt, score_s = tokens
-                attack, label = None, None
-            else:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ScoreFileError(f"{path}: score file is not UTF-8 text: {e}") from e
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if body.startswith("config_hash="):
+                config_hash = body.split("=", 1)[1].strip()
+            continue
+        tokens = line.split()
+        if len(tokens) == 4:
+            utt, attack, label, score_s = tokens
+            if label not in LABELS:
                 raise ScoreFileError(
-                    f"{path}:{lineno}: expected 2 or 4 whitespace-separated fields, "
-                    f"got {len(tokens)}"
+                    f"{path}:{lineno}: unknown label {label!r} (expected one of {LABELS})"
                 )
-            try:
-                score = float(score_s)
-            except ValueError as e:
-                raise ScoreFileError(f"{path}:{lineno}: bad score {score_s!r}") from e
-            if not np.isfinite(score):
-                raise ScoreFileError(f"{path}:{lineno}: non-finite score {score_s!r}")
-            rows.append((utt, attack, label, score))
+        elif len(tokens) == 2:
+            utt, score_s = tokens
+            attack, label = None, None
+        else:
+            raise ScoreFileError(
+                f"{path}:{lineno}: expected 2 or 4 whitespace-separated fields, "
+                f"got {len(tokens)}"
+            )
+        try:
+            score = float(score_s)
+        except ValueError as e:
+            raise ScoreFileError(f"{path}:{lineno}: bad score {score_s!r}") from e
+        if not np.isfinite(score):
+            raise ScoreFileError(f"{path}:{lineno}: non-finite score {score_s!r}")
+        rows.append((utt, attack, label, score))
     return ScoreFile(rows=rows, config_hash=config_hash)
 
 

@@ -1,15 +1,7 @@
-"""Noise addition at an exact target SNR, and a blind SNR estimator.
+"""Noise addition at an exact target SNR.
 
 add_noise_at_snr implements y = x + sqrt(||x||^2 / (||n||^2 * 10^(SNR/10))) * n,
 which scales the noise so the mixture hits the requested SNR exactly.
-
-wada_snr_estimate is a waveform-amplitude-distribution estimator: speech
-amplitudes are modeled as two-sided Gamma (shape 0.4) and noise as Gaussian.
-The statistic log(mean |z|) - mean(log |z|) is monotone in SNR under that
-model; a precomputed table inverts it. The table below was computed by
-numerical integration of the model (see tests for the integration oracle) on
-knots at 1 dB spacing over [-20, +100] dB, the range the method covers before
-the statistic saturates.
 """
 
 import numpy as np
@@ -17,45 +9,13 @@ import numpy as np
 from .audio import _check_aligned
 from .errors import DegenerateSignalError
 
-_WADA_DB_MIN = -20
-_WADA_DB_MAX = 100
-
-# g(snr_db) = log(E|Z|) - E[log|Z|] for Z = speech + unit-variance Gaussian,
-# speech two-sided Gamma(shape 0.4) at variance 10^(snr_db/10); 1 dB knots.
-_WADA_G = np.array([
-    0.40943470, 0.40945950, 0.40949762, 0.40955585, 0.40964412, 0.40977680,
-    0.40997422, 0.41026473, 0.41068699, 0.41129251, 0.41214827, 0.41333908,
-    0.41496934, 0.41716371, 0.42006640, 0.42383855, 0.42865366, 0.43469103,
-    0.44212755, 0.45112839, 0.46183732, 0.47436773, 0.48879504, 0.50515144,
-    0.52342326, 0.54355138, 0.56543434, 0.58893370, 0.61388120, 0.64008667,
-    0.66734632, 0.69545050, 0.72419070, 0.75336533, 0.78278429, 0.81227220,
-    0.84167053, 0.87083865, 0.89965408, 0.92801212, 0.95582492, 0.98302037,
-    1.00954067, 1.03534094, 1.06038765, 1.08465732, 1.10813505, 1.13081336,
-    1.15269102, 1.17377204, 1.19406475, 1.21358106, 1.23233570, 1.25034569,
-    1.26762978, 1.28420806, 1.30010156, 1.31533194, 1.32992126, 1.34389172,
-    1.35726554, 1.37006476, 1.38231115, 1.39402611, 1.40523061, 1.41594510,
-    1.42618950, 1.43598315, 1.44534479, 1.45429254, 1.46284393, 1.47101584,
-    1.47882453, 1.48628568, 1.49341434, 1.50022498, 1.50673149, 1.51294719,
-    1.51888488, 1.52455681, 1.52997471, 1.53514984, 1.54009295, 1.54481436,
-    1.54932393, 1.55363110, 1.55774489, 1.56167393, 1.56542647, 1.56901042,
-    1.57243332, 1.57570237, 1.57882447, 1.58180620, 1.58465387, 1.58737348,
-    1.58997078, 1.59245127, 1.59482018, 1.59708253, 1.59924311, 1.60130649,
-    1.60327704, 1.60515893, 1.60695615, 1.60867250, 1.61031162, 1.61187699,
-    1.61337191, 1.61479957, 1.61616298, 1.61746511, 1.61870849, 1.61989599,
-    1.62103005, 1.62211307, 1.62314735, 1.62413509, 1.62507837, 1.62597920,
-    1.62683949,
-])
-_WADA_DB = np.arange(_WADA_DB_MIN, _WADA_DB_MAX + 1, dtype=np.float64)
-
-_EPS_ABS = 1e-10  # floor on |z| before the log, after peak normalization
-
 
 def add_noise_at_snr(x, n, snr_db):
     """Mix noise into a signal at an exact target SNR.
 
     Returns y = x + sqrt(||x||^2 / (||n||^2 * 10^(snr/10))) * n. The inputs
-    are not modified. No clipping is applied; downstream projection math
-    needs the unclipped mixture, and clamping happens only at pcm16 export.
+    are not modified. No clipping is applied: downstream projection math
+    needs the unclipped mixture, and the float32 WAV output keeps it.
 
     Raises
     ------
@@ -75,32 +35,3 @@ def add_noise_at_snr(x, n, snr_db):
         raise DegenerateSignalError("noise has zero energy")
     scale = np.sqrt(ex / (en * 10.0 ** (snr_db / 10.0)))
     return x.with_samples(x.samples + scale * n.samples)
-
-
-def wada_snr_estimate(x):
-    """Blind SNR estimate in dB from waveform amplitude statistics.
-
-    The estimate is clamped to the table range [-20, +100] dB. Above roughly
-    +20 dB the underlying statistic saturates, so high values mean "very
-    clean" rather than a calibrated ratio.
-
-    Raises
-    ------
-    DegenerateSignalError
-        Zero-energy input or input shorter than 0.1 s.
-    """
-    if len(x) < max(1, int(0.1 * x.sample_rate)):
-        raise DegenerateSignalError(
-            f"input too short for blind SNR estimation: {len(x)} samples"
-        )
-    peak = float(np.max(np.abs(x.samples)))
-    if peak == 0.0:
-        raise DegenerateSignalError("silent input; blind SNR estimation undefined")
-    z = np.abs(x.samples) / peak
-    z = np.maximum(z, _EPS_ABS)
-    g = float(np.log(np.mean(z)) - np.mean(np.log(z)))
-    if g <= _WADA_G[0]:
-        return float(_WADA_DB_MIN)
-    if g >= _WADA_G[-1]:
-        return float(_WADA_DB_MAX)
-    return float(np.interp(g, _WADA_G, _WADA_DB))

@@ -59,9 +59,7 @@ def _process_one(entry, config, enhancer, out_dir):
             x = _load_cropped(entry, config, crop_seed)
         details = process_utterance_details(x, config, enhancer, noise_seed=noise_seed)
         with _stage("io"):
-            write_wav(
-                details.x_tilde, os.path.join(out_dir, entry.utterance_id + ".wav"), "float32"
-            )
+            write_wav(details.x_tilde, os.path.join(out_dir, entry.utterance_id + ".wav"))
     except StageError as e:
         return {
             "utterance_id": entry.utterance_id,

@@ -55,8 +55,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_bonafide < 1 or self.n_spoof < 1:
             raise ConfigError("corpus needs at least one item per class")
-        if self.duration_s <= 0:
-            raise ConfigError(f"duration_s must be positive, got {self.duration_s}")
+        if not (np.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ConfigError(f"duration_s must be finite and positive, got {self.duration_s}")
         if self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.artifact_kind not in ARTIFACT_KINDS:
@@ -204,7 +204,7 @@ def synth_corpus(spec, out_dir, prefix="SYN", manifest_name="manifest.tsv"):
     for utt_id, spoof in jobs:
         w = synth_utterance(utt_id, spec, spoof)
         path = os.path.join(out_dir, utt_id + ".wav")
-        write_wav(w, path, "float32")
+        write_wav(w, path)
         entries.append(
             ManifestEntry(
                 utterance_id=utt_id,

@@ -1,4 +1,4 @@
-"""Shared fixtures and signal builders for the test suite."""
+"""Shared fixtures, signal builders and measurement oracles for the test suite."""
 
 import struct
 
@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from spoofamp.audio import Waveform
+from spoofamp.errors import ConfigError, DegenerateSignalError
+from spoofamp.stft import hann_periodic
 
 
 def make_sine(freq_hz=440.0, seconds=1.0, sample_rate=16000, amplitude=0.5, phase=0.0):
@@ -37,6 +39,56 @@ def make_noise_wave(seed=0, n=16000, sample_rate=16000, scale=1.0):
     """Seeded white Gaussian noise Waveform."""
     rng = np.random.default_rng(seed)
     return Waveform(scale * rng.standard_normal(n), sample_rate)
+
+
+def measure_snr(clean, mixture):
+    """SNR of a mixture against its clean reference, in dB.
+
+    Returns 10*log10(||clean||^2 / ||mixture - clean||^2).
+    """
+    diff = mixture.samples - clean.samples
+    return 10.0 * np.log10(clean.energy() / float(np.dot(diff, diff)))
+
+
+def psd_slope(w, f_lo, f_hi):
+    """Least-squares slope of the Welch power spectrum in dB per octave.
+
+    Fits 10*log10(PSD) against log2(frequency) over [f_lo, f_hi].
+
+    Raises
+    ------
+    ConfigError
+        Band edges invalid for this sample rate.
+    DegenerateSignalError
+        Signal shorter than 8 averaged spectral frames, or no PSD bins with
+        positive power fall inside the band.
+    """
+    if not (0 < f_lo < f_hi < w.sample_rate / 2):
+        raise ConfigError(
+            f"need 0 < f_lo < f_hi < Nyquist, got [{f_lo}, {f_hi}] at {w.sample_rate} Hz"
+        )
+    nperseg = 4096
+    # welch with 50% overlap needs (n_frames + 1) * nperseg / 2 samples
+    min_len = (8 + 1) * nperseg // 2
+    if len(w) < min_len:
+        raise DegenerateSignalError(
+            f"signal too short for slope fit: {len(w)} < {min_len} samples"
+        )
+    # Welch: half-overlapped Hann segments, each mean-removed, periodograms
+    # averaged and scaled to a one-sided density
+    segments = np.lib.stride_tricks.sliding_window_view(w.samples, nperseg)[:: nperseg // 2]
+    window = hann_periodic(nperseg)
+    spectra = np.fft.rfft((segments - segments.mean(axis=1, keepdims=True)) * window, axis=1)
+    psd = np.mean(np.abs(spectra) ** 2, axis=0) / (w.sample_rate * np.sum(window**2))
+    psd[1:-1] *= 2.0  # fold in negative frequencies; nperseg is even, so DC and Nyquist stay
+    freqs = np.fft.rfftfreq(nperseg, d=1.0 / w.sample_rate)
+    band = (freqs >= f_lo) & (freqs <= f_hi) & (psd > 0)
+    if np.count_nonzero(band) < 2:
+        raise DegenerateSignalError("fewer than 2 usable PSD bins in the requested band")
+    x = np.log2(freqs[band])
+    y = 10.0 * np.log10(psd[band])
+    slope, _intercept = np.polyfit(x, y, 1)
+    return float(slope)
 
 
 @pytest.fixture

@@ -15,15 +15,17 @@ import pytest
 from test_metrics import UNIT_PARAMS, _eer_oracle, _min_tdcf_oracle, _records
 
 from spoofamp.amplify import extract_residual, process_utterance
-from spoofamp.audio import Waveform, crop_or_pad, measure_snr, read_wav
+from spoofamp.audio import Waveform, crop_or_pad, read_wav
 from spoofamp.config import RELEASE_SEED, PipelineConfig, derive_seed
 from spoofamp.detector import FeatureConfig, extract_features, fit, score
 from spoofamp.enhance import EnhancerKind
 from spoofamp.metrics import ScoreRecord, eer, min_tdcf
 from spoofamp.mixing import add_noise_at_snr
-from spoofamp.noise import generate, psd_slope
+from spoofamp.noise import generate
 from spoofamp.pipeline import load_tdcf_params, run_pipeline, sweep, sweep_csv_text
 from spoofamp.synth import SynthSpec, synth_corpus
+
+from conftest import measure_snr, psd_slope
 
 
 def _report(n, ok, detail):

@@ -1,23 +1,21 @@
-"""Waveform container, WAV round-trips, cropping, and SNR measurement."""
+"""Waveform container, WAV round-trips, cropping, and the SNR oracle."""
 
 import struct
 
 import numpy as np
 import pytest
 
-from spoofamp.audio import Waveform, crop_or_pad, measure_snr, read_wav, write_wav
+from spoofamp.audio import Waveform, crop_or_pad, read_wav, write_wav
 from spoofamp.errors import (
     ConfigError,
     DegenerateSignalError,
-    InfiniteSnrError,
     MalformedWavError,
-    MismatchError,
     MissingFileError,
     UnsupportedEncodingError,
     UnwritablePathError,
 )
 
-from conftest import write_minimal_wav
+from conftest import measure_snr, write_minimal_wav
 
 
 class TestWaveform:
@@ -54,11 +52,9 @@ class TestWaveform:
         src[0] = 5.0
         assert w.samples[0] == 1.0
 
-    def test_energy_rms_duration(self):
+    def test_energy_and_length(self):
         w = Waveform(np.array([3.0, 4.0]), 2)
         assert w.energy() == 25.0
-        assert w.rms() == pytest.approx(np.sqrt(12.5))
-        assert w.duration_seconds == 1.0
         assert len(w) == 2
 
 
@@ -67,19 +63,10 @@ class TestWavRoundTrip:
         rng = np.random.default_rng(1)
         w = Waveform(rng.standard_normal(1000).astype(np.float32).astype(np.float64), 16000)
         p = tmp_path / "a.wav"
-        write_wav(w, str(p), "float32")
+        write_wav(w, str(p))
         back = read_wav(str(p))
         assert back.sample_rate == 16000
         assert np.array_equal(back.samples, w.samples)
-
-    def test_pcm16_within_half_step(self, tmp_path):
-        rng = np.random.default_rng(2)
-        w = Waveform(rng.uniform(-0.99, 0.99, 1000), 8000)
-        p = tmp_path / "a.wav"
-        write_wav(w, str(p), "pcm16")
-        back = read_wav(str(p))
-        assert back.sample_rate == 8000
-        assert np.max(np.abs(back.samples - w.samples)) <= 2.0**-15
 
     def test_pcm16_scaling_definition(self, tmp_path):
         # 16-bit levels 0, 16384, -16384 decode as 0, 0.5, -0.5
@@ -88,14 +75,6 @@ class TestWavRoundTrip:
         write_minimal_wav(p, payload, fmt_tag=1, bits=16, channels=1, rate=16000)
         w = read_wav(str(p))
         assert np.array_equal(w.samples, [0.0, 0.5, -0.5])
-
-    def test_pcm16_clamps_out_of_range(self, tmp_path):
-        w = Waveform(np.array([2.0]), 16000)
-        p = tmp_path / "a.wav"
-        write_wav(w, str(p), "pcm16")
-        back = read_wav(str(p))
-        # clamp to 1 - 2**-15, then quantize: 32767 / 32768
-        assert back.samples[0] == pytest.approx(32767.0 / 32768.0, abs=1e-12)
 
     def test_stereo_is_averaged(self, tmp_path):
         payload = struct.pack("<2f", 1.0, 0.0)
@@ -167,6 +146,23 @@ class TestWavErrors:
         with pytest.raises(MalformedWavError, match="whole number"):
             read_wav(str(p))
 
+    @pytest.mark.parametrize(
+        "payload, fmt_tag, bits, rate, match",
+        [
+            (struct.pack("<2h", 0, 16384), 1, 16, 0, "sample rate of 0"),
+            (struct.pack("<2f", 0.5, float("nan")), 3, 32, 16000, "NaN or infinite"),
+            (struct.pack("<2f", float("-inf"), 0.5), 3, 32, 16000, "NaN or infinite"),
+        ],
+        ids=["zero_rate", "nan_sample", "inf_sample"],
+    )
+    def test_corrupt_fmt_or_samples_malformed(self, tmp_path, payload, fmt_tag, bits, rate,
+                                              match):
+        p = tmp_path / "corrupt.wav"
+        write_minimal_wav(p, payload, fmt_tag=fmt_tag, bits=bits, channels=1, rate=rate)
+        with pytest.raises(MalformedWavError, match=match) as e:
+            read_wav(str(p))
+        assert str(p) in str(e.value)
+
     def test_flac_named(self, tmp_path):
         p = tmp_path / "a.flac"
         p.write_bytes(b"fLaC" + b"\x00" * 40)
@@ -176,12 +172,7 @@ class TestWavErrors:
     def test_unwritable_path(self, tmp_path):
         w = Waveform(np.zeros(4), 16000)
         with pytest.raises(UnwritablePathError):
-            write_wav(w, str(tmp_path / "no" / "dir" / "a.wav"), "float32")
-
-    def test_unknown_encoding_name(self, tmp_path):
-        w = Waveform(np.zeros(4), 16000)
-        with pytest.raises(UnwritablePathError):
-            write_wav(w, str(tmp_path / "a.wav"), "pcm24")
+            write_wav(w, str(tmp_path / "no" / "dir" / "a.wav"))
 
 
 class TestCropOrPad:
@@ -256,22 +247,3 @@ class TestMeasureSnr:
         clean = Waveform(np.array([1.0, 0.0]), 16000)
         mixture = clean.with_samples(clean.samples + 0.1 * clean.samples)
         assert measure_snr(clean, mixture) == pytest.approx(20.0, abs=1e-9)
-
-    def test_equal_signals_out_of_range(self):
-        w = Waveform(np.ones(8), 16000)
-        with pytest.raises(InfiniteSnrError):
-            measure_snr(w, w)
-
-    def test_zero_energy_clean(self):
-        clean = Waveform(np.zeros(8), 16000)
-        mixture = Waveform(np.ones(8), 16000)
-        with pytest.raises(DegenerateSignalError):
-            measure_snr(clean, mixture)
-
-    def test_length_mismatch(self):
-        with pytest.raises(MismatchError):
-            measure_snr(Waveform(np.ones(8), 16000), Waveform(np.ones(9), 16000))
-
-    def test_rate_mismatch(self):
-        with pytest.raises(MismatchError, match="clean 16000 vs mixture 8000"):
-            measure_snr(Waveform(np.ones(8), 16000), Waveform(np.ones(8), 8000))

@@ -10,7 +10,8 @@ import pytest
 from spoofamp.audio import read_wav
 from spoofamp.cli import main
 from spoofamp.config import PipelineConfig
-from spoofamp.errors import ConfigError
+from spoofamp.errors import ConfigError, ManifestError, ScoreFileError
+from spoofamp.manifest import load_manifest
 from spoofamp.metrics import parse_score_file
 
 
@@ -65,8 +66,6 @@ def ws(tmp_path_factory):
 
 def _manifest_with_missing_file(ws, tmp_path, utterance_id):
     """The workspace manifest plus one line whose audio file does not exist."""
-    from spoofamp.manifest import load_manifest
-
     manifest = str(tmp_path / "broken.tsv")
     lines = [
         f"{e.utterance_id}\t{e.path}\t{e.label}\t{e.attack_id}"
@@ -104,6 +103,24 @@ class TestSignalCommands:
         rc = main([command, *args[command], "--seed", "-1", "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: noise seed must be >= 0")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["gen-noise", "--color", "white", "--out", "{out}/n.wav"], "--seconds"),
+            (["synth", "--n-bonafide", "2", "--n-spoof", "2", "--out-dir", "{out}"], "--duration"),
+        ],
+        ids=["gen-noise", "synth"],
+    )
+    def test_non_finite_duration_usage_error(self, tmp_path, capsys, argv, flag, value):
+        out = tmp_path / "out"
+        rc = main([a.format(out=out) for a in argv] + [flag, value])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"must be finite and positive, got {value}" in err
         assert not out.exists()
 
     def test_mix(self, ws, tmp_path):
@@ -291,6 +308,17 @@ class TestFitScore:
         assert main(fit_argv) == 1
         assert "no such audio file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_bands", ["1", "300"])
+    def test_n_bands_out_of_range_usage_error(self, ws, tmp_path, capsys, n_bands):
+        model = tmp_path / "m.json"
+        rc = main([
+            "fit", "--manifest", ws["manifest"], "--audio-dir", ws["processed"],
+            "--n-bands", n_bands, "--out-model", str(model),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: n_bands must be an integer in [2, 257]")
+        assert not model.exists()
+
     def test_fit_single_class_runtime_error(self, ws, tmp_path, capsys):
         manifest = str(tmp_path / "bona_only.tsv")
         with open(ws["manifest"]) as f:
@@ -391,6 +419,22 @@ class TestMissingInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert match in err
+
+    @pytest.mark.parametrize(
+        "which, reader, error",
+        [("manifest", load_manifest, ManifestError), ("scores", parse_score_file, ScoreFileError)],
+    )
+    def test_non_utf8_input_runtime_error(self, ws, tmp_path, capsys, which, reader, error):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"B0\t\xff.wav\tbonafide\t-\n")
+        with pytest.raises(error, match="not UTF-8") as e:
+            reader(str(bad))
+        assert str(bad) in str(e.value)
+        files = {"manifest": ws["manifest"], "scores": ws["scores"], which: str(bad)}
+        rc = main(["report", "--manifest", files["manifest"], "--scores", files["scores"]])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
 
     def test_report_missing_scores(self, ws, tmp_path, capsys):
         rc = main([

@@ -39,8 +39,9 @@ class TestFeatureConfig:
         assert FeatureConfig(n_bands=5).dim == 12
 
     def test_n_bands_minimum(self):
-        with pytest.raises(DegenerateSignalError):
-            FeatureConfig(n_bands=1)
+        for bad in (1, 0, True, 2.0, "4"):
+            with pytest.raises(ConfigError, match="n_bands must be an integer in"):
+                FeatureConfig(n_bands=bad)
 
     def test_dict_roundtrip(self):
         cfg = FeatureConfig(n_bands=10)
@@ -111,9 +112,13 @@ class TestExtractFeatures:
             extract_features(w)
 
     def test_too_many_bands_rejected(self):
-        w = make_speechlike(seed=4)
-        with pytest.raises(DegenerateSignalError):
-            extract_features(w, FeatureConfig(n_bands=300))
+        # every band needs one of the 257 bins of the 512-sample STFT
+        for bad in (258, 300):
+            with pytest.raises(ConfigError, match=r"\[2, 257\], got"):
+                FeatureConfig(n_bands=bad)
+        for rate in (8000, 16000, 48000):
+            w = make_speechlike(seed=4, sample_rate=rate)
+            assert extract_features(w, FeatureConfig(n_bands=257)).shape == (516,)
 
 
 class TestFit:

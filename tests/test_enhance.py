@@ -6,7 +6,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from spoofamp.audio import Waveform, measure_snr, read_wav, write_wav
+from spoofamp.audio import Waveform
 from spoofamp.enhance import ENHANCER_KINDS, EnhancerKind, enhance
 from spoofamp.errors import (
     ConfigError,
@@ -18,7 +18,7 @@ from spoofamp.errors import (
 from spoofamp.mixing import add_noise_at_snr
 from spoofamp.noise import generate
 
-from conftest import make_speechlike
+from conftest import make_speechlike, measure_snr
 
 
 def _noisy_pair(seed, snr_db=0.0, seconds=2.0):
@@ -138,7 +138,7 @@ sys.path.insert(0, {src!r})
 import numpy as np
 from spoofamp.audio import read_wav, write_wav
 w = read_wav(sys.argv[1])
-write_wav(w.with_samples(np.concatenate([w.samples, [0.125]])), sys.argv[2], 'float32')
+write_wav(w.with_samples(np.concatenate([w.samples, [0.125]])), sys.argv[2])
 """
 
 _RATE_CHANGE_BACKEND = """
@@ -146,7 +146,7 @@ import sys
 sys.path.insert(0, {src!r})
 from spoofamp.audio import Waveform, read_wav, write_wav
 w = read_wav(sys.argv[1])
-write_wav(Waveform(w.samples, 8000), sys.argv[2], 'float32')
+write_wav(Waveform(w.samples, 8000), sys.argv[2])
 """
 
 

@@ -14,7 +14,6 @@ from spoofamp.metrics import (
     Report,
     ScoreRecord,
     TdcfParams,
-    det_curve,
     eer,
     min_tdcf,
     parse_score_file,
@@ -147,33 +146,6 @@ class TestEer:
     def test_single_class_rejected(self):
         with pytest.raises(SingleClassError):
             eer([ScoreRecord("B0", "bonafide", "-", 0.5)])
-
-
-class TestDetCurve:
-    def test_monotone_rates(self):
-        rng = np.random.default_rng(85)
-        curve = det_curve(_records(rng.standard_normal(30), rng.standard_normal(30)))
-        miss = [m for _, m, _ in curve]
-        fa = [f for _, _, f in curve]
-        assert all(a <= b for a, b in zip(miss, miss[1:]))
-        assert all(a >= b for a, b in zip(fa, fa[1:]))
-
-    def test_perfect_separation_has_zero_zero(self):
-        curve = det_curve(_records([0.9, 0.8], [0.1, 0.2]))
-        assert any(m == 0.0 and f == 0.0 for _, m, f in curve)
-
-    def test_all_equal_scores_endpoints_only(self):
-        curve = det_curve(_records([0.5, 0.5], [0.5, 0.5]))
-        assert [(m, f) for _, m, f in curve] == [(0.0, 1.0), (1.0, 0.0)]
-
-    def test_hand_case_contains_half_half(self):
-        curve = det_curve(_records([0.8, 0.4], [0.6, 0.2]))
-        assert any(m == 0.5 and f == 0.5 for _, m, f in curve)
-
-    def test_final_point_at_infinity(self):
-        curve = det_curve(_records([0.1], [0.2, 0.3]))
-        t, m, f = curve[-1]
-        assert t == np.inf and m == 1.0 and f == 0.0
 
 
 class TestMinTdcf:

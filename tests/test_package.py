@@ -1,5 +1,7 @@
 """Package-level layout of the spoofamp namespace."""
 
+import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -7,6 +9,44 @@ import sys
 import types
 
 import spoofamp
+
+# Public functions and classes defined in each submodule. A name added or
+# dropped here is a change to the library's public surface.
+_PUBLIC_SURFACE = {
+    "amplify": {
+        "ProcessDetails", "Residual", "amplify", "extract_residual", "process_utterance",
+        "process_utterance_details",
+    },
+    "audio": {"Waveform", "crop_or_pad", "read_wav", "write_wav"},
+    "cli": {"build_parser", "main"},
+    "config": {"PipelineConfig", "config_doc", "config_hash", "derive_seed", "load_config"},
+    "detector": {
+        "FeatureConfig", "GaussianModel", "extract_features", "fit", "load_model", "save_model",
+        "score",
+    },
+    "enhance": {"EnhancerKind", "enhance"},
+    "errors": {
+        "AudioIOError", "CoefficientDegeneracyError", "ConfigError", "DegenerateSignalError",
+        "DuplicateIdError", "EnhancerError", "EnhancerOutputError", "EnhancerProcessError",
+        "EnhancerTimeoutError", "MalformedWavError", "ManifestError", "MismatchError",
+        "MissingFileError", "MissingIdError", "MissingInputError", "MissingReferenceError",
+        "ScoreFileError", "SingleClassError", "SpoofampError", "StageError", "TrainingDataError",
+        "UnsupportedEncodingError", "UnwritablePathError",
+    },
+    "manifest": {"ManifestEntry", "load_manifest", "write_manifest"},
+    "metrics": {
+        "Report", "ScoreFile", "ScoreRecord", "TdcfParams", "eer", "min_tdcf",
+        "parse_score_file", "report", "tdcf_coefficients", "write_score_file",
+    },
+    "mixing": {"add_noise_at_snr"},
+    "noise": {"generate"},
+    "pipeline": {
+        "RunResult", "SweepCell", "join_scores", "load_tdcf_params", "run_pipeline", "sweep",
+        "sweep_csv_text",
+    },
+    "stft": {"hann_periodic", "istft", "stft"},
+    "synth": {"SynthSpec", "apply_artifact", "synth_corpus", "synth_utterance"},
+}
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(spoofamp.__file__)))
 
@@ -55,3 +95,19 @@ def test_root_binds_only_version():
     )
     assert names == []
     assert _run_fresh("import spoofamp\nprint(spoofamp.__version__)") == [spoofamp.__version__]
+
+
+def test_public_surface():
+    """Each submodule defines exactly the public functions and classes listed
+    in _PUBLIC_SURFACE; names it imports from elsewhere do not count."""
+    found = {}
+    for info in pkgutil.iter_modules(spoofamp.__path__):
+        module = importlib.import_module(f"spoofamp.{info.name}")
+        found[info.name] = {
+            name
+            for name, value in vars(module).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+        }
+    assert found == _PUBLIC_SURFACE

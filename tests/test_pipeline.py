@@ -163,7 +163,7 @@ class TestRunPipeline:
     def test_memory_does_not_grow_with_corpus(self, tmp_path):
         # only each utterance's log record outlives it, never its waveforms
         path = str(tmp_path / "x.wav")
-        write_wav(make_speechlike(seed=5, seconds=0.5), path, "float32")
+        write_wav(make_speechlike(seed=5, seconds=0.5), path)
 
         def peak_bytes(n):
             entries = [ManifestEntry(f"U{i:03d}", path, "bonafide", "-") for i in range(n)]
