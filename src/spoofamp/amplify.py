@@ -17,9 +17,19 @@ import numpy as np
 from . import mixing, noise
 from .audio import Waveform, _check_aligned
 from .enhance import enhance
-from .errors import DegenerateSignalError, _stage
+from .errors import ConfigError, DegenerateSignalError, _stage
 
 EXTRACTION_MODES = ("projection", "naive")
+
+
+def _check_extraction_mode(mode):
+    if mode not in EXTRACTION_MODES:
+        raise ConfigError(f"unknown extraction mode {mode!r}; choose from {EXTRACTION_MODES}")
+
+
+def _check_alpha(alpha):
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -41,14 +51,15 @@ def extract_residual(x, x_hat, mode="projection"):
 
     Raises
     ------
+    ConfigError
+        Unknown mode.
     MismatchError
         Lengths or sample rates differ.
     DegenerateSignalError
         x_hat has zero energy in projection mode (a silent enhancer output
         signals a broken backend, not a usable estimate).
     """
-    if mode not in EXTRACTION_MODES:
-        raise DegenerateSignalError(f"unknown extraction mode {mode!r}")
+    _check_extraction_mode(mode)
     _check_aligned(x, x_hat, "x", "x_hat")
     if mode == "naive":
         return Residual(x.with_samples(x.samples - x_hat.samples), 1.0)
@@ -68,13 +79,12 @@ def amplify(x, a_hat, alpha):
 
     Raises
     ------
-    DegenerateSignalError
+    ConfigError
         alpha is not finite and >= 0.
     MismatchError
         Lengths or sample rates differ.
     """
-    if not np.isfinite(alpha) or alpha < 0:
-        raise DegenerateSignalError(f"alpha must be finite and >= 0, got {alpha}")
+    _check_alpha(alpha)
     _check_aligned(x, a_hat, "x", "residual")
     if alpha == 0.0:
         return x
@@ -87,13 +97,12 @@ class ProcessDetails:
 
     x_tilde: Waveform
     residual: Residual
-    noisy: Waveform
     enhanced: Waveform
 
 
 def process_utterance_details(x, config, enhancer, noise_seed=None):
     """Run noise addition, enhancement, extraction, and amplification on one
-    utterance, returning all intermediate products.
+    utterance, returning the output, the residual and the enhanced signal.
 
     config supplies snr_db, noise_color, alpha, extraction_mode,
     skip_noise_addition, and global_seed. noise_seed overrides the noise
@@ -114,7 +123,7 @@ def process_utterance_details(x, config, enhancer, noise_seed=None):
         r = extract_residual(x, x_hat, config.extraction_mode)
     with _stage("amplify"):
         x_tilde = amplify(x, r.a_hat, config.alpha)
-    return ProcessDetails(x_tilde=x_tilde, residual=r, noisy=y, enhanced=x_hat)
+    return ProcessDetails(x_tilde=x_tilde, residual=r, enhanced=x_hat)
 
 
 def process_utterance(x, config, enhancer, noise_seed=None):

@@ -90,7 +90,7 @@ def _check_aligned(a, b, name_a, name_b):
 def _read_exact(f, n, what):
     data = f.read(n)
     if len(data) != n:
-        raise MalformedWavError(f"truncated file while reading {what}")
+        raise MalformedWavError(f"truncated file while reading {what}: {f.name}")
     return data
 
 
@@ -142,13 +142,13 @@ def read_wav(path):
     if tag == _FMT_EXTENSIBLE:
         # subformat GUID starts at byte 24 of the fmt chunk
         if len(fmt) < 40:
-            raise MalformedWavError("EXTENSIBLE fmt chunk shorter than 40 bytes")
+            raise MalformedWavError(f"EXTENSIBLE fmt chunk shorter than 40 bytes: {path}")
         guid = fmt[24:40]
         if guid[2:] != _EXT_GUID_TAIL:
-            raise UnsupportedEncodingError(f"unknown EXTENSIBLE subformat GUID {guid.hex()}")
+            raise UnsupportedEncodingError(f"unknown EXTENSIBLE subformat GUID {guid.hex()}: {path}")
         tag = struct.unpack("<H", guid[:2])[0]
     if channels < 1:
-        raise MalformedWavError("fmt chunk declares zero channels")
+        raise MalformedWavError(f"fmt chunk declares zero channels: {path}")
     if sample_rate == 0:
         raise MalformedWavError(f"fmt chunk declares a sample rate of 0: {path}")
 
@@ -158,7 +158,7 @@ def read_wav(path):
         dtype, scale = "<f4", 1.0
     else:
         raise UnsupportedEncodingError(
-            f"unsupported WAV encoding: format tag {tag}, {bits} bits per sample"
+            f"unsupported WAV encoding in {path}: format tag {tag}, {bits} bits per sample"
         )
     if len(data) % (bits // 8) != 0:
         raise MalformedWavError(
@@ -214,6 +214,11 @@ def write_wav(w, path):
         raise UnwritablePathError(f"cannot write {path}: {e}") from e
 
 
+def _check_seconds(seconds):
+    if not (np.isfinite(seconds) and seconds > 0):
+        raise ConfigError(f"duration in seconds must be finite and positive, got {seconds}")
+
+
 def crop_or_pad(w, target_seconds, rng_seed):
     """Crop to, or tile up to, a target duration.
 
@@ -222,10 +227,7 @@ def crop_or_pad(w, target_seconds, rng_seed):
     end-to-end and truncated. Tiling rather than zero padding keeps the
     signal's energy statistics intact for the SNR arithmetic downstream.
     """
-    if not np.isfinite(target_seconds) or target_seconds <= 0:
-        raise DegenerateSignalError(
-            f"target_seconds must be finite and positive, got {target_seconds}"
-        )
+    _check_seconds(target_seconds)
     if rng_seed < 0:
         raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
     out_len = int(round(target_seconds * w.sample_rate))

@@ -6,7 +6,6 @@ invalid configuration or usage.
 """
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -14,7 +13,7 @@ from dataclasses import replace
 from . import detector, metrics, pipeline, synth
 from .amplify import EXTRACTION_MODES, extract_residual
 from .amplify import amplify as _amplify_op
-from .audio import read_wav, write_wav
+from .audio import _check_seconds, read_wav, write_wav
 from .config import PipelineConfig, _read_json_object, derive_seed, load_config
 from .errors import ConfigError, SpoofampError
 from .manifest import MANIFEST_FORMATS, load_manifest
@@ -77,8 +76,7 @@ def _remap_audio_dir(entries, audio_dir, failed):
 
 
 def _cmd_gen_noise(args):
-    if not (math.isfinite(args.seconds) and args.seconds > 0):
-        raise ConfigError(f"--seconds must be finite and positive, got {args.seconds}")
+    _check_seconds(args.seconds)
     n = int(round(args.seconds * args.sample_rate))
     write_wav(generate(args.color, n, args.sample_rate, args.seed), args.out)
     print(f"wrote {args.out}: {args.color} noise, {n} samples at {args.sample_rate} Hz")

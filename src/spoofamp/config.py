@@ -9,12 +9,12 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 
-import numpy as np
-
-from .amplify import EXTRACTION_MODES
+from .amplify import _check_alpha, _check_extraction_mode
+from .audio import _check_seconds
 from .enhance import EnhancerKind
 from .errors import ConfigError
-from .noise import NOISE_COLORS
+from .mixing import _check_snr_db
+from .noise import _check_noise_color
 
 # fixed release seed used by the acceptance experiments
 RELEASE_SEED = 555
@@ -36,23 +36,13 @@ class PipelineConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        if not np.isfinite(self.snr_db):
-            raise ConfigError(f"snr_db must be finite, got {self.snr_db}")
-        if self.noise_color not in NOISE_COLORS:
-            raise ConfigError(
-                f"unknown noise_color {self.noise_color!r}; choose from {NOISE_COLORS}"
-            )
+        _check_snr_db(self.snr_db)
+        _check_noise_color(self.noise_color)
         # checks the tag and its parameters; the fields keep the values as given
         EnhancerKind(self.enhancer, self.enhancer_params)
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise ConfigError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not (np.isfinite(self.crop_seconds) and self.crop_seconds > 0):
-            raise ConfigError(f"crop_seconds must be positive, got {self.crop_seconds}")
-        if self.extraction_mode not in EXTRACTION_MODES:
-            raise ConfigError(
-                f"unknown extraction_mode {self.extraction_mode!r}; "
-                f"choose from {EXTRACTION_MODES}"
-            )
+        _check_alpha(self.alpha)
+        _check_seconds(self.crop_seconds)
+        _check_extraction_mode(self.extraction_mode)
         if not isinstance(self.skip_noise_addition, bool):
             raise ConfigError("skip_noise_addition must be a boolean")
         if not isinstance(self.global_seed, int) or isinstance(self.global_seed, bool):

@@ -89,10 +89,6 @@ def _band_edges(config, sample_rate):
     # force at least one bin per band
     for i in range(1, len(edges)):
         edges[i] = max(edges[i], edges[i - 1] + 1)
-    if edges[-1] > n_bins:
-        raise DegenerateSignalError(
-            f"{config.n_bands} bands need more than {n_bins} spectral bins"
-        )
     return edges
 
 

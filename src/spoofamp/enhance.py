@@ -161,7 +161,7 @@ def _run_external(command_template, y, timeout_s):
         ]
         try:
             proc = subprocess.run(
-                tokens, capture_output=True, text=True, timeout=timeout_s
+                tokens, capture_output=True, text=True, errors="replace", timeout=timeout_s
             )
         except subprocess.TimeoutExpired as e:
             stderr = e.stderr if isinstance(e.stderr, str) else ""

@@ -13,6 +13,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError, DuplicateIdError, ManifestError, MissingInputError
+from .metrics import LABELS
 
 MANIFEST_FORMATS = ("asvspoof_protocol", "simple_tsv")
 
@@ -78,10 +79,9 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
                     f"(speaker utterance - attack key), got {len(tokens)}"
                 )
             _speaker, utt, _unused, attack, key = tokens
-            if key not in ("bonafide", "spoof"):
+            if key not in LABELS:
                 raise ManifestError(
-                    f"{path}:{lineno}: unknown key token {key!r} "
-                    "(expected 'bonafide' or 'spoof')"
+                    f"{path}:{lineno}: unknown key token {key!r} (expected one of {LABELS})"
                 )
             entry = ManifestEntry(
                 utterance_id=utt,
@@ -97,10 +97,9 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
                     f"(utterance_id path label attack_id), got {len(tokens)}"
                 )
             utt, audio_path, label, attack = tokens
-            if label not in ("bonafide", "spoof"):
+            if label not in LABELS:
                 raise ManifestError(
-                    f"{path}:{lineno}: unknown label {label!r} "
-                    "(expected 'bonafide' or 'spoof')"
+                    f"{path}:{lineno}: unknown label {label!r} (expected one of {LABELS})"
                 )
             if not os.path.isabs(audio_path):
                 audio_path = os.path.join(base_dir, audio_path)

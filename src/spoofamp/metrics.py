@@ -66,7 +66,8 @@ class TdcfParams:
         total = self.p_target + self.p_nontarget + self.p_spoof
         if abs(total - 1.0) > 1e-9:
             raise DegenerateSignalError(f"priors must sum to 1, got {total}")
-        for name in ("p_target", "p_nontarget", "p_spoof"):
+        for name in ("p_target", "p_nontarget", "p_spoof", "asv_pmiss", "asv_pfa",
+                     "asv_pmiss_spoof"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise DegenerateSignalError(f"{name} must lie in [0, 1], got {v}")
@@ -74,10 +75,6 @@ class TdcfParams:
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0.0):
                 raise DegenerateSignalError(f"{name} must be finite and >= 0, got {v}")
-        for name in ("asv_pmiss", "asv_pfa", "asv_pmiss_spoof"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise DegenerateSignalError(f"{name} must lie in [0, 1], got {v}")
 
 
 def _split_scores(records):

@@ -7,7 +7,12 @@ which scales the noise so the mixture hits the requested SNR exactly.
 import numpy as np
 
 from .audio import _check_aligned
-from .errors import DegenerateSignalError
+from .errors import ConfigError, DegenerateSignalError
+
+
+def _check_snr_db(snr_db):
+    if not np.isfinite(snr_db):
+        raise ConfigError(f"snr_db must be finite, got {snr_db}")
 
 
 def add_noise_at_snr(x, n, snr_db):
@@ -19,13 +24,14 @@ def add_noise_at_snr(x, n, snr_db):
 
     Raises
     ------
+    ConfigError
+        Non-finite snr_db.
     MismatchError
         Length or sample rate mismatch between x and n.
     DegenerateSignalError
-        Non-finite snr_db, or zero-energy signal or noise.
+        Zero-energy signal or noise.
     """
-    if not np.isfinite(snr_db):
-        raise DegenerateSignalError(f"snr_db must be finite, got {snr_db}")
+    _check_snr_db(snr_db)
     _check_aligned(x, n, "signal", "noise")
     ex = x.energy()
     en = n.energy()

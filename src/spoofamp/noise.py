@@ -17,6 +17,11 @@ NOISE_COLORS = ("white", "pink", "violet")
 _AMPLITUDE_EXPONENT = {"white": 0.0, "pink": -0.5, "violet": 1.0}
 
 
+def _check_noise_color(color):
+    if color not in NOISE_COLORS:
+        raise ConfigError(f"unknown noise color {color!r}; choose from {NOISE_COLORS}")
+
+
 def generate(color, length, sample_rate, seed):
     """Synthesize one noise realization as a unit-RMS Waveform.
 
@@ -25,14 +30,13 @@ def generate(color, length, sample_rate, seed):
     Raises
     ------
     ConfigError
-        Unknown color, length < 1, sample_rate <= 0 or a negative seed.
+        Unknown color, sample_rate <= 0, length < 1 or a negative seed.
     """
-    if color not in NOISE_COLORS:
-        raise ConfigError(f"unknown noise color {color!r}; choose from {NOISE_COLORS}")
-    if length < 1:
-        raise ConfigError(f"noise length must be >= 1, got {length}")
+    _check_noise_color(color)
     if sample_rate <= 0:
         raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
+    if length < 1:
+        raise ConfigError(f"noise length must be >= 1, got {length}")
     if seed < 0:
         raise ConfigError(f"noise seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

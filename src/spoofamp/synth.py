@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import Waveform, write_wav
+from .audio import Waveform, _check_seconds, write_wav
 from .config import derive_seed
 from .errors import ConfigError, UnwritablePathError
 from .manifest import ManifestEntry, write_manifest
@@ -55,8 +55,7 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_bonafide < 1 or self.n_spoof < 1:
             raise ConfigError("corpus needs at least one item per class")
-        if not (np.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ConfigError(f"duration_s must be finite and positive, got {self.duration_s}")
+        _check_seconds(self.duration_s)
         if self.sample_rate <= 0:
             raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.artifact_kind not in ARTIFACT_KINDS:

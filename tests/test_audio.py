@@ -132,8 +132,9 @@ class TestWavErrors:
         payload = bytes([128, 255])
         p = tmp_path / "u.wav"
         write_minimal_wav(p, payload, fmt_tag=1, bits=8, channels=1, rate=16000)
-        with pytest.raises(UnsupportedEncodingError):
+        with pytest.raises(UnsupportedEncodingError, match="unsupported WAV encoding") as e:
             read_wav(str(p))
+        assert str(p) in str(e.value)
 
     @pytest.mark.parametrize(
         "payload, fmt_tag, bits",
@@ -147,19 +148,42 @@ class TestWavErrors:
             read_wav(str(p))
 
     @pytest.mark.parametrize(
-        "payload, fmt_tag, bits, rate, match",
+        "payload, fmt_tag, bits, rate, channels, match",
         [
-            (struct.pack("<2h", 0, 16384), 1, 16, 0, "sample rate of 0"),
-            (struct.pack("<2f", 0.5, float("nan")), 3, 32, 16000, "NaN or infinite"),
-            (struct.pack("<2f", float("-inf"), 0.5), 3, 32, 16000, "NaN or infinite"),
+            (struct.pack("<2h", 0, 16384), 1, 16, 0, 1, "sample rate of 0"),
+            (struct.pack("<2f", 0.5, float("nan")), 3, 32, 16000, 1, "NaN or infinite"),
+            (struct.pack("<2f", float("-inf"), 0.5), 3, 32, 16000, 1, "NaN or infinite"),
+            (struct.pack("<2h", 0, 16384), 1, 16, 16000, 0, "zero channels"),
+            (struct.pack("<2h", 0, 16384), 0xFFFE, 16, 16000, 1, "shorter than 40 bytes"),
         ],
-        ids=["zero_rate", "nan_sample", "inf_sample"],
+        ids=["zero_rate", "nan_sample", "inf_sample", "zero_channels", "short_extensible"],
     )
     def test_corrupt_fmt_or_samples_malformed(self, tmp_path, payload, fmt_tag, bits, rate,
-                                              match):
+                                              channels, match):
         p = tmp_path / "corrupt.wav"
-        write_minimal_wav(p, payload, fmt_tag=fmt_tag, bits=bits, channels=1, rate=rate)
+        write_minimal_wav(p, payload, fmt_tag=fmt_tag, bits=bits, channels=channels, rate=rate)
         with pytest.raises(MalformedWavError, match=match) as e:
+            read_wav(str(p))
+        assert str(p) in str(e.value)
+
+    @pytest.mark.parametrize(
+        "corrupt, error, match",
+        [
+            # byte 50 lies in the EXTENSIBLE subformat GUID's fixed tail
+            (lambda b: b[:50] + bytes([b[50] ^ 0xFF]) + b[51:], UnsupportedEncodingError,
+             "unknown EXTENSIBLE subformat GUID"),
+            (lambda b: b[:-2], MalformedWavError, "truncated file while reading data chunk"),
+        ],
+        ids=["unknown_guid", "truncated_data"],
+    )
+    def test_damaged_file_named(self, tmp_path, corrupt, error, match):
+        p = tmp_path / "damaged.wav"
+        payload = struct.pack("<2f", 0.5, -0.5)
+        write_minimal_wav(p, payload, fmt_tag=3, bits=32, channels=1, rate=16000,
+                          extensible=True)
+        assert read_wav(str(p)).samples.tolist() == [0.5, -0.5]
+        p.write_bytes(corrupt(p.read_bytes()))
+        with pytest.raises(error, match=match) as e:
             read_wav(str(p))
         assert str(p) in str(e.value)
 
@@ -217,16 +241,16 @@ class TestCropOrPad:
 
     def test_rejects_nonpositive_target(self):
         w = Waveform(np.zeros(4), 16000)
-        with pytest.raises(DegenerateSignalError):
+        with pytest.raises(ConfigError):
             crop_or_pad(w, 0.0, rng_seed=0)
-        with pytest.raises(DegenerateSignalError):
+        with pytest.raises(ConfigError):
             crop_or_pad(w, -1.0, rng_seed=0)
 
     @pytest.mark.parametrize(
         "target,seed,error",
         [
-            (float("nan"), 0, DegenerateSignalError),
-            (float("inf"), 0, DegenerateSignalError),
+            (float("nan"), 0, ConfigError),
+            (float("inf"), 0, ConfigError),
             (0.5, -1, ConfigError),
         ],
         ids=["nan_target", "inf_target", "negative_seed"],

@@ -123,6 +123,25 @@ class TestSignalCommands:
         assert f"must be finite and positive, got {value}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["amplify", "--in", "{src}", "--residual", "{src}", "--alpha", "-1"],
+             "alpha must be finite and >= 0, got -1.0"),
+            (["mix", "--in", "{src}", "--snr-db", "nan"], "snr_db must be finite, got nan"),
+            (["gen-noise", "--color", "white", "--seconds", "1", "--sample-rate", "0"],
+             "sample_rate must be positive, got 0"),
+        ],
+        ids=["amplify_negative_alpha", "mix_nan_snr", "gen_noise_zero_rate"],
+    )
+    def test_bad_parameter_usage_error(self, ws, tmp_path, capsys, argv, match):
+        src = os.path.join(ws["corpus"], "SYN_B_0000.wav")
+        out = tmp_path / "x.wav"
+        rc = main([a.format(src=src) for a in argv] + ["--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {match}\n"
+        assert not out.exists()
+
     def test_mix(self, ws, tmp_path):
         src = os.path.join(ws["corpus"], "SYN_B_0000.wav")
         out = str(tmp_path / "mixed.wav")
@@ -220,6 +239,29 @@ class TestProcess:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert not (out / "run_log.json").exists()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"snr_db": float("nan")},
+            {"noise_color": "brown"},
+            {"alpha": -1},
+            {"extraction_mode": "orthogonal"},
+            {"crop_seconds": 0},
+        ],
+        ids=["snr_db", "noise_color", "alpha", "extraction_mode", "crop_seconds"],
+    )
+    def test_bad_knob_usage_error(self, ws, tmp_path, capsys, fields):
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as f:
+            json.dump(fields, f)
+        out = tmp_path / "out"
+        rc = main([
+            "process", "--config", bad, "--manifest", ws["manifest"], "--out-dir", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "run_log.json").exists()
 
     def test_relative_out_dirs(self, tmp_path, monkeypatch):

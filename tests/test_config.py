@@ -3,8 +3,11 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from spoofamp.amplify import amplify, extract_residual
+from spoofamp.audio import Waveform, crop_or_pad
 from spoofamp.config import (
     RELEASE_SEED,
     PipelineConfig,
@@ -13,6 +16,26 @@ from spoofamp.config import (
     load_config,
 )
 from spoofamp.errors import ConfigError
+from spoofamp.mixing import add_noise_at_snr
+from spoofamp.noise import generate
+from spoofamp.synth import SynthSpec
+
+_X = Waveform(np.ones(160), 16000)
+_VALUES = {
+    "nan": float("nan"), "inf": float("inf"), "minus_one": -1.0, "zero": 0.0,
+    "unknown_name": "brown",
+}
+# config field -> (the stage calls that consume it, the values its rule rejects)
+_KNOBS = {
+    "snr_db": ([lambda v: add_noise_at_snr(_X, _X, v)], {"nan", "inf"}),
+    "noise_color": ([lambda v: generate(v, 160, 16000, 0)], set(_VALUES)),
+    "alpha": ([lambda v: amplify(_X, _X, v)], {"nan", "inf", "minus_one"}),
+    "extraction_mode": ([lambda v: extract_residual(_X, _X, v)], set(_VALUES)),
+    "crop_seconds": (
+        [lambda v: crop_or_pad(_X, v, 0), lambda v: SynthSpec(1, 1, duration_s=v)],
+        {"nan", "inf", "minus_one", "zero"},
+    ),
+}
 
 
 class TestPipelineConfig:
@@ -52,6 +75,23 @@ class TestPipelineConfig:
         assert cfg.with_overrides(alpha=0.6).alpha == 0.6
         with pytest.raises(ConfigError):
             cfg.with_overrides(noise_color="magenta")
+
+
+@pytest.mark.parametrize(
+    "field, value_id",
+    [(field, v) for field, (_, rejected) in _KNOBS.items() for v in _VALUES if v in rejected],
+)
+def test_config_and_stage_share_one_rule(field, value_id):
+    """A knob's config field and every stage that consumes it apply one rule:
+    the same values fail, with ConfigError and the same message."""
+    value = _VALUES[value_id]
+    stages, _ = _KNOBS[field]
+    with pytest.raises(ConfigError) as from_config:
+        PipelineConfig(**{field: value})
+    for stage in stages:
+        with pytest.raises(ConfigError) as from_stage:
+            stage(value)
+        assert str(from_stage.value) == str(from_config.value)
 
 
 class TestLoadConfig:

@@ -127,6 +127,13 @@ sys.stderr.write('backend blew up')
 sys.exit(1)
 """
 
+# stderr bytes that are not UTF-8, from a backend that fails after writing them
+_NON_UTF8_FAIL_BACKEND = """
+import sys
+sys.stderr.buffer.write(bytes([255, 254]) + b'backend blew up')
+sys.exit(1)
+"""
+
 _SLOW_BACKEND = """
 import time
 time.sleep(30)
@@ -173,6 +180,12 @@ class TestRunExternal:
         with pytest.raises(EnhancerProcessError) as exc:
             _run_external(_backend_template(_FAIL_BACKEND), x, timeout_s=60.0)
         assert "backend blew up" in exc.value.stderr
+
+    def test_non_utf8_stderr_still_reported(self):
+        x = make_speechlike(seed=59, seconds=0.2)
+        with pytest.raises(EnhancerProcessError) as exc:
+            _run_external(_backend_template(_NON_UTF8_FAIL_BACKEND), x, timeout_s=60.0)
+        assert exc.value.stderr == "\ufffd\ufffdbackend blew up"
 
     def test_timeout(self):
         x = make_speechlike(seed=52, seconds=0.2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spoofamp.audio import Waveform
-from spoofamp.errors import DegenerateSignalError, MismatchError
+from spoofamp.errors import ConfigError, DegenerateSignalError, MismatchError
 from spoofamp.mixing import add_noise_at_snr
 
 from conftest import measure_snr
@@ -13,9 +13,9 @@ from conftest import measure_snr
 class TestMixSpec:
     def test_rejects_non_finite(self):
         x = Waveform(np.ones(8), 16000)
-        with pytest.raises(DegenerateSignalError, match="snr_db must be finite, got nan"):
+        with pytest.raises(ConfigError, match="snr_db must be finite, got nan"):
             add_noise_at_snr(x, x, float("nan"))
-        with pytest.raises(DegenerateSignalError, match="snr_db must be finite, got inf"):
+        with pytest.raises(ConfigError, match="snr_db must be finite, got inf"):
             add_noise_at_snr(x, x, float("inf"))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 import tempfile
 import tracemalloc
 
@@ -187,6 +188,19 @@ class TestRunPipeline:
         with open(result.log_path) as f:
             log = json.load(f)
         assert [(r["status"], r["stage"]) for r in log["entries"]] == [("failed", "enhance")] * 2
+
+    def test_external_non_utf8_stderr_does_not_fail(self, corpus, tmp_path):
+        entries, _ = corpus
+        backend = (
+            "import shutil, sys; shutil.copyfile(sys.argv[1], sys.argv[2]); "
+            "sys.stderr.buffer.write(bytes([255, 254]))"
+        )
+        command = f'{sys.executable} -c "{backend}" {{in}} {{out}}'
+        cfg = _config(enhancer="external", enhancer_params={"command": command})
+        result = run_pipeline(cfg, entries, str(tmp_path / "run"))
+        with open(result.log_path) as f:
+            log = json.load(f)
+        assert [r["status"] for r in log["entries"]] == ["ok"] * len(entries)
 
     def test_read_oserror_logged_at_io(self, corpus, tmp_path, monkeypatch):
         entries, _ = corpus
