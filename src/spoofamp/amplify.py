@@ -17,7 +17,7 @@ import numpy as np
 from . import mixing, noise
 from .audio import Waveform, _check_aligned
 from .enhance import enhance
-from .errors import ConfigError, DegenerateSignalError, _stage
+from .errors import ConfigError, DegenerateSignalError, _is_finite_number, _stage
 
 EXTRACTION_MODES = ("projection", "naive")
 
@@ -28,7 +28,7 @@ def _check_extraction_mode(mode):
 
 
 def _check_alpha(alpha):
-    if not (np.isfinite(alpha) and alpha >= 0):
+    if not (_is_finite_number(alpha) and alpha >= 0):
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha}")
 
 

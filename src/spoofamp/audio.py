@@ -20,6 +20,8 @@ from .errors import (
     MissingFileError,
     UnsupportedEncodingError,
     UnwritablePathError,
+    _is_finite_number,
+    _is_integer,
 )
 
 # WAVE format tags
@@ -54,17 +56,14 @@ class Waveform:
             raise DegenerateSignalError("waveform must hold at least one sample")
         if not np.all(np.isfinite(arr)):
             raise DegenerateSignalError("waveform contains NaN or Inf samples")
-        rate = self.sample_rate
-        if isinstance(rate, float):
-            if not rate.is_integer():
-                raise DegenerateSignalError(f"sample_rate must be an integer, got {rate}")
-            rate = int(rate)
-        if not isinstance(rate, (int, np.integer)) or rate <= 0:
-            raise DegenerateSignalError(f"sample_rate must be a positive integer, got {rate!r}")
+        if not (_is_integer(self.sample_rate) and self.sample_rate > 0):
+            raise DegenerateSignalError(
+                f"sample_rate must be a positive integer, got {self.sample_rate!r}"
+            )
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sample_rate", int(rate))
+        object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
     def __len__(self):
         return self.samples.size
@@ -215,7 +214,7 @@ def write_wav(w, path):
 
 
 def _check_seconds(seconds):
-    if not (np.isfinite(seconds) and seconds > 0):
+    if not (_is_finite_number(seconds) and seconds > 0):
         raise ConfigError(f"duration in seconds must be finite and positive, got {seconds}")
 
 
@@ -228,7 +227,7 @@ def crop_or_pad(w, target_seconds, rng_seed):
     signal's energy statistics intact for the SNR arithmetic downstream.
     """
     _check_seconds(target_seconds)
-    if rng_seed < 0:
+    if not (_is_integer(rng_seed) and rng_seed >= 0):
         raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
     out_len = int(round(target_seconds * w.sample_rate))
     if out_len < 1:

@@ -122,14 +122,10 @@ def _cmd_process(args):
     return 1 if result.n_failed else 0
 
 
-def _feature_config(args):
-    return detector.FeatureConfig(n_bands=args.n_bands)
-
-
 def _cmd_fit(args):
     _run_hash, failed = _read_run_log(args.audio_dir)
     entries = _remap_audio_dir(_load_entries(args), args.audio_dir, failed)
-    fc = _feature_config(args)
+    fc = detector.FeatureConfig(n_bands=args.n_bands)
     feats = [detector.extract_features(read_wav(e.path), fc) for e in entries]
     labels = [e.label for e in entries]
     model = detector.fit(feats, labels, fc)
@@ -154,6 +150,10 @@ def _cmd_score(args):
     return 0
 
 
+_ON_OFF = {"on": True, "true": True, "1": True, "yes": True,
+           "off": False, "false": False, "0": False, "no": False}
+
+
 def _parse_axis_values(axis, text):
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
@@ -164,15 +164,10 @@ def _parse_axis_values(axis, text):
         except ValueError as e:
             raise ConfigError(f"bad numeric value for axis {axis}: {e}") from e
     if axis == "skip_noise_addition":
-        values = []
-        for t in tokens:
-            if t.lower() in ("on", "true", "1", "yes"):
-                values.append(True)
-            elif t.lower() in ("off", "false", "0", "no"):
-                values.append(False)
-            else:
-                raise ConfigError(f"bad on/off value {t!r} for skip_noise_addition")
-        return values
+        bad = [t for t in tokens if t.lower() not in _ON_OFF]
+        if bad:
+            raise ConfigError(f"bad on/off value {bad[0]!r} for skip_noise_addition")
+        return [_ON_OFF[t.lower()] for t in tokens]
     return tokens
 
 
@@ -183,13 +178,8 @@ def _cmd_sweep(args):
     eval_entries = _load_entries(args, prefix="eval-")
     params = pipeline.load_tdcf_params(args.tdcf_params)
     cells = pipeline.sweep(
-        config,
-        train_entries,
-        eval_entries,
-        args.axis,
-        values,
-        params,
-        feature_config=_feature_config(args),
+        config, train_entries, eval_entries, args.axis, values, params,
+        feature_config=detector.FeatureConfig(n_bands=args.n_bands),
         include_raw_training=args.include_raw_training,
     )
     csv_text = pipeline.sweep_csv_text(cells)
@@ -202,13 +192,9 @@ def _cmd_sweep(args):
 def _cmd_synth(args):
     def build(seed, prefix, out_dir):
         spec = SynthSpec(
-            n_bonafide=args.n_bonafide,
-            n_spoof=args.n_spoof,
-            duration_s=args.duration,
-            sample_rate=args.sample_rate,
-            artifact_kind=args.artifact,
-            artifact_strength=args.strength,
-            seed=seed,
+            n_bonafide=args.n_bonafide, n_spoof=args.n_spoof, duration_s=args.duration,
+            sample_rate=args.sample_rate, artifact_kind=args.artifact,
+            artifact_strength=args.strength, seed=seed,
         )
         entries, manifest_path = synth.synth_corpus(spec, out_dir, prefix=prefix)
         print(f"wrote {len(entries)} files under {out_dir}; manifest: {manifest_path}")
@@ -353,12 +339,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (SpoofampError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(e, ConfigError) else 1
 
 
 if __name__ == "__main__":

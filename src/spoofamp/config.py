@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 from .amplify import _check_alpha, _check_extraction_mode
 from .audio import _check_seconds
 from .enhance import EnhancerKind
-from .errors import ConfigError
+from .errors import ConfigError, _is_integer
 from .mixing import _check_snr_db
 from .noise import _check_noise_color
 
@@ -45,9 +45,11 @@ class PipelineConfig:
         _check_extraction_mode(self.extraction_mode)
         if not isinstance(self.skip_noise_addition, bool):
             raise ConfigError("skip_noise_addition must be a boolean")
-        if not isinstance(self.global_seed, int) or isinstance(self.global_seed, bool):
+        if not _is_integer(self.global_seed):
             raise ConfigError(f"global_seed must be an integer, got {self.global_seed!r}")
-        if not isinstance(self.parallelism, int) or self.parallelism < 1:
+        # a numpy integer passes the check but would not serialize into the hash and run log
+        object.__setattr__(self, "global_seed", int(self.global_seed))
+        if not (_is_integer(self.parallelism) and self.parallelism >= 1):
             raise ConfigError(f"parallelism must be a positive integer, got {self.parallelism}")
 
     def with_overrides(self, **kwargs):
@@ -85,10 +87,7 @@ def load_config(path):
     underscore are ignored (comment convention).
     """
     clean = _read_json_object(path, "config", known=PipelineConfig.__dataclass_fields__)
-    try:
-        return PipelineConfig(**clean)
-    except TypeError as e:
-        raise ConfigError(f"config {path}: {e}") from e
+    return PipelineConfig(**clean)
 
 
 def config_doc(config):

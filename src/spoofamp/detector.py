@@ -22,6 +22,7 @@ from .errors import (
     MissingInputError,
     SpoofampError,
     TrainingDataError,
+    _is_integer,
 )
 from .metrics import LABELS
 from .stft import HOP, WINDOW_LENGTH, stft
@@ -41,7 +42,7 @@ class FeatureConfig:
     def __post_init__(self):
         n_bins = WINDOW_LENGTH // 2 + 1  # every band needs a bin of its own
         n = self.n_bands
-        if not isinstance(n, int) or isinstance(n, bool) or not 2 <= n <= n_bins:
+        if not (_is_integer(n) and 2 <= n <= n_bins):
             raise ConfigError(f"n_bands must be an integer in [2, {n_bins}], got {n!r}")
 
     @property
@@ -223,6 +224,15 @@ def load_model(path):
         feature_config = FeatureConfig.from_dict(doc["feature_config"])
     except (KeyError, TypeError, ValueError, SpoofampError) as e:
         raise TrainingDataError(f"{path}: malformed model: {e!r}") from e
+    dim = feature_config.dim
+    for label in LABELS:
+        var = variances[label]  # NaN fails both comparisons below
+        if not (means[label].shape == var.shape == (dim,) and np.all((var > 0) & (var < np.inf))
+                and 0.0 < priors[label] < 1.0):
+            raise TrainingDataError(
+                f"{path}: malformed model: class {label!r} needs a mean and a variance of "
+                f"{dim} values, finite variances > 0 and a prior in (0, 1)"
+            )
     return GaussianModel(
         means=means, variances=variances, priors=priors, feature_config=feature_config
     )

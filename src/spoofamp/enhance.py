@@ -9,11 +9,9 @@ noise; the constants below rescale it to the Rayleigh mean amplitude (for
 spectral subtraction) or RMS (for the Wiener gain's power estimate).
 """
 
-import numbers
 import shlex
 import shutil
 import subprocess
-import sys
 import tempfile
 from dataclasses import dataclass, field
 
@@ -27,6 +25,7 @@ from .errors import (
     EnhancerProcessError,
     EnhancerTimeoutError,
     MissingReferenceError,
+    _is_finite_number,
 )
 from .stft import istft, stft
 
@@ -87,9 +86,7 @@ class EnhancerKind:
                     f"unknown {self.tag} enhancer parameter {key!r}; choose from {tuple(checked)}"
                 )
             if key != "command":
-                number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-                # NaN fails both comparisons; the upper one also stops ints too big for a float
-                if not (number and 0 <= value <= sys.float_info.max):
+                if not (_is_finite_number(value) and value >= 0):
                     raise ConfigError(
                         f"{self.tag} enhancer parameter {key!r} must be a finite number >= 0, "
                         f"got {value!r}"

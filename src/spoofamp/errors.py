@@ -5,6 +5,8 @@ catch one base class. Subclasses exist wherever the contract requires a
 distinct, testable failure mode.
 """
 
+import math
+import numbers
 from contextlib import contextmanager
 
 
@@ -117,3 +119,20 @@ class MissingInputError(SpoofampError):
 
 class ConfigError(SpoofampError):
     """Invalid configuration value, file, or combination (CLI exit code 2)."""
+
+
+# The two number rules every knob check uses, kept here because every
+# checker can import this module without a cycle.
+def _is_finite_number(value):
+    """A real number, not a bool, that fits in a float: NaN, ±inf and ints
+    too big for a float fail."""
+    number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        return number and math.isfinite(value)
+    except OverflowError:  # an int too big for a float
+        return False
+
+
+def _is_integer(value):
+    """An integral finite number: bools and ints too big for a float fail."""
+    return isinstance(value, numbers.Integral) and _is_finite_number(value)

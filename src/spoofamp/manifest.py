@@ -49,7 +49,7 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
     MissingInputError
         Nonexistent manifest path.
     ManifestError
-        Malformed line (message cites the line number) or unknown key token.
+        Malformed line (message cites the line number) or unknown label.
     DuplicateIdError
         Repeated utterance id (message cites both line numbers).
     """
@@ -78,17 +78,8 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
                     f"{path}:{lineno}: expected 5 whitespace-separated fields "
                     f"(speaker utterance - attack key), got {len(tokens)}"
                 )
-            _speaker, utt, _unused, attack, key = tokens
-            if key not in LABELS:
-                raise ManifestError(
-                    f"{path}:{lineno}: unknown key token {key!r} (expected one of {LABELS})"
-                )
-            entry = ManifestEntry(
-                utterance_id=utt,
-                path=_resolve_protocol_path(audio_root, utt),
-                label=key,
-                attack_id=attack,
-            )
+            _speaker, utt, _unused, attack, label = tokens
+            audio_path = _resolve_protocol_path(audio_root, utt)
         else:
             tokens = line.split("\t")
             if len(tokens) != 4:
@@ -97,22 +88,18 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
                     f"(utterance_id path label attack_id), got {len(tokens)}"
                 )
             utt, audio_path, label, attack = tokens
-            if label not in LABELS:
-                raise ManifestError(
-                    f"{path}:{lineno}: unknown label {label!r} (expected one of {LABELS})"
-                )
             if not os.path.isabs(audio_path):
                 audio_path = os.path.join(base_dir, audio_path)
-            entry = ManifestEntry(
-                utterance_id=utt, path=audio_path, label=label, attack_id=attack
+        if label not in LABELS:
+            raise ManifestError(
+                f"{path}:{lineno}: unknown label {label!r} (expected one of {LABELS})"
             )
-        if entry.utterance_id in seen:
+        if utt in seen:
             raise DuplicateIdError(
-                f"{path}: duplicate utterance id {entry.utterance_id!r} "
-                f"on lines {seen[entry.utterance_id]} and {lineno}"
+                f"{path}: duplicate utterance id {utt!r} on lines {seen[utt]} and {lineno}"
             )
-        seen[entry.utterance_id] = lineno
-        entries.append(entry)
+        seen[utt] = lineno
+        entries.append(ManifestEntry(utt, audio_path, label, attack))
     if not entries:
         _log.warning("manifest %s is empty", path)
     return entries

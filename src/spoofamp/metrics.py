@@ -16,10 +16,12 @@ import numpy as np
 
 from .errors import (
     CoefficientDegeneracyError,
+    ConfigError,
     DegenerateSignalError,
     MissingInputError,
     ScoreFileError,
     SingleClassError,
+    _is_finite_number,
 )
 
 LABELS = ("bonafide", "spoof")
@@ -63,18 +65,16 @@ class TdcfParams:
     asv_pmiss_spoof: float
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            v = getattr(self, name)
+            if name.startswith("c_"):  # a cost; every other field is a probability
+                if not (_is_finite_number(v) and v >= 0.0):
+                    raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+            elif not (_is_finite_number(v) and 0.0 <= v <= 1.0):
+                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         total = self.p_target + self.p_nontarget + self.p_spoof
         if abs(total - 1.0) > 1e-9:
-            raise DegenerateSignalError(f"priors must sum to 1, got {total}")
-        for name in ("p_target", "p_nontarget", "p_spoof", "asv_pmiss", "asv_pfa",
-                     "asv_pmiss_spoof"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise DegenerateSignalError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("c_miss", "c_fa", "c_fa_spoof"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0.0):
-                raise DegenerateSignalError(f"{name} must be finite and >= 0, got {v}")
+            raise ConfigError(f"priors must sum to 1, got {total}")
 
 
 def _split_scores(records):

@@ -7,11 +7,11 @@ which scales the noise so the mixture hits the requested SNR exactly.
 import numpy as np
 
 from .audio import _check_aligned
-from .errors import ConfigError, DegenerateSignalError
+from .errors import ConfigError, DegenerateSignalError, _is_finite_number
 
 
 def _check_snr_db(snr_db):
-    if not np.isfinite(snr_db):
+    if not _is_finite_number(snr_db):
         raise ConfigError(f"snr_db must be finite, got {snr_db}")
 
 

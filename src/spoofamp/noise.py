@@ -9,7 +9,7 @@ and the result inverse transformed and normalized to unit RMS.
 import numpy as np
 
 from .audio import Waveform
-from .errors import ConfigError, DegenerateSignalError
+from .errors import ConfigError, DegenerateSignalError, _is_integer
 
 NOISE_COLORS = ("white", "pink", "violet")
 
@@ -22,6 +22,11 @@ def _check_noise_color(color):
         raise ConfigError(f"unknown noise color {color!r}; choose from {NOISE_COLORS}")
 
 
+def _check_sample_rate(sample_rate):
+    if not (_is_integer(sample_rate) and sample_rate > 0):
+        raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
+
+
 def generate(color, length, sample_rate, seed):
     """Synthesize one noise realization as a unit-RMS Waveform.
 
@@ -30,14 +35,14 @@ def generate(color, length, sample_rate, seed):
     Raises
     ------
     ConfigError
-        Unknown color, sample_rate <= 0, length < 1 or a negative seed.
+        Unknown color; a sample_rate, length or seed that is not an integer;
+        sample_rate <= 0, length < 1 or a negative seed.
     """
     _check_noise_color(color)
-    if sample_rate <= 0:
-        raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
-    if length < 1:
+    _check_sample_rate(sample_rate)
+    if not (_is_integer(length) and length >= 1):
         raise ConfigError(f"noise length must be >= 1, got {length}")
-    if seed < 0:
+    if not (_is_integer(seed) and seed >= 0):
         raise ConfigError(f"noise seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(length)

@@ -267,5 +267,5 @@ def load_tdcf_params(path=None):
         raise ConfigError(f"{what} {path}: missing keys {sorted(missing)}")
     try:
         return metrics.TdcfParams(**{key: float(value) for key, value in doc.items()})
-    except (TypeError, ValueError, SpoofampError) as e:
+    except (TypeError, ValueError, ConfigError) as e:  # float() raises the first two
         raise ConfigError(f"{what} {path}: {e}") from e

@@ -15,9 +15,9 @@ import numpy as np
 
 from .audio import Waveform, _check_seconds, write_wav
 from .config import derive_seed
-from .errors import ConfigError, UnwritablePathError
+from .errors import ConfigError, UnwritablePathError, _is_finite_number, _is_integer
 from .manifest import ManifestEntry, write_manifest
-from .noise import generate
+from .noise import _check_sample_rate, generate
 
 ARTIFACT_KINDS = ("comb_filter", "quantization", "band_notch")
 
@@ -40,6 +40,13 @@ TILT_RANGE = (-0.2, 0.2)  # channel tilt exponent s: amplitude weight (f/1kHz)^s
 TARGET_RMS_RANGE = (0.06, 0.2)
 
 
+def _check_artifact(kind, strength):
+    if kind not in ARTIFACT_KINDS:
+        raise ConfigError(f"unknown artifact_kind {kind!r}; choose from {ARTIFACT_KINDS}")
+    if not (_is_finite_number(strength) and 0.0 < strength <= 1.0):
+        raise ConfigError(f"artifact_strength must lie in (0, 1], got {strength}")
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Corpus recipe: sizes, duration, artifact family, strength, seed."""
@@ -53,19 +60,13 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_bonafide < 1 or self.n_spoof < 1:
+        if not all(_is_integer(n) and n >= 1 for n in (self.n_bonafide, self.n_spoof)):
             raise ConfigError("corpus needs at least one item per class")
         _check_seconds(self.duration_s)
-        if self.sample_rate <= 0:
-            raise ConfigError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.artifact_kind not in ARTIFACT_KINDS:
-            raise ConfigError(
-                f"unknown artifact_kind {self.artifact_kind!r}; choose from {ARTIFACT_KINDS}"
-            )
-        if not (0.0 < self.artifact_strength <= 1.0):
-            raise ConfigError(
-                f"artifact_strength must lie in (0, 1], got {self.artifact_strength}"
-            )
+        _check_sample_rate(self.sample_rate)
+        _check_artifact(self.artifact_kind, self.artifact_strength)
+        if not _is_integer(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
 
 def _harmonic_bank(n_samples, sample_rate, f0, vib_rate, vib_depth, amps, phases):
@@ -143,8 +144,10 @@ def apply_artifact(samples, sample_rate, kind, strength):
     quantization maps amplitudes onto ceil(2/strength) uniform cells; band_notch
     zeroes round(strength * NOTCH_FULL_WIDTH_HZ / bin_spacing) spectral bins
     centered at NOTCH_CENTER_HZ (zero bins as strength -> 0, so the injector
-    degrades continuously to the identity).
+    degrades continuously to the identity). An unknown kind or a strength
+    outside (0, 1] raises ConfigError.
     """
+    _check_artifact(kind, strength)
     x = np.asarray(samples, dtype=np.float64)
     rms_in = np.sqrt(np.mean(x**2))
     if kind == "comb_filter":
@@ -159,7 +162,7 @@ def apply_artifact(samples, sample_rate, kind, strength):
         step = 2.0 * peak / levels
         cell = np.minimum(np.floor((x + peak) / step), levels - 1)
         y = -peak + (cell + 0.5) * step
-    elif kind == "band_notch":
+    else:  # band_notch
         spectrum = np.fft.rfft(x)
         spacing = sample_rate / x.size
         n_zero = int(round(strength * NOTCH_FULL_WIDTH_HZ / spacing))
@@ -169,8 +172,6 @@ def apply_artifact(samples, sample_rate, kind, strength):
             hi = min(spectrum.size, lo + n_zero)
             spectrum[lo:hi] = 0.0
         y = np.fft.irfft(spectrum, n=x.size)
-    else:
-        raise ConfigError(f"unknown artifact kind {kind!r}")
     rms_out = np.sqrt(np.mean(y**2))
     if rms_out > 0.0 and rms_in > 0.0:
         y = y * (rms_in / rms_out)

@@ -36,6 +36,10 @@ class TestWaveform:
             Waveform(np.zeros(4), -8000)
         with pytest.raises(DegenerateSignalError):
             Waveform(np.zeros(4), 16000.5)
+        with pytest.raises(DegenerateSignalError):
+            Waveform(np.zeros(4), True)
+        with pytest.raises(DegenerateSignalError):
+            Waveform(np.zeros(4), 16000.0)
 
     def test_rejects_2d(self):
         with pytest.raises(DegenerateSignalError):

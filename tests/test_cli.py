@@ -264,6 +264,18 @@ class TestProcess:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "run_log.json").exists()
 
+    def test_non_number_knob_names_its_rule(self, ws, tmp_path, capsys):
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as f:
+            json.dump({"alpha": "high"}, f)
+        out = tmp_path / "out"
+        rc = main([
+            "process", "--config", bad, "--manifest", ws["manifest"], "--out-dir", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: alpha must be finite and >= 0, got high\n"
+        assert not (out / "run_log.json").exists()
+
     def test_relative_out_dirs(self, tmp_path, monkeypatch):
         # the README quickstart: synth and process with paths relative to the cwd
         monkeypatch.chdir(tmp_path)

@@ -15,6 +15,7 @@ from spoofamp.config import (
     derive_seed,
     load_config,
 )
+from spoofamp.detector import FeatureConfig
 from spoofamp.errors import ConfigError
 from spoofamp.mixing import add_noise_at_snr
 from spoofamp.noise import generate
@@ -23,17 +24,19 @@ from spoofamp.synth import SynthSpec
 _X = Waveform(np.ones(160), 16000)
 _VALUES = {
     "nan": float("nan"), "inf": float("inf"), "minus_one": -1.0, "zero": 0.0,
-    "unknown_name": "brown",
+    "unknown_name": "brown", "string": "high", "none": None, "bool": True,
+    "int_too_big_for_float": 10**400,
 }
+_NOT_NUMBERS = {"string", "none", "bool", "int_too_big_for_float"}
 # config field -> (the stage calls that consume it, the values its rule rejects)
 _KNOBS = {
-    "snr_db": ([lambda v: add_noise_at_snr(_X, _X, v)], {"nan", "inf"}),
+    "snr_db": ([lambda v: add_noise_at_snr(_X, _X, v)], {"nan", "inf"} | _NOT_NUMBERS),
     "noise_color": ([lambda v: generate(v, 160, 16000, 0)], set(_VALUES)),
-    "alpha": ([lambda v: amplify(_X, _X, v)], {"nan", "inf", "minus_one"}),
+    "alpha": ([lambda v: amplify(_X, _X, v)], {"nan", "inf", "minus_one"} | _NOT_NUMBERS),
     "extraction_mode": ([lambda v: extract_residual(_X, _X, v)], set(_VALUES)),
     "crop_seconds": (
         [lambda v: crop_or_pad(_X, v, 0), lambda v: SynthSpec(1, 1, duration_s=v)],
-        {"nan", "inf", "minus_one", "zero"},
+        {"nan", "inf", "minus_one", "zero"} | _NOT_NUMBERS,
     ),
 }
 
@@ -63,6 +66,8 @@ class TestPipelineConfig:
             {"skip_noise_addition": "yes"},
             {"global_seed": 1.5},
             {"parallelism": 0},
+            {"parallelism": True},
+            {"alpha": "high"},
             {"enhancer_params": "floor=0.1"},
         ],
     )
@@ -92,6 +97,30 @@ def test_config_and_stage_share_one_rule(field, value_id):
         with pytest.raises(ConfigError) as from_stage:
             stage(value)
         assert str(from_stage.value) == str(from_config.value)
+
+
+_INTEGER_KNOBS = {
+    "global_seed": lambda v: PipelineConfig(global_seed=v),
+    "parallelism": lambda v: PipelineConfig(parallelism=v),
+    "n_bonafide": lambda v: SynthSpec(v, 1),
+    "synth_sample_rate": lambda v: SynthSpec(1, 1, sample_rate=v),
+    "synth_seed": lambda v: SynthSpec(1, 1, seed=v),
+    "n_bands": lambda v: FeatureConfig(n_bands=v),
+    "noise_length": lambda v: generate("white", v, 16000, 0),
+    "noise_sample_rate": lambda v: generate("white", 160, v, 0),
+    "noise_seed": lambda v: generate("white", 160, 16000, v),
+    "crop_seed": lambda v: crop_or_pad(_X, 0.001, v),
+}
+
+
+@pytest.mark.parametrize(
+    "value", ["high", None, True, 1.5, float("nan"), 10**400],
+    ids=["string", "none", "bool", "fraction", "nan", "int_too_big_for_float"],
+)
+@pytest.mark.parametrize("knob", list(_INTEGER_KNOBS))
+def test_integer_knob_rejects_non_integers(knob, value):
+    with pytest.raises(ConfigError):
+        _INTEGER_KNOBS[knob](value)
 
 
 class TestLoadConfig:
@@ -135,6 +164,11 @@ class TestConfigHash:
         base = PipelineConfig()
         assert config_hash(base) != config_hash(base.with_overrides(alpha=0.6))
         assert config_hash(base) != config_hash(base.with_overrides(global_seed=123))
+
+    def test_numpy_integer_seed_hashes_like_int(self):
+        cfg = PipelineConfig(global_seed=np.int64(123))
+        assert type(cfg.global_seed) is int
+        assert config_hash(cfg) == config_hash(PipelineConfig(global_seed=123))
 
     def test_format(self):
         h = config_hash(PipelineConfig())

@@ -25,6 +25,18 @@ from spoofamp.errors import (
 from spoofamp.metrics import ScoreRecord, eer
 
 
+def _model_text(**spoof):
+    """A saved two-band model (6 features) with the spoof class's mean,
+    variance or prior replaced."""
+    cls = {"mean": [0.0] * 6, "variance": [1.0] * 6, "prior": 0.5}
+    return json.dumps({
+        "format": "spoofamp-gaussian-model",
+        "version": 1,
+        "feature_config": {"n_bands": 2, "window_length": 512, "hop": 256, "split_hz": 4000.0},
+        "classes": {"bonafide": cls, "spoof": {**cls, **spoof}},
+    })
+
+
 def _hand_model(mu_b, mu_s, var=0.01, prior_b=0.5):
     return GaussianModel(
         means={"bonafide": np.array([mu_b]), "spoof": np.array([mu_s])},
@@ -266,8 +278,18 @@ class TestModelIO:
         [
             ("{not json", "not valid JSON"),
             ('{"format": "spoofamp-gaussian-model", "version": 1}', "classes"),
+            (_model_text(mean=[0.0] * 3), "class 'spoof' needs a mean and a variance of 6"),
+            (_model_text(variance=[1.0] * 7), "class 'spoof' needs a mean and a variance of 6"),
+            (_model_text(variance=[0.0] + [1.0] * 5), "finite variances > 0"),
+            (_model_text(variance=[float("nan")] * 6), "finite variances > 0"),
+            (_model_text(variance=[float("inf")] * 6), "finite variances > 0"),
+            (_model_text(prior=0.0), r"a prior in \(0, 1\)"),
+            (_model_text(prior=1.5), r"a prior in \(0, 1\)"),
         ],
-        ids=["invalid_json", "no_classes"],
+        ids=[
+            "invalid_json", "no_classes", "short_mean", "long_variance", "zero_variance",
+            "nan_variance", "inf_variance", "zero_prior", "prior_above_one",
+        ],
     )
     def test_malformed_model_rejected(self, tmp_path, text, match):
         path = tmp_path / "model.json"

@@ -5,6 +5,7 @@ import pytest
 
 from spoofamp.errors import (
     CoefficientDegeneracyError,
+    ConfigError,
     DegenerateSignalError,
     MissingInputError,
     ScoreFileError,
@@ -215,16 +216,29 @@ class TestValidation:
             ScoreRecord("U1", "bonafide", "-", float("nan"))
 
     def test_tdcf_priors_must_sum_to_one(self):
-        with pytest.raises(DegenerateSignalError):
+        with pytest.raises(ConfigError):
             TdcfParams(0.5, 0.5, 0.5, 1, 1, 1, 0, 0, 0)
 
     def test_tdcf_rates_in_range(self):
-        with pytest.raises(DegenerateSignalError):
+        with pytest.raises(ConfigError):
             TdcfParams(0.5, 0.25, 0.25, 1, 1, 1, 1.5, 0, 0)
 
     def test_tdcf_costs_nonnegative(self):
-        with pytest.raises(DegenerateSignalError):
+        with pytest.raises(ConfigError):
             TdcfParams(0.5, 0.25, 0.25, -1, 1, 1, 0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "args, match",
+        [
+            (("a", 0.25, 0.25, 1, 1, 1, 0, 0, 0), r"p_target must lie in \[0, 1\], got a"),
+            ((0.5, 0.25, 0.25, 1, "1", 1, 0, 0, 0), "c_fa must be finite and >= 0, got 1"),
+            ((0.5, 0.25, 0.25, 1, 1, None, 0, 0, 0), "c_fa_spoof must be finite"),
+        ],
+        ids=["string_prior", "string_cost", "none_cost"],
+    )
+    def test_tdcf_non_number_field(self, args, match):
+        with pytest.raises(ConfigError, match=match):
+            TdcfParams(*args)
 
 
 class TestReport:

@@ -295,6 +295,17 @@ class TestSweep:
         assert cells[0].eer is None
         assert cells[1].error is None
 
+    def test_non_number_value_fails_only_its_cell(self, corpus):
+        entries, _ = corpus
+        cells = sweep(
+            _config(), entries, entries, "alpha", ["high", 1.0],
+            UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
+        )
+        assert cells[0].error == "alpha must be finite and >= 0, got high"
+        assert cells[0].eer is None
+        assert cells[1].error is None
+        assert cells[1].eer is not None
+
     def test_unknown_axis_rejected(self, corpus):
         entries, _ = corpus
         assert "alpha" in SWEEP_AXES

@@ -66,11 +66,32 @@ class TestSynthSpec:
             {"n_bonafide": 1, "n_spoof": 1, "artifact_kind": "reverb"},
             {"n_bonafide": 1, "n_spoof": 1, "artifact_strength": 0.0},
             {"n_bonafide": 1, "n_spoof": 1, "artifact_strength": 1.5},
+            {"n_bonafide": 1, "n_spoof": 1, "artifact_strength": "0.3"},
+            {"n_bonafide": 1.5, "n_spoof": 1},
+            {"n_bonafide": 1, "n_spoof": 1, "sample_rate": 16000.5},
         ],
     )
     def test_invalid_specs(self, kwargs):
         with pytest.raises(ConfigError):
             SynthSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kind, strength, match",
+        [
+            ("quantization", 0.0, r"artifact_strength must lie in \(0, 1\], got 0.0"),
+            ("comb_filter", -1.0, r"artifact_strength must lie in \(0, 1\], got -1.0"),
+            ("band_notch", "x", r"artifact_strength must lie in \(0, 1\], got x"),
+            ("reverb", 0.3, "unknown artifact_kind 'reverb'"),
+        ],
+        ids=["zero_strength", "negative_strength", "string_strength", "unknown_kind"],
+    )
+    def test_apply_artifact_checks_like_spec(self, kind, strength, match):
+        x = make_noise_wave(seed=29, n=400).samples
+        with pytest.raises(ConfigError, match=match) as from_stage:
+            apply_artifact(x, 16000, kind, strength)
+        with pytest.raises(ConfigError) as from_spec:
+            SynthSpec(1, 1, artifact_kind=kind, artifact_strength=strength)
+        assert str(from_stage.value) == str(from_spec.value)
 
     def test_full_strength_allowed(self):
         SynthSpec(n_bonafide=1, n_spoof=1, artifact_strength=1.0)
