@@ -66,7 +66,7 @@ def extract_residual(x, x_hat, mode="projection"):
     denom = x_hat.energy()
     if denom == 0.0:
         raise DegenerateSignalError("x_hat has zero energy; projection undefined")
-    w = float(np.dot(x.samples, x_hat.samples) / denom)
+    w = float(np.add.reduce(x.samples * x_hat.samples) / denom)
     a_hat = x.with_samples(x.samples - w * x_hat.samples)
     return Residual(a_hat, w)
 

@@ -69,8 +69,8 @@ class Waveform:
         return self.samples.size
 
     def energy(self):
-        """Sum of squared samples."""
-        return float(np.dot(self.samples, self.samples))
+        """Sum of squared samples, by numpy's own sum: a BLAS sum varies with its threads."""
+        return float(np.add.reduce(self.samples * self.samples))
 
     def with_samples(self, samples):
         """New Waveform with the same sample rate and different samples."""
@@ -216,6 +216,8 @@ def write_wav(w, path):
 def _check_seconds(seconds):
     if not (_is_finite_number(seconds) and seconds > 0):
         raise ConfigError(f"duration in seconds must be finite and positive, got {seconds}")
+    if seconds > 86400:  # one day; far longer ones overflow seconds * sample_rate
+        raise ConfigError(f"duration in seconds must be at most 86400, got {seconds}")
 
 
 def crop_or_pad(w, target_seconds, rng_seed):

@@ -9,6 +9,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 
+import numpy as np
+
 from .amplify import _check_alpha, _check_extraction_mode
 from .audio import _check_seconds
 from .enhance import EnhancerKind
@@ -47,8 +49,12 @@ class PipelineConfig:
             raise ConfigError("skip_noise_addition must be a boolean")
         if not _is_integer(self.global_seed):
             raise ConfigError(f"global_seed must be an integer, got {self.global_seed!r}")
-        # a numpy integer passes the check but would not serialize into the hash and run log
-        object.__setattr__(self, "global_seed", int(self.global_seed))
+        # a numpy scalar passes the checks but would not serialize into the hash and run
+        # log; Python numbers stay as given, so an int from JSON hashes as before
+        for name in ("snr_db", "alpha", "crop_seconds", "global_seed"):
+            value = getattr(self, name)
+            if isinstance(value, np.generic):
+                object.__setattr__(self, name, value.item())
         if not (_is_integer(self.parallelism) and self.parallelism >= 1):
             raise ConfigError(f"parallelism must be a positive integer, got {self.parallelism}")
 

@@ -103,9 +103,7 @@ class EnhancerKind:
 
 
 def _match_length(samples, n):
-    if samples.size == n:
-        return samples
-    if samples.size > n:
+    if samples.size >= n:
         return samples[:n]
     return np.concatenate([samples, np.zeros(n - samples.size)])
 

@@ -184,20 +184,15 @@ class Report:
     n_spoof: int
     per_attack_eer: dict = field(default_factory=dict)
 
-    def csv_rows(self):
-        """Machine-readable rows (scope, metric, value)."""
-        rows = [
-            ("pooled", "eer_percent", 100.0 * self.eer),
-            ("pooled", "min_tdcf", self.min_tdcf),
+    def csv_text(self):
+        """Machine-readable rows: scope, metric, value."""
+        lines = [
+            "scope,metric,value",
+            f"pooled,eer_percent,{100.0 * self.eer:.6f}",
+            f"pooled,min_tdcf,{self.min_tdcf:.6f}",
         ]
         for attack in sorted(self.per_attack_eer):
-            rows.append((f"attack:{attack}", "eer_percent", 100.0 * self.per_attack_eer[attack]))
-        return rows
-
-    def csv_text(self):
-        lines = ["scope,metric,value"]
-        for scope, metric, value in self.csv_rows():
-            lines.append(f"{scope},{metric},{value:.6f}")
+            lines.append(f"attack:{attack},eer_percent,{100.0 * self.per_attack_eer[attack]:.6f}")
         return "\n".join(lines) + "\n"
 
     def text(self):

@@ -13,6 +13,8 @@ from .errors import ConfigError, DegenerateSignalError, _is_finite_number
 def _check_snr_db(snr_db):
     if not _is_finite_number(snr_db):
         raise ConfigError(f"snr_db must be finite, got {snr_db}")
+    if abs(snr_db) > 300:  # 10 ** (snr_db / 10) over- or underflows near 3000 dB
+        raise ConfigError(f"|snr_db| must be at most 300 dB, got {snr_db}")
 
 
 def add_noise_at_snr(x, n, snr_db):
@@ -25,7 +27,7 @@ def add_noise_at_snr(x, n, snr_db):
     Raises
     ------
     ConfigError
-        Non-finite snr_db.
+        snr_db is not finite or not within +-300 dB.
     MismatchError
         Length or sample rate mismatch between x and n.
     DegenerateSignalError

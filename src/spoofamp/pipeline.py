@@ -93,17 +93,18 @@ def run_pipeline(config, entries, out_dir):
     config hash, per-utterance seeds, projection weights, and energies.
     Failures are logged per utterance and counted, never raised.
     """
+    chash = config_hash(config)  # before any WAV is written: a failure here leaves nothing
     os.makedirs(out_dir, exist_ok=True)
     enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
     records = _map_entries(
         entries, lambda e: _process_one(e, config, enhancer, out_dir), config.parallelism
     )
     n_failed = sum(1 for r in records if r["status"] != "ok")
-    chash = config_hash(config)
+    n_ok = len(records) - n_failed
     log_doc = {
         "config_hash": chash,
         "config": config_doc(config),
-        "n_ok": len(records) - n_failed,
+        "n_ok": n_ok,
         "n_failed": n_failed,
         "entries": records,
     }
@@ -111,12 +112,7 @@ def run_pipeline(config, entries, out_dir):
     with open(log_path, "w", encoding="utf-8") as f:
         json.dump(log_doc, f, indent=1, sort_keys=True)
         f.write("\n")
-    return RunResult(
-        n_ok=len(records) - n_failed,
-        n_failed=n_failed,
-        log_path=log_path,
-        config_hash=chash,
-    )
+    return RunResult(n_ok, n_failed, log_path, chash)
 
 
 def _amplified_features(config, crops, feature_config):
@@ -266,6 +262,6 @@ def load_tdcf_params(path=None):
     if missing:
         raise ConfigError(f"{what} {path}: missing keys {sorted(missing)}")
     try:
-        return metrics.TdcfParams(**{key: float(value) for key, value in doc.items()})
-    except (TypeError, ValueError, ConfigError) as e:  # float() raises the first two
+        return metrics.TdcfParams(**doc)
+    except ConfigError as e:
         raise ConfigError(f"{what} {path}: {e}") from e

@@ -131,8 +131,13 @@ class TestSignalCommands:
             (["mix", "--in", "{src}", "--snr-db", "nan"], "snr_db must be finite, got nan"),
             (["gen-noise", "--color", "white", "--seconds", "1", "--sample-rate", "0"],
              "sample_rate must be positive, got 0"),
+            (["mix", "--in", "{src}", "--snr-db", "4000"],
+             "|snr_db| must be at most 300 dB, got 4000.0"),
+            (["gen-noise", "--color", "white", "--seconds", "1e308"],
+             "duration in seconds must be at most 86400, got 1e+308"),
         ],
-        ids=["amplify_negative_alpha", "mix_nan_snr", "gen_noise_zero_rate"],
+        ids=["amplify_negative_alpha", "mix_nan_snr", "gen_noise_zero_rate", "mix_huge_snr",
+             "gen_noise_huge_seconds"],
     )
     def test_bad_parameter_usage_error(self, ws, tmp_path, capsys, argv, match):
         src = os.path.join(ws["corpus"], "SYN_B_0000.wav")

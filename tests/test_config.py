@@ -26,17 +26,25 @@ _VALUES = {
     "nan": float("nan"), "inf": float("inf"), "minus_one": -1.0, "zero": 0.0,
     "unknown_name": "brown", "string": "high", "none": None, "bool": True,
     "int_too_big_for_float": 10**400,
+    # finite, but past a bound that keeps the stage arithmetic inside a float
+    "snr_overflow": 4000.0, "over_a_day": 86401.0, "huge": 1e308, "minus_huge": -1e308,
 }
 _NOT_NUMBERS = {"string", "none", "bool", "int_too_big_for_float"}
+_HUGE = {"over_a_day", "huge", "minus_huge"}
 # config field -> (the stage calls that consume it, the values its rule rejects)
 _KNOBS = {
-    "snr_db": ([lambda v: add_noise_at_snr(_X, _X, v)], {"nan", "inf"} | _NOT_NUMBERS),
+    "snr_db": (
+        [lambda v: add_noise_at_snr(_X, _X, v)],
+        {"nan", "inf", "snr_overflow"} | _NOT_NUMBERS | _HUGE,
+    ),
     "noise_color": ([lambda v: generate(v, 160, 16000, 0)], set(_VALUES)),
-    "alpha": ([lambda v: amplify(_X, _X, v)], {"nan", "inf", "minus_one"} | _NOT_NUMBERS),
+    "alpha": (
+        [lambda v: amplify(_X, _X, v)], {"nan", "inf", "minus_one", "minus_huge"} | _NOT_NUMBERS
+    ),
     "extraction_mode": ([lambda v: extract_residual(_X, _X, v)], set(_VALUES)),
     "crop_seconds": (
         [lambda v: crop_or_pad(_X, v, 0), lambda v: SynthSpec(1, 1, duration_s=v)],
-        {"nan", "inf", "minus_one", "zero"} | _NOT_NUMBERS,
+        {"nan", "inf", "minus_one", "zero"} | _NOT_NUMBERS | _HUGE,
     ),
 }
 
@@ -169,6 +177,18 @@ class TestConfigHash:
         cfg = PipelineConfig(global_seed=np.int64(123))
         assert type(cfg.global_seed) is int
         assert config_hash(cfg) == config_hash(PipelineConfig(global_seed=123))
+
+    @pytest.mark.parametrize("field", ["snr_db", "alpha", "crop_seconds"])
+    def test_numpy_float_knob_hashes_like_python_number(self, field):
+        cfg = PipelineConfig(**{field: np.float32(1.0)})
+        assert type(getattr(cfg, field)) is float
+        assert config_hash(cfg) == config_hash(PipelineConfig(**{field: 1.0}))
+
+    def test_python_int_knob_kept_as_given(self):
+        # 1 and 1.0 serialize differently, so converting an int from a JSON
+        # config would move its hash
+        cfg = PipelineConfig(alpha=1, snr_db=0, crop_seconds=2)
+        assert [type(v) for v in (cfg.alpha, cfg.snr_db, cfg.crop_seconds)] == [int] * 3
 
     def test_format(self):
         h = config_hash(PipelineConfig())

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -13,7 +15,7 @@ from spoofamp import pipeline
 from spoofamp.audio import crop_or_pad, read_wav, write_wav
 from spoofamp.config import PipelineConfig, config_hash, derive_seed
 from spoofamp.errors import ConfigError, MissingIdError, ScoreFileError
-from spoofamp.manifest import ManifestEntry, load_manifest
+from spoofamp.manifest import ManifestEntry, load_manifest, write_manifest
 from spoofamp.metrics import TdcfParams, eer, ScoreRecord
 from spoofamp.pipeline import (
     SWEEP_AXES,
@@ -221,6 +223,74 @@ class TestRunPipeline:
         assert "Permission denied" in failed["error"]
         assert all(r["status"] == "ok" for r in log["entries"][1:])
 
+    def test_hash_failure_leaves_no_wavs(self, corpus, tmp_path, monkeypatch):
+        # the hash is taken first, so a config that cannot be hashed fails the
+        # run before it writes WAVs that no run log describes
+        def unhashable(config):
+            raise TypeError("Object of type float32 is not JSON serializable")
+
+        monkeypatch.setattr(pipeline, "config_hash", unhashable)
+        out = tmp_path / "run"
+        with pytest.raises(TypeError):
+            run_pipeline(_config(), corpus[0], str(out))
+        assert not out.exists()
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+_RUN_IN_CHILD = """
+import sys
+from spoofamp.config import PipelineConfig
+from spoofamp.manifest import load_manifest
+from spoofamp.pipeline import run_pipeline
+run_pipeline(PipelineConfig(crop_seconds=2.0), load_manifest(sys.argv[1]), sys.argv[2])
+"""
+# a BLAS call, or a matrix product (a decorator's @ starts its line)
+_BLAS_CALL = re.compile(
+    r"\bnp\.(?:dot|vdot|inner|matmul|tensordot|linalg)\b|\.dot\(|[\w)\]]\s*@=?\s*[\w(\[]"
+)
+
+
+class TestBlasThreads:
+    def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 2 s utterances: 32000-sample inner products are long enough for
+        # OpenBLAS to split them over threads
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        entries = []
+        for i, label in enumerate(["bonafide", "bonafide", "spoof", "spoof"]):
+            path = str(wav_dir / f"U{i}.wav")
+            write_wav(make_speechlike(seed=30 + i, seconds=2.0), path)
+            entries.append(ManifestEntry(f"U{i}", path, label, "-"))
+        manifest = str(tmp_path / "manifest.tsv")
+        write_manifest(manifest, entries)
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", _RUN_IN_CHILD, manifest, str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert sorted(outputs["1"]) == ["U0.wav", "U1.wav", "U2.wav", "U3.wav", "run_log.json"]
+        for name, data in outputs["1"].items():
+            assert outputs["2"][name] == data, name
+
+    def test_library_makes_no_blas_call_and_sets_no_thread_count(self):
+        for sample in ("np.dot(a, b)", "x.dot(y)", "a @ b", "m[0] @ v", "np.linalg.norm(x)"):
+            assert _BLAS_CALL.search(sample), sample
+        package = os.path.join(_SRC, "spoofamp")
+        hits = []
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as f:
+                    for lineno, line in enumerate(f, start=1):
+                        if _BLAS_CALL.search(line) or "NUM_THREADS" in line:
+                            hits.append(f"{name}:{lineno}: {line.strip()}")
+        assert hits == []
+
 
 class TestSweep:
     def test_zero_alpha_cell_matches_raw_baseline(self, corpus):
@@ -420,6 +490,18 @@ class TestLoadTdcfParams:
     def test_missing_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_tdcf_params(str(tmp_path / "absent.json"))
+
+    @pytest.mark.parametrize(
+        "field, value", [("c_miss", True), ("c_fa", "1")], ids=["bool_cost", "string_cost"]
+    )
+    def test_field_values_not_coerced(self, tmp_path, field, value):
+        with open(os.path.join(_SRC, "spoofamp", "data", "tdcf_default.json")) as f:
+            doc = json.load(f)
+        doc[field] = value
+        p = tmp_path / "params.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"params.json: {field} must be finite and >= 0"):
+            load_tdcf_params(str(p))
 
     def test_invalid_values_rejected(self, tmp_path):
         doc = {
