@@ -22,6 +22,10 @@ from .noise import _check_noise_color
 RELEASE_SEED = 555
 
 
+def _plain(value):
+    return value.item() if isinstance(value, np.generic) else value
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Every knob of the per-utterance pipeline plus batch execution."""
@@ -49,12 +53,13 @@ class PipelineConfig:
             raise ConfigError("skip_noise_addition must be a boolean")
         if not _is_integer(self.global_seed):
             raise ConfigError(f"global_seed must be an integer, got {self.global_seed!r}")
-        # a numpy scalar passes the checks but would not serialize into the hash and run
-        # log; Python numbers stay as given, so an int from JSON hashes as before
+        # a numpy scalar, in a knob or in enhancer_params, passes the checks but would not
+        # serialize into the hash and run log; Python numbers stay as given, so an int
+        # from JSON hashes as before
         for name in ("snr_db", "alpha", "crop_seconds", "global_seed"):
-            value = getattr(self, name)
-            if isinstance(value, np.generic):
-                object.__setattr__(self, name, value.item())
+            object.__setattr__(self, name, _plain(getattr(self, name)))
+        params = {key: _plain(value) for key, value in self.enhancer_params.items()}
+        object.__setattr__(self, "enhancer_params", params)
         if not (_is_integer(self.parallelism) and self.parallelism >= 1):
             raise ConfigError(f"parallelism must be a positive integer, got {self.parallelism}")
 

@@ -75,17 +75,30 @@ def _harmonic_bank(n_samples, sample_rate, f0, vib_rate, vib_depth, amps, phases
     Harmonic k (1-based) contributes amps[k-1] * sin(2*pi*k*base(t) +
     phases[k-1]), where base(t) integrates an instantaneous frequency of
     f0 + vib_depth*cos(2*pi*vib_rate*t).
+
+    With theta = 2*pi*base(t), z = exp(i*theta) and c_k = amps[k-1] *
+    exp(i*phases[k-1]), the sum is Im(sum_k c_k z^k): a polynomial in z,
+    evaluated by Horner's rule over k. That costs one cos/sin pair and one
+    complex multiply-add per harmonic instead of one full-length sin per
+    harmonic. z is computed per sample from theta, not by a recurrence over
+    time, whose rounding error would grow with the utterance length.
     """
     t = np.arange(n_samples, dtype=np.float64) / sample_rate
     if vib_rate > 0.0:
         base = f0 * t + vib_depth * np.sin(_TWO_PI * vib_rate * t) / (_TWO_PI * vib_rate)
     else:
         base = f0 * t
-    out = np.zeros(n_samples, dtype=np.float64)
-    # harmonics are summed in order k = 1, 2, ...; the corpus bytes depend on it
-    for k in range(len(amps)):
-        out += amps[k] * np.sin(_TWO_PI * (k + 1) * base + phases[k])
-    return out
+    theta = _TWO_PI * base
+    z = np.empty(n_samples, dtype=np.complex128)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    coeffs = np.asarray(amps) * np.exp(1j * np.asarray(phases))
+    acc = np.full(n_samples, coeffs[-1], dtype=np.complex128)
+    for c in coeffs[-2::-1]:
+        acc *= z
+        acc += c
+    acc *= z
+    return acc.imag.copy()
 
 
 def _pseudo_speech(utt_id, spec):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spoofamp.amplify import amplify, extract_residual
-from spoofamp.audio import Waveform, crop_or_pad
+from spoofamp.audio import Waveform, crop_or_pad, write_wav
 from spoofamp.config import (
     RELEASE_SEED,
     PipelineConfig,
@@ -17,8 +17,10 @@ from spoofamp.config import (
 )
 from spoofamp.detector import FeatureConfig
 from spoofamp.errors import ConfigError
+from spoofamp.manifest import ManifestEntry
 from spoofamp.mixing import add_noise_at_snr
 from spoofamp.noise import generate
+from spoofamp.pipeline import run_pipeline
 from spoofamp.synth import SynthSpec
 
 _X = Waveform(np.ones(160), 16000)
@@ -183,6 +185,23 @@ class TestConfigHash:
         cfg = PipelineConfig(**{field: np.float32(1.0)})
         assert type(getattr(cfg, field)) is float
         assert config_hash(cfg) == config_hash(PipelineConfig(**{field: 1.0}))
+
+    @pytest.mark.parametrize(
+        "value, plain",
+        [(np.float64(0.1), 0.1), (np.float32(0.1), float(np.float32(0.1)))],
+        ids=["float64", "float32"],
+    )
+    def test_numpy_enhancer_param_hashes_like_python_number(self, value, plain, tmp_path):
+        cfg = PipelineConfig(enhancer_params={"floor": value}, crop_seconds=1.0)
+        assert type(cfg.enhancer_params["floor"]) is float
+        plain_cfg = PipelineConfig(enhancer_params={"floor": plain}, crop_seconds=1.0)
+        assert config_hash(cfg) == config_hash(plain_cfg)
+        assert type(PipelineConfig(enhancer_params={"floor": 0}).enhancer_params["floor"]) is int
+        path = str(tmp_path / "U0.wav")
+        write_wav(Waveform(np.sin(np.arange(16000) / 5.0), 16000), path)
+        entries = [ManifestEntry("U0", path, "bonafide", "-")]
+        result = run_pipeline(cfg, entries, str(tmp_path / "run"))
+        assert (result.n_ok, result.n_failed, result.config_hash) == (1, 0, config_hash(cfg))
 
     def test_python_int_knob_kept_as_given(self):
         # 1 and 1.0 serialize differently, so converting an int from a JSON

@@ -244,9 +244,10 @@ from spoofamp.manifest import load_manifest
 from spoofamp.pipeline import run_pipeline
 run_pipeline(PipelineConfig(crop_seconds=2.0), load_manifest(sys.argv[1]), sys.argv[2])
 """
-# a BLAS call, or a matrix product (a decorator's @ starts its line)
+# a BLAS call, an einsum (optimize=True can dispatch to BLAS tensordot), or a matrix
+# product (a decorator's @ starts its line)
 _BLAS_CALL = re.compile(
-    r"\bnp\.(?:dot|vdot|inner|matmul|tensordot|linalg)\b|\.dot\(|[\w)\]]\s*@=?\s*[\w(\[]"
+    r"\bnp\.(?:dot|vdot|inner|matmul|tensordot|einsum|linalg)\b|\.dot\(|[\w)\]]\s*@=?\s*[\w(\[]"
 )
 
 
@@ -279,7 +280,11 @@ class TestBlasThreads:
             assert outputs["2"][name] == data, name
 
     def test_library_makes_no_blas_call_and_sets_no_thread_count(self):
-        for sample in ("np.dot(a, b)", "x.dot(y)", "a @ b", "m[0] @ v", "np.linalg.norm(x)"):
+        samples = (
+            "np.dot(a, b)", "x.dot(y)", "a @ b", "m[0] @ v", "np.linalg.norm(x)",
+            "np.einsum('k,kn->n', a, s)",
+        )
+        for sample in samples:
             assert _BLAS_CALL.search(sample), sample
         package = os.path.join(_SRC, "spoofamp")
         hits = []

@@ -48,6 +48,33 @@ class TestHarmonicBank:
             want = _harmonic_bank_reference(n, 16000, f0, vib_rate, vib_depth, amps, phases)
             assert np.allclose(got, want, rtol=0, atol=1e-9)
 
+    def test_forty_harmonics_match_reference(self):
+        # Horner's rule walks the coefficients from the top harmonic down; with
+        # 40 of them any mix-up of their order shows
+        rng = np.random.default_rng(40)
+        for vib_rate in (0.0, 5.0):
+            n = int(rng.integers(1000, 4000))
+            f0 = float(rng.uniform(85, 255))
+            amps = rng.uniform(0.1, 1.0, 40)
+            phases = rng.uniform(0, 2 * np.pi, 40)
+            got = _harmonic_bank(n, 16000, f0, vib_rate, 2.0, amps, phases)
+            want = _harmonic_bank_reference(n, 16000, f0, vib_rate, 2.0, amps, phases)
+            assert np.allclose(got, want, rtol=0, atol=1e-9)
+
+    def test_long_vibrato_signal_does_not_drift(self):
+        # 60 s at the lowest f0, where _pseudo_speech caps the bank at 40
+        # harmonics: a phase or phasor stepped by the instantaneous frequency
+        # from sample to sample drifts away from the per-sample reference over
+        # 960000 samples
+        rng = np.random.default_rng(60)
+        amps = np.arange(1, 41, dtype=np.float64) ** -0.7
+        amps /= amps.sum()
+        phases = rng.uniform(0, 2 * np.pi, 40)
+        n = 60 * 16000
+        got = _harmonic_bank(n, 16000, 85.0, 5.0, 3.0, amps, phases)
+        want = _harmonic_bank_reference(n, 16000, 85.0, 5.0, 3.0, amps, phases)
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
+
     def test_single_harmonic_is_sine(self):
         n = 1600
         got = _harmonic_bank(n, 16000, 200.0, 0.0, 0.0, np.array([1.0]), np.array([0.0]))
