@@ -100,21 +100,20 @@ class ProcessDetails:
     enhanced: Waveform
 
 
-def process_utterance_details(x, config, enhancer, noise_seed=None):
+def process_utterance_details(x, config, enhancer, noise_seed):
     """Run noise addition, enhancement, extraction, and amplification on one
     utterance, returning the output, the residual and the enhanced signal.
 
-    config supplies snr_db, noise_color, alpha, extraction_mode,
-    skip_noise_addition, and global_seed. noise_seed overrides the noise
-    realization seed (the batch runner derives one per utterance id).
+    config supplies snr_db, noise_color, alpha, extraction_mode and
+    skip_noise_addition. noise_seed seeds the noise realization; the batch
+    runner derives one per utterance id.
     Stage failures are wrapped in StageError carrying the stage name.
     """
-    seed = config.global_seed if noise_seed is None else noise_seed
     if config.skip_noise_addition:
         y = x
     else:
         with _stage("noise-gen"):
-            n = noise.generate(config.noise_color, len(x), x.sample_rate, seed)
+            n = noise.generate(config.noise_color, len(x), x.sample_rate, noise_seed)
         with _stage("mixing"):
             y = mixing.add_noise_at_snr(x, n, config.snr_db)
     with _stage("enhance"):
@@ -126,6 +125,6 @@ def process_utterance_details(x, config, enhancer, noise_seed=None):
     return ProcessDetails(x_tilde=x_tilde, residual=r, enhanced=x_hat)
 
 
-def process_utterance(x, config, enhancer, noise_seed=None):
+def process_utterance(x, config, enhancer, noise_seed):
     """Single-utterance pipeline; returns the amplified waveform x_tilde."""
-    return process_utterance_details(x, config, enhancer, noise_seed=noise_seed).x_tilde
+    return process_utterance_details(x, config, enhancer, noise_seed).x_tilde

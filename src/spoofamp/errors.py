@@ -78,11 +78,15 @@ class StageError(SpoofampError):
 
 @contextmanager
 def _stage(name):
-    """Re-raise a SpoofampError or OSError as a StageError naming the stage."""
+    """Re-raise an exception as a StageError naming the stage. A SpoofampError
+    or OSError is the cause as it is; any other fault becomes a SpoofampError
+    whose message names its type, so one bad utterance fails only itself."""
     try:
         yield
     except (SpoofampError, OSError) as e:
         raise StageError(name, e) from e
+    except Exception as e:
+        raise StageError(name, SpoofampError(f"{type(e).__name__}: {e}")) from e
 
 
 class SingleClassError(SpoofampError):

@@ -41,23 +41,22 @@ class RunResult:
     config_hash: str
 
 
-def _crop_seed(entry, config):
-    return derive_seed(config.global_seed, entry.utterance_id, "crop")
-
-
-def _load_cropped(entry, config, crop_seed):
-    return crop_or_pad(read_wav(entry.path), config.crop_seconds, crop_seed)
+def _load(entry, config):
+    """Read and crop one entry. Returns (x, crop_seed, noise_seed); both seeds
+    come from the global seed and the utterance id alone."""
+    crop_seed = derive_seed(config.global_seed, entry.utterance_id, "crop")
+    noise_seed = derive_seed(config.global_seed, entry.utterance_id, "noise")
+    x = crop_or_pad(read_wav(entry.path), config.crop_seconds, crop_seed)
+    return x, crop_seed, noise_seed
 
 
 def _process_one(entry, config, enhancer, out_dir):
     """Process one entry and write its WAV. Only the run-log record is
     returned, so no waveform outlives its utterance."""
-    noise_seed = derive_seed(config.global_seed, entry.utterance_id, "noise")
-    crop_seed = _crop_seed(entry, config)
     try:
         with _stage("io"):
-            x = _load_cropped(entry, config, crop_seed)
-        details = process_utterance_details(x, config, enhancer, noise_seed=noise_seed)
+            x, crop_seed, noise_seed = _load(entry, config)
+        details = process_utterance_details(x, config, enhancer, noise_seed)
         with _stage("io"):
             write_wav(details.x_tilde, os.path.join(out_dir, entry.utterance_id + ".wav"))
     except StageError as e:
@@ -115,19 +114,6 @@ def run_pipeline(config, entries, out_dir):
     return RunResult(n_ok, n_failed, log_path, chash)
 
 
-def _amplified_features(config, crops, feature_config):
-    """Features of the pipeline output for each (entry, cropped x) pair."""
-    enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
-
-    def one(item):
-        entry, x = item
-        noise_seed = derive_seed(config.global_seed, entry.utterance_id, "noise")
-        details = process_utterance_details(x, config, enhancer, noise_seed=noise_seed)
-        return detector.extract_features(details.x_tilde, feature_config)
-
-    return _map_entries(list(crops), one, config.parallelism)
-
-
 @dataclass(frozen=True)
 class SweepCell:
     """One sweep grid cell result; error is None for a clean run."""
@@ -170,37 +156,44 @@ def sweep(
 ):
     """Run the pipeline grid over one config axis and tabulate metrics.
 
-    For each value the full corpus is processed in memory, the detector fit
-    on the train split's amplified output (plus the raw crops when
-    include_raw_training is set), and EER / min t-DCF computed on the eval
+    Every entry is read and cropped once. For each value one pass runs the
+    chain over the train and eval crops together, in memory; the detector is
+    fit on the train split's amplified output (plus the raw crops when
+    include_raw_training is set) and EER / min t-DCF computed on the eval
     split. A failing cell is recorded with its error and the sweep continues.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     if feature_config is None:
         feature_config = detector.FeatureConfig()
-    # crop once; crop seeds do not depend on the swept axis
-    train_crops = [(e, _load_cropped(e, config, _crop_seed(e, config))) for e in train_entries]
-    eval_crops = [(e, _load_cropped(e, config, _crop_seed(e, config))) for e in eval_entries]
-    raw_train_features = None
+    train_entries, eval_entries = list(train_entries), list(eval_entries)
+    # the swept axes touch neither seed, so the crops serve every cell
+    loaded = [_load(e, config) for e in train_entries + eval_entries]
+    n_train = len(train_entries)
+    train_labels = [e.label for e in train_entries]
+    raw_train_features = []
     if include_raw_training:
         raw_train_features = [
-            detector.extract_features(x, feature_config) for _, x in train_crops
+            detector.extract_features(x, feature_config) for x, _, _ in loaded[:n_train]
         ]
+        train_labels = train_labels + train_labels
     cells = []
     for value in values:
         try:
             cfg = config.with_overrides(**{axis: value})
-            train_feats = _amplified_features(cfg, train_crops, feature_config)
-            train_labels = [e.label for e, _ in train_crops]
-            if include_raw_training:
-                train_feats = train_feats + raw_train_features
-                train_labels = train_labels + [e.label for e, _ in train_crops]
+            enhancer = EnhancerKind(cfg.enhancer, cfg.enhancer_params)
+
+            def features(item):
+                x, _, noise_seed = item
+                details = process_utterance_details(x, cfg, enhancer, noise_seed)
+                return detector.extract_features(details.x_tilde, feature_config)
+
+            feats = _map_entries(loaded, features, cfg.parallelism)
+            train_feats = feats[:n_train] + raw_train_features
             model = detector.fit(train_feats, train_labels, feature_config)
-            eval_feats = _amplified_features(cfg, eval_crops, feature_config)
             records = [
                 metrics.ScoreRecord(e.utterance_id, e.label, e.attack_id, detector.score(model, f))
-                for (e, _), f in zip(eval_crops, eval_feats)
+                for e, f in zip(eval_entries, feats[n_train:])
             ]
             cells.append(
                 SweepCell(

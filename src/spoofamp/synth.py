@@ -201,8 +201,8 @@ def synth_utterance(utt_id, spec, spoof):
     )
 
 
-def synth_corpus(spec, out_dir, prefix="SYN", manifest_name="manifest.tsv"):
-    """Generate the corpus into out_dir and write a simple_tsv manifest.
+def synth_corpus(spec, out_dir, prefix="SYN"):
+    """Generate the corpus into out_dir and write its simple_tsv manifest.tsv.
 
     Returns (entries, manifest_path). File and manifest content are byte
     identical across reruns of the same spec.
@@ -226,6 +226,6 @@ def synth_corpus(spec, out_dir, prefix="SYN", manifest_name="manifest.tsv"):
                 attack_id=spec.artifact_kind if spoof else "-",
             )
         )
-    manifest_path = os.path.join(out_dir, manifest_name)
+    manifest_path = os.path.join(out_dir, "manifest.tsv")
     write_manifest(manifest_path, entries)
     return entries, manifest_path

@@ -14,7 +14,12 @@ import pytest
 
 from test_metrics import UNIT_PARAMS, _eer_oracle, _min_tdcf_oracle, _records
 
-from spoofamp.amplify import extract_residual, process_utterance
+from spoofamp.amplify import (
+    amplify,
+    extract_residual,
+    process_utterance,
+    process_utterance_details,
+)
 from spoofamp.audio import Waveform, crop_or_pad, read_wav
 from spoofamp.config import RELEASE_SEED, PipelineConfig, derive_seed
 from spoofamp.detector import FeatureConfig, extract_features, fit, score
@@ -85,7 +90,7 @@ def test_criterion_3_oracle_enhancer_fixpoint():
     worst = 0.0
     for alpha in (0.0, 0.6, 1.4, 2.0):
         config = PipelineConfig(enhancer="oracle_clean", alpha=alpha, global_seed=7)
-        out = process_utterance(x, config, enhancer)
+        out = process_utterance(x, config, enhancer, noise_seed=7)
         worst = max(worst, float(np.max(np.abs(out.samples - x.samples))))
     ok = worst <= 1e-12
     _report(3, ok, f"alpha in {{0, 0.6, 1.4, 2.0}}, max sample diff {worst:.3e}")
@@ -147,7 +152,6 @@ def test_criterion_6_end_to_end_margin(tmp_path):
     config = PipelineConfig()  # release defaults: white, 0 dB, wiener, 1.4
     assert config.global_seed == RELEASE_SEED
     enhancer = EnhancerKind(config.enhancer, dict(config.enhancer_params))
-    naive_config = config.with_overrides(extraction_mode="naive")
     fc = FeatureConfig()
 
     splits = {}
@@ -173,15 +177,12 @@ def test_criterion_6_end_to_end_margin(tmp_path):
                 derive_seed(config.global_seed, e.utterance_id, "crop"),
             )
             noise_seed = derive_seed(config.global_seed, e.utterance_id, "noise")
+            details = process_utterance_details(x, config, enhancer, noise_seed)
+            # naive extraction of the same enhanced signal: one enhancement per utterance
+            naive = amplify(x, extract_residual(x, details.enhanced, "naive").a_hat, config.alpha)
             feats["raw"].append(extract_features(x, fc))
-            feats["projection"].append(
-                extract_features(process_utterance(x, config, enhancer, noise_seed), fc)
-            )
-            feats["naive"].append(
-                extract_features(
-                    process_utterance(x, naive_config, enhancer, noise_seed), fc
-                )
-            )
+            feats["projection"].append(extract_features(details.x_tilde, fc))
+            feats["naive"].append(extract_features(naive, fc))
             labels.append(e.label)
         splits[split] = (entries, feats, labels)
 

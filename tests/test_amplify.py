@@ -138,21 +138,21 @@ class TestProcessUtterance:
         x = make_speechlike(seed=66, seconds=1.0)
         for alpha in (0.0, 0.6, 1.4, 2.0):
             config = PipelineConfig(alpha=alpha, global_seed=1)
-            out = process_utterance(x, config, EnhancerKind("oracle_clean"))
+            out = process_utterance(x, config, EnhancerKind("oracle_clean"), noise_seed=1)
             assert np.max(np.abs(out.samples - x.samples)) <= 1e-12
 
     def test_identity_with_skip_noise_is_identity(self):
         x = make_speechlike(seed=67, seconds=0.5)
         config = PipelineConfig(skip_noise_addition=True, global_seed=1)
-        out = process_utterance(x, config, EnhancerKind("identity"))
+        out = process_utterance(x, config, EnhancerKind("identity"), noise_seed=1)
         assert np.max(np.abs(out.samples - x.samples)) <= 1e-12
 
     def test_deterministic_given_seed(self):
         x = make_speechlike(seed=68, seconds=1.0)
         config = PipelineConfig(global_seed=99)
         kind = EnhancerKind("wiener")
-        a = process_utterance(x, config, kind)
-        b = process_utterance(x, config, kind)
+        a = process_utterance(x, config, kind, noise_seed=99)
+        b = process_utterance(x, config, kind, noise_seed=99)
         assert np.array_equal(a.samples, b.samples)
 
     def test_noise_seed_changes_output(self):
@@ -166,31 +166,41 @@ class TestProcessUtterance:
     def test_skip_noise_addition_uses_raw_input(self):
         x = make_speechlike(seed=70, seconds=1.0)
         config = PipelineConfig(skip_noise_addition=True, global_seed=1)
-        details = process_utterance_details(x, config, EnhancerKind("identity"))
+        details = process_utterance_details(x, config, EnhancerKind("identity"), noise_seed=1)
         assert details.enhanced is x
 
     def test_details_expose_stages(self):
         x = make_speechlike(seed=71, seconds=1.0)
         config = PipelineConfig(global_seed=5)
-        details = process_utterance_details(x, config, EnhancerKind("wiener"))
+        details = process_utterance_details(x, config, EnhancerKind("wiener"), noise_seed=5)
         assert len(details.enhanced) == len(x)
         assert len(details.residual.a_hat) == len(x)
         # x_tilde = x + alpha * a_hat, rebuilt from the parts
         rebuilt = x.samples + config.alpha * details.residual.a_hat.samples
         assert np.allclose(details.x_tilde.samples, rebuilt, atol=1e-12)
 
+    def test_naive_mode_is_naive_residual_of_projection_run(self):
+        # criterion 6 derives its naive variant this way, enhancing once
+        x = make_speechlike(seed=74, seconds=1.0)
+        config = PipelineConfig()
+        kind = EnhancerKind("wiener")
+        details = process_utterance_details(x, config, kind, noise_seed=3)
+        want = amplify(x, extract_residual(x, details.enhanced, "naive").a_hat, config.alpha)
+        naive_config = config.with_overrides(extraction_mode="naive")
+        out = process_utterance(x, naive_config, kind, noise_seed=3)
+        assert np.array_equal(out.samples, want.samples)
+
     def test_mixing_failure_wrapped_with_stage(self):
         x = Waveform(np.zeros(16000), 16000)  # zero energy makes the mix gain undefined
         config = PipelineConfig(global_seed=1)
         with pytest.raises(StageError) as exc:
-            process_utterance(x, config, EnhancerKind("wiener"))
+            process_utterance(x, config, EnhancerKind("wiener"), noise_seed=1)
         assert exc.value.stage == "mixing"
 
     def test_negative_seed_fails_at_noise_gen(self):
         x = make_speechlike(seed=73, seconds=0.3)
-        config = PipelineConfig(global_seed=-1)
         with pytest.raises(StageError) as exc:
-            process_utterance(x, config, EnhancerKind("wiener"))
+            process_utterance(x, PipelineConfig(), EnhancerKind("wiener"), noise_seed=-1)
         assert exc.value.stage == "noise-gen"
         assert isinstance(exc.value.cause, ConfigError)
 
@@ -199,5 +209,5 @@ class TestProcessUtterance:
         config = PipelineConfig(global_seed=1)
         kind = EnhancerKind("external", {"command": "/no/such/binary {in} {out}"})
         with pytest.raises(StageError) as exc:
-            process_utterance(x, config, kind)
+            process_utterance(x, config, kind, noise_seed=1)
         assert exc.value.stage == "enhance"

@@ -1,5 +1,6 @@
 """Batch pipeline runs, sweeps, and score joining."""
 
+import importlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spoofamp import amplify as amplify_module
 from spoofamp import pipeline
 from spoofamp.audio import crop_or_pad, read_wav, write_wav
 from spoofamp.config import PipelineConfig, config_hash, derive_seed
@@ -223,6 +225,32 @@ class TestRunPipeline:
         assert "Permission denied" in failed["error"]
         assert all(r["status"] == "ok" for r in log["entries"][1:])
 
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_unexpected_error_fails_only_its_utterance(
+        self, corpus, tmp_path, monkeypatch, parallelism
+    ):
+        # e.g. numpy failing to tile a crop for a WAV header claiming 4 GHz;
+        # raised by a stand-in, since a real 30 GiB allocation may succeed
+        entries, _ = corpus
+        cfg = _config(parallelism=parallelism)
+        bad_seed = derive_seed(cfg.global_seed, entries[1].utterance_id, "crop")
+        real_crop_or_pad = pipeline.crop_or_pad
+
+        def crop_or_pad_out_of_memory(w, seconds, seed):
+            if seed == bad_seed:
+                raise MemoryError("Unable to allocate 29.8 GiB")
+            return real_crop_or_pad(w, seconds, seed)
+
+        monkeypatch.setattr(pipeline, "crop_or_pad", crop_or_pad_out_of_memory)
+        result = run_pipeline(cfg, entries, str(tmp_path / "run"))
+        assert (result.n_ok, result.n_failed) == (len(entries) - 1, 1)
+        with open(result.log_path) as f:
+            records = json.load(f)["entries"]
+        failed = records.pop(1)
+        assert (failed["status"], failed["stage"]) == ("failed", "io")
+        assert failed["error"] == "MemoryError: Unable to allocate 29.8 GiB"
+        assert all(r["status"] == "ok" for r in records)
+
     def test_hash_failure_leaves_no_wavs(self, corpus, tmp_path, monkeypatch):
         # the hash is taken first, so a config that cannot be hashed fails the
         # run before it writes WAVs that no run log describes
@@ -295,6 +323,25 @@ class TestBlasThreads:
                         if _BLAS_CALL.search(line) or "NUM_THREADS" in line:
                             hits.append(f"{name}:{lineno}: {line.strip()}")
         assert hits == []
+
+
+class TestBenchmarkWiring:
+    def test_perfbench_tracer_binds_every_site(self, corpus, tmp_path, monkeypatch):
+        # the benchmark traces pipeline's read_wav, crop_or_pad,
+        # process_utterance_details and write_wav by those names
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        tracer = importlib.import_module("tracer")
+        entries, _ = corpus
+        real_read_wav = pipeline.read_wav
+        with tracer.Tracer() as t:
+            run_pipeline(_config(), entries, str(tmp_path / "run"))
+        called = [span[0] for span in t.spans]
+        for name in (
+            "audio.read_wav", "audio.crop_or_pad", "amplify.process_utterance_details",
+            "audio.write_wav",
+        ):
+            assert called.count(name) == len(entries), name
+        assert pipeline.read_wav is real_read_wav  # the tracer put the bindings back
 
 
 class TestSweep:
@@ -377,6 +424,25 @@ class TestSweep:
             UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
         )
         assert cells[0].error == "alpha must be finite and >= 0, got high"
+        assert cells[0].eer is None
+        assert cells[1].error is None
+        assert cells[1].eer is not None
+
+    def test_unexpected_error_fails_only_its_cell(self, corpus, monkeypatch):
+        entries, _ = corpus
+        real_amplify = amplify_module.amplify
+
+        def amplify_out_of_memory(x, a_hat, alpha):
+            if alpha == 2.0:
+                raise MemoryError("Unable to allocate 29.8 GiB")
+            return real_amplify(x, a_hat, alpha)
+
+        monkeypatch.setattr(amplify_module, "amplify", amplify_out_of_memory)
+        cells = sweep(
+            _config(parallelism=2), entries, entries, "alpha", [2.0, 1.0],
+            UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
+        )
+        assert cells[0].error == "stage 'amplify' failed: MemoryError: Unable to allocate 29.8 GiB"
         assert cells[0].eer is None
         assert cells[1].error is None
         assert cells[1].eer is not None
