@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AudioIOError,
     ConfigError,
     DegenerateSignalError,
     MalformedWavError,
@@ -86,11 +87,31 @@ def _check_aligned(a, b, name_a, name_b):
         )
 
 
-def _read_exact(f, n, what):
-    data = f.read(n)
-    if len(data) != n:
-        raise MalformedWavError(f"truncated file while reading {what}: {f.name}")
-    return data
+def _read_file(path, what, error):
+    """The bytes of the file at path; an OSError raises error naming the file."""
+    try:
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as e:
+        raise error(f"cannot read {what} {path}: {e}") from e
+
+
+def _read_text(path, what, error):
+    """The file at path as UTF-8 text, newlines translated as text mode does."""
+    try:
+        text = _read_file(path, what, error).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: {what} is not UTF-8 text: {e}") from e
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _write_file(path, data):
+    """Write bytes to path; an OSError raises UnwritablePathError naming the file."""
+    try:
+        with open(path, "wb") as f:
+            f.write(data)
+    except OSError as e:
+        raise UnwritablePathError(f"cannot write {path}: {e}") from e
 
 
 def read_wav(path):
@@ -101,43 +122,38 @@ def read_wav(path):
 
     Raises
     ------
-    MissingFileError, MalformedWavError, UnsupportedEncodingError
+    MissingFileError, MalformedWavError, UnsupportedEncodingError, AudioIOError
     """
     if not os.path.isfile(path):
         raise MissingFileError(f"no such audio file: {path}")
-    with open(path, "rb") as f:
-        riff = f.read(12)
-        if riff[:4] == b"fLaC":
-            raise UnsupportedEncodingError(f"FLAC is not supported, only WAV: {path}")
-        if len(riff) < 12 or riff[:4] != b"RIFF" or riff[8:12] != b"WAVE":
-            raise MalformedWavError(f"not a RIFF/WAVE file: {path}")
-        fmt = None
-        data = None
-        while True:
-            head = f.read(8)
-            if len(head) == 0:
-                break
-            if len(head) < 8:
-                raise MalformedWavError(f"truncated chunk header in {path}")
-            cid, size = struct.unpack("<4sI", head)
-            if cid == b"fmt ":
-                if size < 16:
-                    raise MalformedWavError(f"fmt chunk too small ({size} bytes) in {path}")
-                fmt = _read_exact(f, size, "fmt chunk")
-            elif cid == b"data":
-                data = _read_exact(f, size, "data chunk")
-            else:
-                _read_exact(f, size, f"chunk {cid!r}")
-            if size % 2 == 1:
-                f.read(1)  # chunks are word-aligned
-        if fmt is None:
-            raise MalformedWavError(f"missing fmt chunk in {path}")
-        if data is None:
-            raise MalformedWavError(f"missing data chunk in {path}")
+    buf = memoryview(_read_file(path, "audio file", AudioIOError))
+    if buf[:4] == b"fLaC":
+        raise UnsupportedEncodingError(f"FLAC is not supported, only WAV: {path}")
+    if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise MalformedWavError(f"not a RIFF/WAVE file: {path}")
+    fmt = data = None
+    pos = 12
+    while pos < len(buf):  # a later chunk of the same id wins
+        if len(buf) - pos < 8:
+            raise MalformedWavError(f"truncated chunk header in {path}")
+        cid, size = struct.unpack_from("<4sI", buf, pos)
+        pos += 8
+        if cid == b"fmt " and size < 16:
+            raise MalformedWavError(f"fmt chunk too small ({size} bytes) in {path}")
+        if len(buf) - pos < size:
+            what = {b"fmt ": "fmt chunk", b"data": "data chunk"}.get(cid, f"chunk {cid!r}")
+            raise MalformedWavError(f"truncated file while reading {what}: {path}")
+        if cid == b"fmt ":
+            fmt = bytes(buf[pos : pos + size])
+        elif cid == b"data":
+            data = buf[pos : pos + size]
+        pos += size + size % 2  # chunks are word-aligned
+    if fmt is None:
+        raise MalformedWavError(f"missing fmt chunk in {path}")
+    if data is None:
+        raise MalformedWavError(f"missing data chunk in {path}")
 
-    tag, channels, sample_rate, _byte_rate, _block_align, bits = struct.unpack(
-        "<HHIIHH", fmt[:16]
-    )
+    tag, channels, sample_rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt)
     if tag == _FMT_EXTENSIBLE:
         # subformat GUID starts at byte 24 of the fmt chunk
         if len(fmt) < 40:
@@ -145,7 +161,7 @@ def read_wav(path):
         guid = fmt[24:40]
         if guid[2:] != _EXT_GUID_TAIL:
             raise UnsupportedEncodingError(f"unknown EXTENSIBLE subformat GUID {guid.hex()}: {path}")
-        tag = struct.unpack("<H", guid[:2])[0]
+        tag = struct.unpack_from("<H", guid)[0]
     if channels < 1:
         raise MalformedWavError(f"fmt chunk declares zero channels: {path}")
     if sample_rate == 0:
@@ -187,7 +203,7 @@ def write_wav(w, path):
     ------
     UnwritablePathError
     """
-    payload = w.samples.astype("<f4").tobytes()
+    payload = w.samples.astype("<f4")
     # non-PCM encodings carry a fact chunk with the frame count
     fact = struct.pack("<4sII", b"fact", 4, len(w))
     fmt = struct.pack(
@@ -201,16 +217,11 @@ def write_wav(w, path):
         4,  # bytes per frame
         32,  # bits per sample
     )
-    data_head = struct.pack("<4sI", b"data", len(payload))
-    pad = b"\x00" if len(payload) % 2 == 1 else b""
-    body = fmt + fact + data_head + payload + pad
-    header = struct.pack("<4sI4s", b"RIFF", 4 + len(body), b"WAVE")
-    try:
-        with open(path, "wb") as f:
-            f.write(header)
-            f.write(body)
-    except OSError as e:
-        raise UnwritablePathError(f"cannot write {path}: {e}") from e
+    # 4-byte samples keep the data chunk word-aligned, so it needs no pad byte
+    data_head = struct.pack("<4sI", b"data", payload.nbytes)
+    riff_size = 4 + len(fmt) + len(fact) + len(data_head) + payload.nbytes
+    header = struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE")
+    _write_file(path, b"".join([header, fmt, fact, data_head, payload]))
 
 
 def _check_seconds(seconds):

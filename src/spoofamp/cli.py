@@ -13,7 +13,7 @@ from dataclasses import replace
 from . import detector, metrics, pipeline, synth
 from .amplify import EXTRACTION_MODES, extract_residual
 from .amplify import amplify as _amplify_op
-from .audio import _check_seconds, read_wav, write_wav
+from .audio import _check_seconds, _write_file, read_wav, write_wav
 from .config import PipelineConfig, _read_json_object, derive_seed, load_config
 from .errors import ConfigError, SpoofampError
 from .manifest import MANIFEST_FORMATS, load_manifest
@@ -174,6 +174,8 @@ def _parse_axis_values(axis, text):
 def _cmd_sweep(args):
     config = load_config(args.config) if args.config else PipelineConfig()
     values = _parse_axis_values(args.axis, args.values)
+    for value in values:  # the config's own check, so a bad value is usage before any work
+        config.with_overrides(**{args.axis: value})
     train_entries = _load_entries(args, prefix="train-")
     eval_entries = _load_entries(args, prefix="eval-")
     params = pipeline.load_tdcf_params(args.tdcf_params)
@@ -183,8 +185,7 @@ def _cmd_sweep(args):
         include_raw_training=args.include_raw_training,
     )
     csv_text = pipeline.sweep_csv_text(cells)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(csv_text)
+    _write_file(args.out, csv_text.encode("utf-8"))
     sys.stdout.write(csv_text)
     return 1 if any(c.error is not None for c in cells) else 0
 
@@ -232,8 +233,7 @@ def _cmd_report(args):
     if n_extra:
         print(f"(ignored {n_extra} score ids not in manifest)")
     if args.csv_out:
-        with open(args.csv_out, "w", encoding="utf-8") as f:
-            f.write(rep.csv_text())
+        _write_file(args.csv_out, rep.csv_text().encode("utf-8"))
         print(f"csv: {args.csv_out}")
     return 0
 

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .amplify import _check_alpha, _check_extraction_mode
-from .audio import _check_seconds
+from .audio import _check_seconds, _read_text
 from .enhance import EnhancerKind
 from .errors import ConfigError, _is_integer
 from .mixing import _check_snr_db
@@ -75,11 +75,8 @@ def _read_json_object(path, what, error=ConfigError, known=None):
     failure raises error with a message naming what the file is and its path.
     """
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as e:
-        raise error(f"cannot read {what} {path}: {e}") from e
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        doc = json.loads(_read_text(path, what, error))
+    except (ValueError, RecursionError) as e:  # RecursionError: arrays nested too deep
         raise error(f"{what} {path} is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise error(f"{what} {path} must hold a JSON object")

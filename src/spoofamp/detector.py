@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio import _write_file
 from .config import _read_json_object
 from .errors import (
     ConfigError,
@@ -198,9 +199,7 @@ def save_model(model, path):
             for label in LABELS
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_file(path, (json.dumps(doc, indent=1) + "\n").encode("utf-8"))
 
 
 def load_model(path):
@@ -222,7 +221,7 @@ def load_model(path):
             variances[label] = np.asarray(cls["variance"], dtype=np.float64)
             priors[label] = float(cls["prior"])
         feature_config = FeatureConfig.from_dict(doc["feature_config"])
-    except (KeyError, TypeError, ValueError, SpoofampError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, SpoofampError) as e:
         raise TrainingDataError(f"{path}: malformed model: {e!r}") from e
     dim = feature_config.dim
     for label in LABELS:

@@ -12,6 +12,7 @@ import logging
 import os
 from dataclasses import dataclass
 
+from .audio import _read_text, _write_file
 from .errors import ConfigError, DuplicateIdError, ManifestError, MissingInputError
 from .metrics import LABELS
 
@@ -62,13 +63,8 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
     entries = []
     seen = {}
     base_dir = os.path.dirname(os.path.abspath(path))
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
-    except UnicodeDecodeError as e:
-        raise ManifestError(f"{path}: manifest is not UTF-8 text: {e}") from e
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+    lines = _read_text(path, "manifest", ManifestError).split("\n")
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         if fmt == "asvspoof_protocol":
@@ -109,13 +105,14 @@ def write_manifest(path, entries):
     """Write entries in simple_tsv format; paths inside the manifest's own
     directory are stored relative to it, all others absolute."""
     base_dir = os.path.dirname(os.path.abspath(path))
-    with open(path, "w", encoding="utf-8") as f:
-        for e in entries:
-            p = os.path.abspath(e.path)
-            try:
-                rel = os.path.relpath(p, base_dir)
-            except ValueError:  # another drive on Windows
-                rel = p
-            if not rel.startswith(".."):
-                p = rel
-            f.write(f"{e.utterance_id}\t{p}\t{e.label}\t{e.attack_id}\n")
+    lines = []
+    for e in entries:
+        p = os.path.abspath(e.path)
+        try:
+            rel = os.path.relpath(p, base_dir)
+        except ValueError:  # another drive on Windows
+            rel = p
+        if not rel.startswith(".."):
+            p = rel
+        lines.append(f"{e.utterance_id}\t{p}\t{e.label}\t{e.attack_id}\n")
+    _write_file(path, "".join(lines).encode("utf-8"))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .audio import _read_text, _write_file
 from .errors import (
     CoefficientDegeneracyError,
     ConfigError,
@@ -115,13 +116,10 @@ def eer(records):
     """Equal error rate on the lower convex envelope of the DET points."""
     bona, spoof = _split_scores(records)
     p_miss, p_fa = _det_arrays(bona, spoof)
-    # keep the best (lowest) miss rate at each distinct false-alarm rate
-    best = {}
-    for f, m in zip(p_fa, p_miss):
-        if f not in best or m < best[f]:
-            best[f] = m
-    points = sorted(best.items())
-    hull = _lower_hull(points)
+    # keep the best (lowest) miss rate at each distinct false-alarm rate: p_fa
+    # falls and p_miss rises with the threshold, so that is the rate's first index
+    fa, first = np.unique(p_fa, return_index=True)
+    hull = _lower_hull(list(zip(fa, p_miss[first])))
     # walk hull edges for the sign change of (p_miss - p_fa)
     prev = None
     for f, m in hull:
@@ -251,11 +249,7 @@ def parse_score_file(path):
         raise MissingInputError(f"no such score file: {path}")
     rows = []
     config_hash = None
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.readlines()
-    except UnicodeDecodeError as e:
-        raise ScoreFileError(f"{path}: score file is not UTF-8 text: {e}") from e
+    lines = _read_text(path, "score file", ScoreFileError).split("\n")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -293,8 +287,6 @@ def parse_score_file(path):
 def write_score_file(path, records, config_hash=None):
     """Write records as 4-column score lines, with an optional config hash
     comment header."""
-    with open(path, "w", encoding="utf-8") as f:
-        if config_hash:
-            f.write(f"# config_hash={config_hash}\n")
-        for r in records:
-            f.write(f"{r.utterance_id} {r.attack_id} {r.label} {r.score!r}\n")
+    lines = [f"# config_hash={config_hash}\n"] if config_hash else []
+    lines += [f"{r.utterance_id} {r.attack_id} {r.label} {r.score!r}\n" for r in records]
+    _write_file(path, "".join(lines).encode("utf-8"))

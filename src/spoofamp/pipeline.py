@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import detector, metrics
 from .amplify import process_utterance_details
-from .audio import crop_or_pad, read_wav, write_wav
+from .audio import _write_file, crop_or_pad, read_wav, write_wav
 from .config import _read_json_object, config_doc, config_hash, derive_seed
 from .enhance import EnhancerKind
 from .errors import (
@@ -23,6 +23,7 @@ from .errors import (
     ScoreFileError,
     SpoofampError,
     StageError,
+    UnwritablePathError,
     _stage,
 )
 
@@ -93,7 +94,10 @@ def run_pipeline(config, entries, out_dir):
     Failures are logged per utterance and counted, never raised.
     """
     chash = config_hash(config)  # before any WAV is written: a failure here leaves nothing
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as e:
+        raise UnwritablePathError(f"cannot create output directory {out_dir}: {e}") from e
     enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
     records = _map_entries(
         entries, lambda e: _process_one(e, config, enhancer, out_dir), config.parallelism
@@ -108,9 +112,7 @@ def run_pipeline(config, entries, out_dir):
         "entries": records,
     }
     log_path = os.path.join(out_dir, "run_log.json")
-    with open(log_path, "w", encoding="utf-8") as f:
-        json.dump(log_doc, f, indent=1, sort_keys=True)
-        f.write("\n")
+    _write_file(log_path, (json.dumps(log_doc, indent=1, sort_keys=True) + "\n").encode("utf-8"))
     return RunResult(n_ok, n_failed, log_path, chash)
 
 
@@ -156,11 +158,11 @@ def sweep(
 ):
     """Run the pipeline grid over one config axis and tabulate metrics.
 
-    Every entry is read and cropped once. For each value one pass runs the
-    chain over the train and eval crops together, in memory; the detector is
-    fit on the train split's amplified output (plus the raw crops when
-    include_raw_training is set) and EER / min t-DCF computed on the eval
-    split. A failing cell is recorded with its error and the sweep continues.
+    Every entry is read and cropped once, in stage 'io'. For each value one pass
+    runs the chain over the train and eval crops together, in memory; the detector
+    is fit on the train split's amplified output (plus the raw crops when
+    include_raw_training is set) and EER / min t-DCF computed on the eval split. A
+    failing cell is recorded with its error and the sweep continues.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -168,7 +170,8 @@ def sweep(
         feature_config = detector.FeatureConfig()
     train_entries, eval_entries = list(train_entries), list(eval_entries)
     # the swept axes touch neither seed, so the crops serve every cell
-    loaded = [_load(e, config) for e in train_entries + eval_entries]
+    with _stage("io"):
+        loaded = [_load(e, config) for e in train_entries + eval_entries]
     n_train = len(train_entries)
     train_labels = [e.label for e in train_entries]
     raw_train_features = []

@@ -1,12 +1,23 @@
 """Waveform container, WAV round-trips, cropping, and the SNR oracle."""
 
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from spoofamp.audio import Waveform, crop_or_pad, read_wav, write_wav
+from spoofamp import audio
+from spoofamp.audio import (
+    Waveform,
+    _read_file,
+    _read_text,
+    _write_file,
+    crop_or_pad,
+    read_wav,
+    write_wav,
+)
 from spoofamp.errors import (
+    AudioIOError,
     ConfigError,
     DegenerateSignalError,
     MalformedWavError,
@@ -104,6 +115,65 @@ class TestWavRoundTrip:
                           extra_chunk=(b"LIST", b"abc"))
         w = read_wav(str(p))
         assert np.array_equal(w.samples, [0.0, 0.5])
+
+
+    def test_written_bytes_layout(self, tmp_path):
+        p = tmp_path / "a.wav"
+        write_wav(Waveform(np.array([0.5, -0.25]), 8000), str(p))
+        expected = (
+            struct.pack("<4sI4s", b"RIFF", 56, b"WAVE")
+            + struct.pack("<4sIHHIIHH", b"fmt ", 16, 3, 1, 8000, 32000, 4, 32)
+            + struct.pack("<4sII", b"fact", 4, 2)
+            + struct.pack("<4sI2f", b"data", 8, 0.5, -0.25)
+        )
+        assert p.read_bytes() == expected
+
+    def test_repeated_chunk_last_wins(self, tmp_path):
+        p = tmp_path / "twice.wav"
+        write_minimal_wav(p, struct.pack("<2h", 0, 16384), fmt_tag=1, bits=16, channels=1,
+                          rate=16000)
+        data = p.read_bytes() + struct.pack("<4sI2h", b"data", 4, -16384, 0)
+        p.write_bytes(data)
+        assert np.array_equal(read_wav(str(p)).samples, [-0.5, 0.0])
+
+    def test_odd_last_chunk_without_pad_byte(self, tmp_path):
+        p = tmp_path / "tail.wav"
+        write_minimal_wav(p, struct.pack("<2h", 0, 16384), fmt_tag=1, bits=16, channels=1,
+                          rate=16000)
+        p.write_bytes(p.read_bytes() + struct.pack("<4sI", b"LIST", 3) + b"abc")
+        assert np.array_equal(read_wav(str(p)).samples, [0.0, 0.5])
+
+
+class TestFileIO:
+    def test_read_failure_names_file(self, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read thing {tmp_path}: ")):
+            _read_file(str(tmp_path), "thing", ConfigError)
+
+    def test_read_wav_failure_is_audio_error(self, tmp_path, monkeypatch):
+        p = tmp_path / "a.wav"
+        write_wav(Waveform(np.zeros(4), 16000), str(p))
+
+        def denied(path, mode):
+            raise PermissionError(13, "Permission denied", path)
+
+        monkeypatch.setattr(audio, "open", denied, raising=False)
+        with pytest.raises(AudioIOError, match="cannot read audio file .*Permission denied"):
+            read_wav(str(p))
+
+    def test_text_newlines_translated(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"a\r\nb\rc\n\r\n")
+        assert _read_text(str(p), "text", ConfigError) == "a\nb\nc\n\n"
+
+    def test_text_not_utf8_named(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_bytes(b"ok\n\xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: text is not UTF-8 text")):
+            _read_text(str(p), "text", ConfigError)
+
+    def test_write_failure_names_file(self, tmp_path):
+        with pytest.raises(UnwritablePathError, match=re.escape(f"cannot write {tmp_path}: ")):
+            _write_file(str(tmp_path), b"x")
 
 
 class TestWavErrors:

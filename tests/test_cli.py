@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from spoofamp import pipeline
 from spoofamp.audio import read_wav
 from spoofamp.cli import main
 from spoofamp.config import PipelineConfig
@@ -509,7 +510,7 @@ class TestMissingInputs:
             "--csv-out", str(tmp_path / "missing" / "report.csv"),
         ])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err.startswith("error: cannot write ")
 
 
 class TestSynthSplit:
@@ -559,12 +560,38 @@ class TestSweepCommand:
         assert all(line.endswith(",ok") for line in lines[1:])
         assert capsys.readouterr().out.startswith("axis,value")
 
-    def test_bad_axis_value_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "axis, values",
+        [
+            ("alpha", "zero"),
+            ("alpha", "-1"),
+            ("alpha", "nan"),
+            ("noise_color", "white,red"),
+            ("skip_noise_addition", "on,maybe"),
+        ],
+        ids=["alpha-zero", "alpha-negative", "alpha-nan", "noise_color-red", "on_off-maybe"],
+    )
+    def test_bad_axis_value_usage_error(self, tmp_path, capsys, axis, values):
+        # the manifests do not exist: a bad value is reported before any file is read
         rc = main([
             "sweep",
             "--train-manifest", "x.tsv", "--eval-manifest", "y.tsv",
-            "--axis", "alpha", "--values", "zero",
+            "--axis", axis, f"--values={values}",
             "--out", str(tmp_path / "s.csv"),
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_load_fault_runtime_error(self, ws, tmp_path, capsys, monkeypatch):
+        def crop_out_of_memory(w, target_seconds, rng_seed):
+            raise MemoryError("Unable to allocate 29.8 GiB")
+
+        monkeypatch.setattr(pipeline, "crop_or_pad", crop_out_of_memory)
+        rc = main([
+            "sweep", "--train-manifest", ws["manifest"], "--eval-manifest", ws["manifest"],
+            "--axis", "alpha", "--values", "1.0", "--out", str(tmp_path / "s.csv"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: stage 'io' failed: MemoryError: Unable to allocate 29.8 GiB\n"

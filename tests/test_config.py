@@ -153,6 +153,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(str(p))
 
+    def test_nesting_too_deep_rejected(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text("[" * 100000)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(str(p))
+
+    def test_not_utf8_rejected(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(b'{"noise_color": "\xff"}')
+        with pytest.raises(ConfigError, match="config is not UTF-8 text"):
+            load_config(str(p))
+
     def test_non_object_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("[1, 2]")

@@ -1,6 +1,7 @@
 """Feature extraction and the diagonal Gaussian classifier."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from spoofamp.errors import (
     MismatchError,
     MissingInputError,
     TrainingDataError,
+    UnwritablePathError,
 )
 from spoofamp.metrics import ScoreRecord, eer
 
@@ -285,10 +287,15 @@ class TestModelIO:
             (_model_text(variance=[float("inf")] * 6), "finite variances > 0"),
             (_model_text(prior=0.0), r"a prior in \(0, 1\)"),
             (_model_text(prior=1.5), r"a prior in \(0, 1\)"),
+            # each overflows a float conversion
+            (_model_text(prior=10**400), "malformed model: OverflowError"),
+            (_model_text().replace('"n_bands": 2', '"n_bands": Infinity'),
+             "malformed model: OverflowError"),
         ],
         ids=[
             "invalid_json", "no_classes", "short_mean", "long_variance", "zero_variance",
-            "nan_variance", "inf_variance", "zero_prior", "prior_above_one",
+            "nan_variance", "inf_variance", "zero_prior", "prior_above_one", "huge_int_prior",
+            "infinite_n_bands",
         ],
     )
     def test_malformed_model_rejected(self, tmp_path, text, match):
@@ -296,6 +303,10 @@ class TestModelIO:
         path.write_text(text)
         with pytest.raises(TrainingDataError, match=match):
             load_model(str(path))
+
+    def test_save_to_directory_unwritable(self, tmp_path):
+        with pytest.raises(UnwritablePathError, match=re.escape(f"cannot write {tmp_path}")):
+            save_model(self._model(), str(tmp_path))
 
     def test_missing_model_file(self, tmp_path):
         with pytest.raises(MissingInputError, match="no such model file"):

@@ -148,6 +148,14 @@ w = read_wav(sys.argv[1])
 write_wav(w.with_samples(np.concatenate([w.samples, [0.125]])), sys.argv[2])
 """
 
+_MISSING_SAMPLE_BACKEND = """
+import sys
+sys.path.insert(0, {src!r})
+from spoofamp.audio import read_wav, write_wav
+w = read_wav(sys.argv[1])
+write_wav(w.with_samples(w.samples[:-1]), sys.argv[2])
+"""
+
 _RATE_CHANGE_BACKEND = """
 import sys
 sys.path.insert(0, {src!r})
@@ -192,12 +200,20 @@ class TestRunExternal:
         with pytest.raises(EnhancerTimeoutError):
             _run_external(_backend_template(_SLOW_BACKEND), x, timeout_s=1.0)
 
-    def test_extra_sample_trimmed(self):
+    @pytest.mark.parametrize(
+        "backend, n_kept",
+        [(_EXTRA_SAMPLE_BACKEND, None), (_MISSING_SAMPLE_BACKEND, -1)],
+        ids=["extra", "missing"],
+    )
+    def test_extra_sample_trimmed(self, backend, n_kept):
+        # a missing sample is zero-padded back to the input's length
         x = make_speechlike(seed=53, seconds=0.2)
-        template = _backend_template(_EXTRA_SAMPLE_BACKEND.format(src=_src_dir()))
+        template = _backend_template(backend.format(src=_src_dir()))
         out = _run_external(template, x, timeout_s=60.0)
         assert len(out) == len(x)
-        assert np.max(np.abs(out.samples - x.samples)) <= 1e-6
+        assert np.max(np.abs(out.samples[:n_kept] - x.samples[:n_kept])) <= 1e-6
+        if n_kept is not None:
+            assert out.samples[-1] == 0.0
 
     def test_sample_rate_change_rejected(self):
         x = make_speechlike(seed=54, seconds=0.2)

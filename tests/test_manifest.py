@@ -5,7 +5,13 @@ import os
 
 import pytest
 
-from spoofamp.errors import ConfigError, DuplicateIdError, ManifestError, MissingInputError
+from spoofamp.errors import (
+    ConfigError,
+    DuplicateIdError,
+    ManifestError,
+    MissingInputError,
+    UnwritablePathError,
+)
 from spoofamp.manifest import ManifestEntry, load_manifest, write_manifest
 
 
@@ -114,6 +120,14 @@ class TestSharedBehavior:
         with pytest.raises(DuplicateIdError, match=r"lines 1 and 3"):
             load_manifest(str(p))
 
+    def test_crlf_and_cr_line_ends(self, tmp_path):
+        p = tmp_path / "manifest.tsv"
+        p.write_bytes(b"U1\ta.wav\tbonafide\t-\r\nU2\tb.wav\tspoof\tA01\rU1\tc.wav\tspoof\t-\r\n")
+        with pytest.raises(DuplicateIdError, match=r"lines 1 and 3"):
+            load_manifest(str(p))
+        p.write_bytes(b"U1\ta.wav\tbonafide\t-\r\nU2\tb.wav\tspoof\tA01\r")
+        assert [e.attack_id for e in load_manifest(str(p))] == ["-", "A01"]
+
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "manifest.tsv"
         p.write_text("\nU1\ta.wav\tbonafide\t-\n\n")
@@ -142,3 +156,8 @@ class TestWriteManifest:
         assert os.path.join("audio", "u1.wav") + "\t" in text  # stored relative
         assert "/elsewhere/u2.wav" in text  # outside paths stay absolute
         assert load_manifest(str(p)) == entries
+
+    def test_missing_directory_unwritable(self, tmp_path):
+        path = str(tmp_path / "no" / "manifest.tsv")
+        with pytest.raises(UnwritablePathError, match=f"cannot write {path}"):
+            write_manifest(path, [ManifestEntry("U1", "u1.wav", "bonafide", "-")])

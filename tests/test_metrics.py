@@ -10,6 +10,7 @@ from spoofamp.errors import (
     MissingInputError,
     ScoreFileError,
     SingleClassError,
+    UnwritablePathError,
 )
 from spoofamp.metrics import (
     Report,
@@ -307,6 +308,20 @@ class TestScoreFiles:
         parsed = parse_score_file(str(p))
         assert parsed.rows == [("U1", None, None, 0.5), ("U2", None, None, -1.25)]
         assert parsed.config_hash is None
+
+    def test_crlf_and_cr_line_ends(self, tmp_path):
+        p = tmp_path / "scores.txt"
+        p.write_bytes(b"# config_hash=abc\r\nU1 0.5\r\nU2 -1.25\rU3 x y\r\n")
+        with pytest.raises(ScoreFileError, match=r":4: expected 2 or 4"):
+            parse_score_file(str(p))
+        p.write_bytes(b"# config_hash=abc\r\nU1 0.5\r\nU2 -1.25\r")
+        parsed = parse_score_file(str(p))
+        assert parsed.config_hash == "abc"
+        assert parsed.rows == [("U1", None, None, 0.5), ("U2", None, None, -1.25)]
+
+    def test_write_to_directory_unwritable(self, tmp_path):
+        with pytest.raises(UnwritablePathError, match=f"cannot write {tmp_path}"):
+            write_score_file(str(tmp_path), _records([0.5], [0.25]))
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "scores.txt"

@@ -1,5 +1,6 @@
 """Batch pipeline runs, sweeps, and score joining."""
 
+import ast
 import importlib
 import json
 import os
@@ -16,7 +17,13 @@ from spoofamp import amplify as amplify_module
 from spoofamp import pipeline
 from spoofamp.audio import crop_or_pad, read_wav, write_wav
 from spoofamp.config import PipelineConfig, config_hash, derive_seed
-from spoofamp.errors import ConfigError, MissingIdError, ScoreFileError
+from spoofamp.errors import (
+    ConfigError,
+    MissingIdError,
+    ScoreFileError,
+    StageError,
+    UnwritablePathError,
+)
 from spoofamp.manifest import ManifestEntry, load_manifest, write_manifest
 from spoofamp.metrics import TdcfParams, eer, ScoreRecord
 from spoofamp.pipeline import (
@@ -151,6 +158,13 @@ class TestRunPipeline:
         assert len(failed) == 1
         assert failed[0]["utterance_id"] == entries[3].utterance_id
         assert failed[0]["stage"] == "io"
+
+    def test_output_path_is_a_file(self, corpus, tmp_path):
+        entries, _ = corpus
+        out = tmp_path / "run"
+        out.write_text("")
+        with pytest.raises(UnwritablePathError, match=f"cannot create output directory {out}"):
+            run_pipeline(_config(), entries, str(out))
 
     def test_partial_sample_file_logged_not_raised(self, corpus, tmp_path):
         entries, _ = corpus
@@ -325,6 +339,30 @@ class TestBlasThreads:
         assert hits == []
 
 
+class TestFileAccess:
+    def test_only_the_audio_reader_and_writer_open_files(self):
+        # every other module reads through audio._read_file and writes through
+        # audio._write_file, so each I/O failure maps to one SpoofampError
+        package = os.path.join(_SRC, "spoofamp")
+        with open(os.path.join(package, "audio.py"), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        allowed = {
+            ("audio.py", lineno)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in ("_read_file", "_write_file")
+            for lineno in range(node.lineno, node.end_lineno + 1)
+        }
+        hits = []
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as f:
+                    for lineno, line in enumerate(f, start=1):
+                        if "open(" in line and (name, lineno) not in allowed:
+                            hits.append(f"{name}:{lineno}: {line.strip()}")
+        assert hits == []
+        assert len(allowed) > 0
+
+
 class TestBenchmarkWiring:
     def test_perfbench_tracer_binds_every_site(self, corpus, tmp_path, monkeypatch):
         # the benchmark traces pipeline's read_wav, crop_or_pad,
@@ -446,6 +484,18 @@ class TestSweep:
         assert cells[0].eer is None
         assert cells[1].error is None
         assert cells[1].eer is not None
+
+    def test_load_fault_is_a_stage_error(self, corpus, monkeypatch):
+        # the crops are loaded once, before the first cell; raised by a stand-in
+        entries, _ = corpus
+
+        def crop_out_of_memory(w, target_seconds, rng_seed):
+            raise MemoryError("Unable to allocate 29.8 GiB")
+
+        monkeypatch.setattr(pipeline, "crop_or_pad", crop_out_of_memory)
+        with pytest.raises(StageError) as e:
+            sweep(_config(), entries, entries, "alpha", [1.0], UNIT_PARAMS)
+        assert str(e.value) == "stage 'io' failed: MemoryError: Unable to allocate 29.8 GiB"
 
     def test_unknown_axis_rejected(self, corpus):
         entries, _ = corpus
