@@ -6,7 +6,6 @@ float32 cannot honor. PCM 16-bit and IEEE float32 WAV files are read, with
 multichannel input averaged down to mono; files are written as mono float32.
 """
 
-import os
 import struct
 from dataclasses import dataclass
 
@@ -18,7 +17,6 @@ from .errors import (
     DegenerateSignalError,
     MalformedWavError,
     MismatchError,
-    MissingFileError,
     UnsupportedEncodingError,
     UnwritablePathError,
     _is_finite_number,
@@ -88,10 +86,13 @@ def _check_aligned(a, b, name_a, name_b):
 
 
 def _read_file(path, what, error):
-    """The bytes of the file at path; an OSError raises error naming the file."""
+    """The bytes of the file at path; a missing file or any other OSError
+    raises error naming the file."""
     try:
         with open(path, "rb") as f:
             return f.read()
+    except FileNotFoundError as e:
+        raise error(f"no such {what}: {path}") from e
     except OSError as e:
         raise error(f"cannot read {what} {path}: {e}") from e
 
@@ -122,10 +123,8 @@ def read_wav(path):
 
     Raises
     ------
-    MissingFileError, MalformedWavError, UnsupportedEncodingError, AudioIOError
+    MalformedWavError, UnsupportedEncodingError, AudioIOError
     """
-    if not os.path.isfile(path):
-        raise MissingFileError(f"no such audio file: {path}")
     buf = memoryview(_read_file(path, "audio file", AudioIOError))
     if buf[:4] == b"fLaC":
         raise UnsupportedEncodingError(f"FLAC is not supported, only WAV: {path}")

@@ -46,33 +46,28 @@ def _load_entries(args, prefix=""):
     )
 
 
-def _read_run_log(audio_dir):
-    """Config hash and failed utterance ids from audio_dir's run log, or
-    (None, empty set) when there is no audio dir or no log."""
-    log_path = None if audio_dir is None else os.path.join(audio_dir, "run_log.json")
-    if log_path is None or not os.path.isfile(log_path):
-        return None, set()
-    log = _read_json_object(log_path, "run log")
+def _audio_entries(args):
+    """The manifest's entries and the config hash of the run that wrote
+    --audio-dir. With --audio-dir each entry reads <audio_dir>/<id>.wav and the
+    ids its run log marks failed are skipped; with no run log the hash is None."""
+    if args.audio_dir is None:
+        return _load_entries(args), None
+    log_path = os.path.join(args.audio_dir, "run_log.json")
+    log = _read_json_object(log_path, "run log") if os.path.isfile(log_path) else {}
     records = log.get("entries", [])
     if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
         raise ConfigError(f"run log {log_path}: 'entries' must be a list of objects")
     failed = {r.get("utterance_id") for r in records if r.get("status") == "failed"}
-    return log.get("config_hash"), failed
-
-
-def _remap_audio_dir(entries, audio_dir, failed):
-    """Point each entry at <audio_dir>/<id>.wav, skipping the failed ids."""
-    if audio_dir is None:
-        return entries
+    entries = _load_entries(args)
     kept = [
-        replace(e, path=os.path.join(audio_dir, e.utterance_id + ".wav"))
+        replace(e, path=os.path.join(args.audio_dir, e.utterance_id + ".wav"))
         for e in entries
         if e.utterance_id not in failed
     ]
     if len(kept) < len(entries):
         n_skipped = len(entries) - len(kept)
         print(f"skipped {n_skipped} of {len(entries)} utterances that the run log marks failed")
-    return kept
+    return kept, log.get("config_hash")
 
 
 def _cmd_gen_noise(args):
@@ -123,8 +118,7 @@ def _cmd_process(args):
 
 
 def _cmd_fit(args):
-    _run_hash, failed = _read_run_log(args.audio_dir)
-    entries = _remap_audio_dir(_load_entries(args), args.audio_dir, failed)
+    entries, _run_hash = _audio_entries(args)
     fc = detector.FeatureConfig(n_bands=args.n_bands)
     feats = [detector.extract_features(read_wav(e.path), fc) for e in entries]
     labels = [e.label for e in entries]
@@ -135,8 +129,7 @@ def _cmd_fit(args):
 
 
 def _cmd_score(args):
-    run_hash, failed = _read_run_log(args.audio_dir)
-    entries = _remap_audio_dir(_load_entries(args), args.audio_dir, failed)
+    entries, run_hash = _audio_entries(args)
     model = detector.load_model(args.model)
     fc = model.feature_config
     records = []

@@ -9,7 +9,6 @@ and insensitive to reordering up to floating-point summation.
 """
 
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,6 @@ from .errors import (
     ConfigError,
     DegenerateSignalError,
     MismatchError,
-    MissingInputError,
     SpoofampError,
     TrainingDataError,
     _is_integer,
@@ -60,14 +58,10 @@ class FeatureConfig:
 
     @classmethod
     def from_dict(cls, d):
-        config = cls(n_bands=int(d["n_bands"]))
+        config = cls(n_bands=d["n_bands"])
         # the model format stores the window, hop and split, which are fixed
-        for key, kind, fixed in (
-            ("window_length", int, WINDOW_LENGTH),
-            ("hop", int, HOP),
-            ("split_hz", float, _SPLIT_HZ),
-        ):
-            if kind(d[key]) != fixed:
+        for key, fixed in (("window_length", WINDOW_LENGTH), ("hop", HOP), ("split_hz", _SPLIT_HZ)):
+            if d[key] != fixed:
                 raise ConfigError(f"{key} must be {fixed}, got {d[key]!r}")
         return config
 
@@ -204,8 +198,6 @@ def save_model(model, path):
 
 def load_model(path):
     """Load a model written by save_model, validating format and version."""
-    if not os.path.isfile(path):
-        raise MissingInputError(f"no such model file: {path}")
     doc = _read_json_object(path, "model file", error=TrainingDataError)
     if doc.get("format") != _MODEL_FORMAT:
         raise TrainingDataError(f"{path}: not a {_MODEL_FORMAT} file")

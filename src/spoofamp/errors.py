@@ -18,10 +18,6 @@ class AudioIOError(SpoofampError):
     """Base class for WAV read/write failures."""
 
 
-class MissingFileError(AudioIOError):
-    """Input audio file does not exist."""
-
-
 class MalformedWavError(AudioIOError):
     """File exists but is not a structurally valid RIFF/WAVE file."""
 
@@ -115,10 +111,6 @@ class ScoreFileError(SpoofampError):
 
 class MissingIdError(SpoofampError):
     """Manifest utterance id absent from the score file."""
-
-
-class MissingInputError(SpoofampError):
-    """A named input file (manifest, model, or score file) does not exist."""
 
 
 class ConfigError(SpoofampError):

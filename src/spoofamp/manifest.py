@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 
 from .audio import _read_text, _write_file
-from .errors import ConfigError, DuplicateIdError, ManifestError, MissingInputError
+from .errors import ConfigError, DuplicateIdError, ManifestError
 from .metrics import LABELS
 
 MANIFEST_FORMATS = ("asvspoof_protocol", "simple_tsv")
@@ -47,10 +47,9 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
     ------
     ConfigError
         Unknown format, or asvspoof_protocol without an audio_root.
-    MissingInputError
-        Nonexistent manifest path.
     ManifestError
-        Malformed line (message cites the line number) or unknown label.
+        Missing or unreadable file, malformed line (message cites the line
+        number) or unknown label.
     DuplicateIdError
         Repeated utterance id (message cites both line numbers).
     """
@@ -58,12 +57,10 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
         raise ConfigError(f"unknown manifest format {fmt!r}; choose from {MANIFEST_FORMATS}")
     if fmt == "asvspoof_protocol" and not audio_root:
         raise ConfigError("asvspoof_protocol manifests need an audio root directory")
-    if not os.path.isfile(path):
-        raise MissingInputError(f"no such manifest file: {path}")
     entries = []
     seen = {}
     base_dir = os.path.dirname(os.path.abspath(path))
-    lines = _read_text(path, "manifest", ManifestError).split("\n")
+    lines = _read_text(path, "manifest file", ManifestError).split("\n")
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

@@ -9,7 +9,6 @@ envelope of the DET operating points with linear interpolation between the
 two achievable points bracketing the miss = false-alarm diagonal.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,6 @@ from .errors import (
     CoefficientDegeneracyError,
     ConfigError,
     DegenerateSignalError,
-    MissingInputError,
     ScoreFileError,
     SingleClassError,
     _is_finite_number,
@@ -245,8 +243,6 @@ def parse_score_file(path):
     """Read a score file with 4-column (id attack label score) or 2-column
     (id score) whitespace-separated lines. Lines starting with '#' are
     comments; '# config_hash=<hex>' is captured for merge checking."""
-    if not os.path.isfile(path):
-        raise MissingInputError(f"no such score file: {path}")
     rows = []
     config_hash = None
     lines = _read_text(path, "score file", ScoreFileError).split("\n")

@@ -153,7 +153,7 @@ def sweep(
     axis,
     values,
     tdcf_params,
-    feature_config=None,
+    feature_config=detector.FeatureConfig(),
     include_raw_training=False,
 ):
     """Run the pipeline grid over one config axis and tabulate metrics.
@@ -166,8 +166,8 @@ def sweep(
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    if feature_config is None:
-        feature_config = detector.FeatureConfig()
+    # no swept axis touches the enhancer, so one serves every cell
+    enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
     train_entries, eval_entries = list(train_entries), list(eval_entries)
     # the swept axes touch neither seed, so the crops serve every cell
     with _stage("io"):
@@ -184,7 +184,6 @@ def sweep(
     for value in values:
         try:
             cfg = config.with_overrides(**{axis: value})
-            enhancer = EnhancerKind(cfg.enhancer, cfg.enhancer_params)
 
             def features(item):
                 x, _, noise_seed = item

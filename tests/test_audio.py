@@ -21,10 +21,11 @@ from spoofamp.errors import (
     ConfigError,
     DegenerateSignalError,
     MalformedWavError,
-    MissingFileError,
+    ManifestError,
     UnsupportedEncodingError,
     UnwritablePathError,
 )
+from spoofamp.manifest import load_manifest
 
 from conftest import measure_snr, write_minimal_wav
 
@@ -149,6 +150,15 @@ class TestFileIO:
         with pytest.raises(ConfigError, match=re.escape(f"cannot read thing {tmp_path}: ")):
             _read_file(str(tmp_path), "thing", ConfigError)
 
+    @pytest.mark.parametrize(
+        "reader, error, what",
+        [(read_wav, AudioIOError, "audio file"), (load_manifest, ManifestError, "manifest file")],
+        ids=["wav", "manifest"],
+    )
+    def test_directory_is_unreadable_not_missing(self, tmp_path, reader, error, what):
+        with pytest.raises(error, match=re.escape(f"cannot read {what} {tmp_path}: ")):
+            reader(str(tmp_path))
+
     def test_read_wav_failure_is_audio_error(self, tmp_path, monkeypatch):
         p = tmp_path / "a.wav"
         write_wav(Waveform(np.zeros(4), 16000), str(p))
@@ -178,7 +188,7 @@ class TestFileIO:
 
 class TestWavErrors:
     def test_missing_file(self, tmp_path):
-        with pytest.raises(MissingFileError):
+        with pytest.raises(AudioIOError, match="no such audio file"):
             read_wav(str(tmp_path / "absent.wav"))
 
     def test_truncated_header(self, tmp_path):
@@ -229,8 +239,11 @@ class TestWavErrors:
             (struct.pack("<2f", float("-inf"), 0.5), 3, 32, 16000, 1, "NaN or infinite"),
             (struct.pack("<2h", 0, 16384), 1, 16, 16000, 0, "zero channels"),
             (struct.pack("<2h", 0, 16384), 0xFFFE, 16, 16000, 1, "shorter than 40 bytes"),
+            (b"", 3, 32, 16000, 1, "holds no samples"),
+            (struct.pack("<f", 0.5), 3, 32, 16000, 2, "shorter than one frame"),
         ],
-        ids=["zero_rate", "nan_sample", "inf_sample", "zero_channels", "short_extensible"],
+        ids=["zero_rate", "nan_sample", "inf_sample", "zero_channels", "short_extensible",
+             "empty_data", "stereo_one_sample"],
     )
     def test_corrupt_fmt_or_samples_malformed(self, tmp_path, payload, fmt_tag, bits, rate,
                                               channels, match):
@@ -247,8 +260,12 @@ class TestWavErrors:
             (lambda b: b[:50] + bytes([b[50] ^ 0xFF]) + b[51:], UnsupportedEncodingError,
              "unknown EXTENSIBLE subformat GUID"),
             (lambda b: b[:-2], MalformedWavError, "truncated file while reading data chunk"),
+            # bytes 16..19 hold the fmt chunk's size
+            (lambda b: b[:16] + struct.pack("<I", 14) + b[20:], MalformedWavError,
+             r"fmt chunk too small \(14 bytes\)"),
+            (lambda b: b.replace(b"fmt ", b"junk"), MalformedWavError, "missing fmt chunk"),
         ],
-        ids=["unknown_guid", "truncated_data"],
+        ids=["unknown_guid", "truncated_data", "short_fmt", "no_fmt"],
     )
     def test_damaged_file_named(self, tmp_path, corrupt, error, match):
         p = tmp_path / "damaged.wav"
@@ -326,8 +343,9 @@ class TestCropOrPad:
             (float("nan"), 0, ConfigError),
             (float("inf"), 0, ConfigError),
             (0.5, -1, ConfigError),
+            (1e-5, 0, DegenerateSignalError),  # 0.16 samples at 16 kHz round to none
         ],
-        ids=["nan_target", "inf_target", "negative_seed"],
+        ids=["nan_target", "inf_target", "negative_seed", "zero_samples"],
     )
     def test_rejects_bad_input(self, target, seed, error):
         w = Waveform(np.ones(16000), 16000)

@@ -316,11 +316,19 @@ class TestFitScore:
         with open(os.path.join(ws["processed"], "run_log.json")) as f:
             assert parsed.config_hash == json.load(f)["config_hash"]
 
-    def test_unparsable_run_log_usage_error(self, ws, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: json.dumps({**json.loads(text), "entries": {}}),
+        ],
+        ids=["truncated", "entries_not_a_list"],
+    )
+    def test_unparsable_run_log_usage_error(self, ws, tmp_path, capsys, damage):
         audio = tmp_path / "audio"
         shutil.copytree(ws["processed"], audio)
         log_text = (audio / "run_log.json").read_text()
-        (audio / "run_log.json").write_text(log_text[: len(log_text) // 2])
+        (audio / "run_log.json").write_text(damage(log_text))
         scores = tmp_path / "scores.txt"
         argv = [
             "score", "--model", ws["model"], "--manifest", ws["manifest"],
@@ -414,6 +422,14 @@ class TestReport:
         assert rc == 0
         with open(csv_path) as f:
             assert f.readline().strip() == "scope,metric,value"
+
+    def test_extra_score_id_counted(self, ws, tmp_path, capsys):
+        scores = tmp_path / "scores.txt"
+        with open(ws["scores"]) as f:
+            scores.write_text(f.read() + "EXTRA_0000 0.5\n")
+        rc = main(["report", "--manifest", ws["manifest"], "--scores", str(scores)])
+        assert rc == 0
+        assert "(ignored 1 score ids not in manifest)" in capsys.readouterr().out
 
     def _split_score_files(self, ws, tmp_path, hash_b):
         with open(ws["scores"]) as f:
@@ -534,7 +550,7 @@ class TestSynthSplit:
 
 
 class TestSweepCommand:
-    def test_alpha_sweep_csv(self, tmp_path, capsys):
+    def _sweep_lines(self, tmp_path, capsys, axis, values):
         out_dir = str(tmp_path / "splits")
         main([
             "synth", "--out-dir", out_dir, "--n-bonafide", "2", "--n-spoof", "2",
@@ -549,29 +565,42 @@ class TestSweepCommand:
             "sweep", "--config", config_path,
             "--train-manifest", os.path.join(out_dir, "train", "manifest.tsv"),
             "--eval-manifest", os.path.join(out_dir, "eval", "manifest.tsv"),
-            "--axis", "alpha", "--values", "0.0,1.4",
+            "--axis", axis, "--values", values,
             "--n-bands", "4", "--out", csv_path,
         ])
         assert rc == 0
+        assert capsys.readouterr().out.startswith("axis,value")
         with open(csv_path) as f:
             lines = f.read().strip().split("\n")
         assert lines[0] == "axis,value,eer,min_tdcf,status"
-        assert len(lines) == 3
         assert all(line.endswith(",ok") for line in lines[1:])
-        assert capsys.readouterr().out.startswith("axis,value")
+        return lines[1:]
+
+    def test_alpha_sweep_csv(self, tmp_path, capsys):
+        assert len(self._sweep_lines(tmp_path, capsys, "alpha", "0.0,1.4")) == 2
+
+    def test_on_off_sweep_rows(self, tmp_path, capsys):
+        rows = self._sweep_lines(tmp_path, capsys, "skip_noise_addition", "on,off")
+        assert [row.split(",")[:2] for row in rows] == [
+            ["skip_noise_addition", "on"], ["skip_noise_addition", "off"]
+        ]
 
     @pytest.mark.parametrize(
-        "axis, values",
+        "axis, values, message",
         [
-            ("alpha", "zero"),
-            ("alpha", "-1"),
-            ("alpha", "nan"),
-            ("noise_color", "white,red"),
-            ("skip_noise_addition", "on,maybe"),
+            ("alpha", "zero", "error: "),
+            ("alpha", "-1", "error: "),
+            ("alpha", "nan", "error: "),
+            ("noise_color", "white,red", "error: "),
+            ("skip_noise_addition", "on,maybe", "error: "),
+            ("alpha", " , ", "error: no sweep values given"),
         ],
-        ids=["alpha-zero", "alpha-negative", "alpha-nan", "noise_color-red", "on_off-maybe"],
+        ids=[
+            "alpha-zero", "alpha-negative", "alpha-nan", "noise_color-red", "on_off-maybe",
+            "no-values",
+        ],
     )
-    def test_bad_axis_value_usage_error(self, tmp_path, capsys, axis, values):
+    def test_bad_axis_value_usage_error(self, tmp_path, capsys, axis, values, message):
         # the manifests do not exist: a bad value is reported before any file is read
         rc = main([
             "sweep",
@@ -580,7 +609,7 @@ class TestSweepCommand:
             "--out", str(tmp_path / "s.csv"),
         ])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
     def test_load_fault_runtime_error(self, ws, tmp_path, capsys, monkeypatch):

@@ -20,7 +20,6 @@ from spoofamp.errors import (
     ConfigError,
     DegenerateSignalError,
     MismatchError,
-    MissingInputError,
     TrainingDataError,
     UnwritablePathError,
 )
@@ -63,12 +62,21 @@ class TestFeatureConfig:
             "n_bands": 10, "window_length": 512, "hop": 256, "split_hz": 4000.0
         }
         assert FeatureConfig.from_dict(cfg.to_dict()) == cfg
+        # a stored constant equal in value but not in type still loads
+        stored = dict(cfg.to_dict(), window_length=512.0, split_hz=4000)
+        assert FeatureConfig.from_dict(stored) == cfg
 
     @pytest.mark.parametrize(
-        "key,value", [("window_length", 256), ("hop", 128), ("split_hz", 3000.0)]
+        "key,value",
+        [
+            ("window_length", 256), ("hop", 128), ("split_hz", 3000.0),
+            # no coercion: every stored number follows the one-number rule
+            ("n_bands", 2.7), ("n_bands", "10"), ("window_length", "512"), ("hop", 256.9),
+            ("split_hz", "4000"),
+        ],
     )
     def test_rejects_other_fixed_values(self, tmp_path, key, value):
-        # the model format stores the window, hop and band split, which are fixed
+        # the model format stores n_bands and the window, hop and band split, which are fixed
         stored = dict(FeatureConfig().to_dict(), **{key: value})
         with pytest.raises(ConfigError, match=key):
             FeatureConfig.from_dict(stored)
@@ -287,10 +295,10 @@ class TestModelIO:
             (_model_text(variance=[float("inf")] * 6), "finite variances > 0"),
             (_model_text(prior=0.0), r"a prior in \(0, 1\)"),
             (_model_text(prior=1.5), r"a prior in \(0, 1\)"),
-            # each overflows a float conversion
+            # overflows a float conversion
             (_model_text(prior=10**400), "malformed model: OverflowError"),
             (_model_text().replace('"n_bands": 2', '"n_bands": Infinity'),
-             "malformed model: OverflowError"),
+             "malformed model: .*n_bands must be an integer"),
         ],
         ids=[
             "invalid_json", "no_classes", "short_mean", "long_variance", "zero_variance",
@@ -309,7 +317,7 @@ class TestModelIO:
             save_model(self._model(), str(tmp_path))
 
     def test_missing_model_file(self, tmp_path):
-        with pytest.raises(MissingInputError, match="no such model file"):
+        with pytest.raises(TrainingDataError, match="no such model file"):
             load_model(str(tmp_path / "nope.json"))
 
     def test_wrong_version_rejected(self, tmp_path):

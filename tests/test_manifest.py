@@ -9,7 +9,6 @@ from spoofamp.errors import (
     ConfigError,
     DuplicateIdError,
     ManifestError,
-    MissingInputError,
     UnwritablePathError,
 )
 from spoofamp.manifest import ManifestEntry, load_manifest, write_manifest
@@ -107,7 +106,7 @@ class TestSharedBehavior:
             load_manifest(str(tmp_path / "x"), fmt="csv")
 
     def test_missing_manifest_file(self, tmp_path):
-        with pytest.raises(MissingInputError, match="no such manifest file"):
+        with pytest.raises(ManifestError, match="no such manifest file"):
             load_manifest(str(tmp_path / "nope.tsv"))
 
     def test_duplicate_id_cites_both_lines(self, tmp_path):

@@ -7,7 +7,6 @@ from spoofamp.errors import (
     CoefficientDegeneracyError,
     ConfigError,
     DegenerateSignalError,
-    MissingInputError,
     ScoreFileError,
     SingleClassError,
     UnwritablePathError,
@@ -288,7 +287,7 @@ class TestReport:
 
 class TestScoreFiles:
     def test_missing_score_file(self, tmp_path):
-        with pytest.raises(MissingInputError, match="no such score file"):
+        with pytest.raises(ScoreFileError, match="no such score file"):
             parse_score_file(str(tmp_path / "nope.txt"))
 
     def test_four_column_roundtrip(self, tmp_path):

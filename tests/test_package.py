@@ -29,9 +29,9 @@ _PUBLIC_SURFACE = {
         "AudioIOError", "CoefficientDegeneracyError", "ConfigError", "DegenerateSignalError",
         "DuplicateIdError", "EnhancerError", "EnhancerOutputError", "EnhancerProcessError",
         "EnhancerTimeoutError", "MalformedWavError", "ManifestError", "MismatchError",
-        "MissingFileError", "MissingIdError", "MissingInputError", "MissingReferenceError",
-        "ScoreFileError", "SingleClassError", "SpoofampError", "StageError", "TrainingDataError",
-        "UnsupportedEncodingError", "UnwritablePathError",
+        "MissingIdError", "MissingReferenceError", "ScoreFileError", "SingleClassError",
+        "SpoofampError", "StageError", "TrainingDataError", "UnsupportedEncodingError",
+        "UnwritablePathError",
     },
     "manifest": {"ManifestEntry", "load_manifest", "write_manifest"},
     "metrics": {

@@ -340,27 +340,44 @@ class TestBlasThreads:
 
 
 class TestFileAccess:
+    _PACKAGE = os.path.join(_SRC, "spoofamp")
+
+    def _function_lines(self, module, names):
+        """(module, lineno) for every line of the named top-level functions."""
+        with open(os.path.join(self._PACKAGE, module), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        lines = {
+            (module, lineno)
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in names
+            for lineno in range(node.lineno, node.end_lineno + 1)
+        }
+        assert len(lines) > 0
+        return lines
+
+    def _hits(self, needles, allowed):
+        hits = []
+        for name in sorted(os.listdir(self._PACKAGE)):
+            if name.endswith(".py"):
+                with open(os.path.join(self._PACKAGE, name), encoding="utf-8") as f:
+                    for lineno, line in enumerate(f, start=1):
+                        if any(n in line for n in needles) and (name, lineno) not in allowed:
+                            hits.append(f"{name}:{lineno}: {line.strip()}")
+        return hits
+
     def test_only_the_audio_reader_and_writer_open_files(self):
         # every other module reads through audio._read_file and writes through
         # audio._write_file, so each I/O failure maps to one SpoofampError
-        package = os.path.join(_SRC, "spoofamp")
-        with open(os.path.join(package, "audio.py"), encoding="utf-8") as f:
-            tree = ast.parse(f.read())
-        allowed = {
-            ("audio.py", lineno)
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name in ("_read_file", "_write_file")
-            for lineno in range(node.lineno, node.end_lineno + 1)
-        }
-        hits = []
-        for name in sorted(os.listdir(package)):
-            if name.endswith(".py"):
-                with open(os.path.join(package, name), encoding="utf-8") as f:
-                    for lineno, line in enumerate(f, start=1):
-                        if "open(" in line and (name, lineno) not in allowed:
-                            hits.append(f"{name}:{lineno}: {line.strip()}")
-        assert hits == []
-        assert len(allowed) > 0
+        allowed = self._function_lines("audio.py", ("_read_file", "_write_file"))
+        assert self._hits(("open(",), allowed) == []
+
+    def test_only_optional_files_are_probed(self):
+        # the reader decides that an input is missing; a probe belongs only where a
+        # missing file is a valid state: the CLI's run log and the protocol's extensions
+        allowed = self._function_lines("cli.py", ("_audio_entries",)) | self._function_lines(
+            "manifest.py", ("_resolve_protocol_path",)
+        )
+        assert self._hits(("os.path.isfile", "os.path.exists"), allowed) == []
 
 
 class TestBenchmarkWiring:
