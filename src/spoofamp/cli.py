@@ -8,13 +8,12 @@ invalid configuration or usage.
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import detector, metrics, pipeline, synth
 from .amplify import EXTRACTION_MODES, extract_residual
 from .amplify import amplify as _amplify_op
 from .audio import _check_seconds, _write_file, read_wav, write_wav
-from .config import PipelineConfig, _read_json_object, derive_seed, load_config
+from .config import PipelineConfig, derive_seed, load_config
 from .errors import ConfigError, SpoofampError
 from .manifest import MANIFEST_FORMATS, load_manifest
 from .mixing import add_noise_at_snr
@@ -47,27 +46,15 @@ def _load_entries(args, prefix=""):
 
 
 def _audio_entries(args):
-    """The manifest's entries and the config hash of the run that wrote
-    --audio-dir. With --audio-dir each entry reads <audio_dir>/<id>.wav and the
-    ids its run log marks failed are skipped; with no run log the hash is None."""
-    if args.audio_dir is None:
-        return _load_entries(args), None
-    log_path = os.path.join(args.audio_dir, "run_log.json")
-    log = _read_json_object(log_path, "run log") if os.path.isfile(log_path) else {}
-    records = log.get("entries", [])
-    if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
-        raise ConfigError(f"run log {log_path}: 'entries' must be a list of objects")
-    failed = {r.get("utterance_id") for r in records if r.get("status") == "failed"}
+    """The manifest's entries and run hash, through pipeline._read_run with --audio-dir."""
     entries = _load_entries(args)
-    kept = [
-        replace(e, path=os.path.join(args.audio_dir, e.utterance_id + ".wav"))
-        for e in entries
-        if e.utterance_id not in failed
-    ]
+    if args.audio_dir is None:
+        return entries, None
+    kept, run_hash = pipeline._read_run(args.audio_dir, entries)
     if len(kept) < len(entries):
         n_skipped = len(entries) - len(kept)
         print(f"skipped {n_skipped} of {len(entries)} utterances that the run log marks failed")
-    return kept, log.get("config_hash")
+    return kept, run_hash
 
 
 def _cmd_gen_noise(args):

@@ -89,10 +89,6 @@ class SingleClassError(SpoofampError):
     """Metric or fit invoked with records from only one class."""
 
 
-class CoefficientDegeneracyError(SpoofampError):
-    """Tandem cost coefficients are non-positive under the given parameters."""
-
-
 class TrainingDataError(SpoofampError):
     """Detector training set is too small or missing a class."""
 
@@ -107,10 +103,6 @@ class DuplicateIdError(ManifestError):
 
 class ScoreFileError(SpoofampError):
     """Score file line cannot be parsed."""
-
-
-class MissingIdError(SpoofampError):
-    """Manifest utterance id absent from the score file."""
 
 
 class ConfigError(SpoofampError):

@@ -15,7 +15,6 @@ import numpy as np
 
 from .audio import _read_text, _write_file
 from .errors import (
-    CoefficientDegeneracyError,
     ConfigError,
     DegenerateSignalError,
     ScoreFileError,
@@ -74,6 +73,9 @@ class TdcfParams:
         total = self.p_target + self.p_nontarget + self.p_spoof
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"priors must sum to 1, got {total}")
+        _c0, c1, c2 = tdcf_coefficients(self)
+        if c1 <= 0.0 or c2 <= 0.0:  # the normalized min t-DCF needs both positive
+            raise ConfigError(f"tandem cost coefficients degenerate: C1={c1}, C2={c2}")
 
 
 def _split_scores(records):
@@ -157,14 +159,10 @@ def min_tdcf(records, params):
 
     Raises
     ------
-    SingleClassError, CoefficientDegeneracyError
+    SingleClassError
     """
     bona, spoof = _split_scores(records)
     c0, c1, c2 = tdcf_coefficients(params)
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise CoefficientDegeneracyError(
-            f"tandem cost coefficients degenerate: C1={c1}, C2={c2}"
-        )
     p_miss, p_fa = _det_arrays(bona, spoof)
     costs = c0 + c1 * p_miss + c2 * p_fa
     return float(np.min(costs) / (c0 + min(c1, c2)))

@@ -9,8 +9,9 @@ finish, so outputs and logs are byte identical at any parallelism level.
 import json
 import logging
 import os
+import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import detector, metrics
 from .amplify import process_utterance_details
@@ -19,7 +20,6 @@ from .config import _read_json_object, config_doc, config_hash, derive_seed
 from .enhance import EnhancerKind
 from .errors import (
     ConfigError,
-    MissingIdError,
     ScoreFileError,
     SpoofampError,
     StageError,
@@ -30,6 +30,7 @@ from .errors import (
 _log = logging.getLogger(__name__)
 
 SWEEP_AXES = ("alpha", "snr_db", "noise_color", "extraction_mode", "skip_noise_addition")
+_RUN_LOG = "run_log.json"
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ def _process_one(entry, config, enhancer, out_dir):
             x, crop_seed, noise_seed = _load(entry, config)
         details = process_utterance_details(x, config, enhancer, noise_seed)
         with _stage("io"):
-            write_wav(details.x_tilde, os.path.join(out_dir, entry.utterance_id + ".wav"))
+            write_wav(details.x_tilde, _wav_path(out_dir, entry.utterance_id))
     except StageError as e:
         return {
             "utterance_id": entry.utterance_id,
@@ -79,9 +80,11 @@ def _process_one(entry, config, enhancer, out_dir):
     }
 
 
+def _wav_path(run_dir, utterance_id):
+    return os.path.join(run_dir, utterance_id + ".wav")
+
+
 def _map_entries(entries, fn, parallelism):
-    if parallelism <= 1:
-        return [fn(e) for e in entries]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(fn, entries))
 
@@ -111,9 +114,28 @@ def run_pipeline(config, entries, out_dir):
         "n_failed": n_failed,
         "entries": records,
     }
-    log_path = os.path.join(out_dir, "run_log.json")
+    log_path = os.path.join(out_dir, _RUN_LOG)
     _write_file(log_path, (json.dumps(log_doc, indent=1, sort_keys=True) + "\n").encode("utf-8"))
     return RunResult(n_ok, n_failed, log_path, chash)
+
+
+def _read_run(run_dir, entries):
+    """The entries remapped to <run_dir>/<id>.wav minus the ids the run log marks
+    failed, and the run's config hash; with no log (a valid state), all and None."""
+    log_path = os.path.join(run_dir, _RUN_LOG)
+    log = _read_json_object(log_path, "run log") if os.path.isfile(log_path) else {}
+    records = log.get("entries", [])
+    if not (isinstance(records, list) and all(isinstance(r, dict) for r in records)):
+        raise ConfigError(f"run log {log_path}: 'entries' must be a list of objects")
+    if not all(isinstance(r.get("utterance_id"), str) for r in records):
+        raise ConfigError(f"run log {log_path}: every utterance_id must be a string")
+    chash = log.get("config_hash")
+    hex16 = isinstance(chash, str) and re.fullmatch("[0-9a-f]{16}", chash)
+    if "config_hash" in log and not hex16:  # the form config.config_hash writes
+        raise ConfigError(f"run log {log_path}: config_hash {chash!r} is not 16 lowercase hex")
+    failed = {r["utterance_id"] for r in records if r.get("status") == "failed"}
+    kept = [e for e in entries if e.utterance_id not in failed]
+    return [replace(e, path=_wav_path(run_dir, e.utterance_id)) for e in kept], chash
 
 
 @dataclass(frozen=True)
@@ -229,7 +251,7 @@ def join_scores(entries, rows, polarity_flip=False, source="score file"):
     records = []
     for e in entries:
         if e.utterance_id not in by_id:
-            raise MissingIdError(f"manifest id {e.utterance_id!r} missing from {source}")
+            raise ScoreFileError(f"manifest id {e.utterance_id!r} missing from {source}")
         _attack, label, score = by_id[e.utterance_id]
         if label is not None and label != e.label:
             raise ScoreFileError(

@@ -65,6 +65,14 @@ def ws(tmp_path_factory):
     }
 
 
+def _failed_list_id(text):
+    """The run log text with its first record failed under a list for an id."""
+    log = json.loads(text)
+    record = log["entries"][0]
+    record.update(status="failed", utterance_id=[record["utterance_id"]])
+    return json.dumps(log)
+
+
 def _manifest_with_missing_file(ws, tmp_path, utterance_id):
     """The workspace manifest plus one line whose audio file does not exist."""
     manifest = str(tmp_path / "broken.tsv")
@@ -321,8 +329,11 @@ class TestFitScore:
         [
             lambda text: text[: len(text) // 2],
             lambda text: json.dumps({**json.loads(text), "entries": {}}),
+            lambda text: json.dumps({**json.loads(text), "config_hash": "ab cd\n# x"}),
+            lambda text: json.dumps({**json.loads(text), "config_hash": 12345}),
+            _failed_list_id,
         ],
-        ids=["truncated", "entries_not_a_list"],
+        ids=["truncated", "entries_not_a_list", "bad_hash", "numeric_hash", "list_id"],
     )
     def test_unparsable_run_log_usage_error(self, ws, tmp_path, capsys, damage):
         audio = tmp_path / "audio"
@@ -335,9 +346,7 @@ class TestFitScore:
             "--audio-dir", str(audio), "--out-scores", str(scores),
         ]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "run log" in err
+        assert capsys.readouterr().err.startswith("error: run log ")
         assert not scores.exists()
         # with no run log at all the scores are written without a hash
         (audio / "run_log.json").unlink()
@@ -457,6 +466,33 @@ class TestReport:
         rc = main(["report", "--manifest", ws["manifest"], "--scores", a, b])
         assert rc == 0
         assert "pooled EER" in capsys.readouterr().out
+
+
+class TestDegenerateTdcf:
+    @pytest.mark.parametrize("command", ["sweep", "report"])
+    def test_usage_error_before_any_read(self, ws, tmp_path, capsys, monkeypatch, command):
+        # c_fa_spoof = 0 zeroes C2, so no threshold has a min t-DCF: the file is refused at load
+        defaults = os.path.join(os.path.dirname(pipeline.__file__), "data", "tdcf_default.json")
+        with open(defaults) as f:
+            doc = json.load(f)
+        params = tmp_path / "tdcf.json"
+        params.write_text(json.dumps({**doc, "c_fa_spoof": 0}))
+        reads = []
+        monkeypatch.setattr(pipeline, "read_wav", reads.append)
+        csv_path = tmp_path / "s.csv"
+        argv = {
+            "sweep": [
+                "sweep", "--train-manifest", ws["manifest"], "--eval-manifest", ws["manifest"],
+                "--axis", "alpha", "--values=0.5,1.0,1.4,2.0", "--out", str(csv_path),
+            ],
+            "report": ["report", "--manifest", ws["manifest"], "--scores", ws["scores"]],
+        }[command]
+        assert main(argv + ["--tdcf-params", str(params)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: t-DCF parameter file {params}: ")
+        assert "tandem cost coefficients degenerate" in err
+        assert reads == []
+        assert not csv_path.exists()
 
 
 class TestMissingInputs:

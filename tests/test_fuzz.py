@@ -8,6 +8,7 @@ repeatable.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -19,8 +20,9 @@ from spoofamp.audio import Waveform, read_wav, write_wav
 from spoofamp.config import load_config
 from spoofamp.detector import FeatureConfig, fit, load_model, save_model
 from spoofamp.errors import SpoofampError
-from spoofamp.manifest import load_manifest
+from spoofamp.manifest import ManifestEntry, load_manifest
 from spoofamp.metrics import parse_score_file
+from spoofamp.pipeline import _read_run
 
 from conftest import write_minimal_wav
 
@@ -44,6 +46,19 @@ _CONFIG = {"snr_db": 5.0, "noise_color": "pink", "enhancer": "spectral_subtracti
            "enhancer_params": {"floor": 0.02}, "alpha": 1.4, "crop_seconds": 2.0,
            "extraction_mode": "naive", "skip_noise_addition": False, "global_seed": 7,
            "parallelism": 2, "_comment": "x"}
+_RUN_LOG = {
+    "config_hash": "0123456789abcdef", "config": {"alpha": 1.4}, "n_ok": 1, "n_failed": 1,
+    "entries": [
+        {"utterance_id": "U1", "status": "ok", "crop_seed": 3, "noise_seed": 4},
+        {"utterance_id": "U2", "status": "failed", "stage": "io", "error": "x"},
+    ],
+}
+_RUN_LOG_PATHS = [(key,) for key in _RUN_LOG] + [("entries", 0), ("entries", 1)] + [
+    ("entries", 1, key) for key in _RUN_LOG["entries"][1]
+]
+_RUN_ENTRIES = [
+    ManifestEntry("U1", "a.wav", "bonafide", "-"), ManifestEntry("U2", "b.wav", "spoof", "A01")
+]
 
 # values at the edges of what a float, an int or a container holds
 _EDGES = [10**400, -(10**400), float("inf"), float("-inf"), float("nan"), 0, -1, "", [], {}]
@@ -68,6 +83,11 @@ def mutations(draw, valid):
         else:
             data.insert(pos, byte)
     return bytes(data[: draw(st.integers(0, len(data)))])
+
+
+def _read_run_log(path):
+    """_read_run on the run directory holding path, a file named run_log.json."""
+    return _read_run(os.path.dirname(path), _RUN_ENTRIES)
 
 
 def _check(reader, path, data):
@@ -107,9 +127,11 @@ def valid(tmp_path_factory):
     feats = [rng.standard_normal(6) for _ in range(4)]
     model = root / "model.json"
     save_model(fit(feats, ["bonafide", "spoof"] * 2, FeatureConfig(n_bands=2)), str(model))
+    (root / "run").mkdir()
     return {
         "root": str(root),
         "path": str(root / "input"),
+        "run_log": str(root / "run" / "run_log.json"),
         "wavs": (wav.read_bytes(), pcm.read_bytes()),
         "model": json.loads(model.read_text()),
     }
@@ -139,17 +161,21 @@ class TestFuzzedReaders:
         assert len(load_manifest(valid["path"])) == 3
         _check(parse_score_file, valid["path"], _SCORES)
         assert len(parse_score_file(valid["path"]).rows) == 3
+        _check(_read_run_log, valid["run_log"], json.dumps(_RUN_LOG).encode("utf-8"))
+        kept, chash = _read_run_log(valid["run_log"])
+        assert [e.utterance_id for e in kept] == ["U1"] and chash == "0123456789abcdef"
 
     def test_edge_value_in_every_json_field(self, valid):
         # every edge value at every key path, which random draws reach too rarely
         config_paths = [(key,) for key in _CONFIG] + [("enhancer_params", "floor")]
-        for reader, doc, paths in (
-            (load_model, valid["model"], _model_paths(valid["model"])),
-            (load_config, _CONFIG, config_paths),
+        for reader, target, doc, paths in (
+            (load_model, valid["path"], valid["model"], _model_paths(valid["model"])),
+            (load_config, valid["path"], _CONFIG, config_paths),
+            (_read_run_log, valid["run_log"], _RUN_LOG, _RUN_LOG_PATHS),
         ):
             for path in paths:
                 for value in _EDGES:
-                    _check(reader, valid["path"], _replace_one_value(doc, value, path))
+                    _check(reader, target, _replace_one_value(doc, value, path))
 
     @FUZZ
     @given(st.data())
@@ -186,3 +212,11 @@ class TestFuzzedReaders:
                              st.sampled_from(paths))
         text = data.draw(_inputs(json.dumps(_CONFIG).encode("utf-8")) | replaced)
         _check(load_config, valid["path"], text)
+
+    @FUZZ
+    @given(st.data())
+    def test_read_run(self, valid, data):
+        replaced = st.builds(_replace_one_value, st.just(_RUN_LOG), json_values,
+                             st.sampled_from(_RUN_LOG_PATHS))
+        text = data.draw(_inputs(json.dumps(_RUN_LOG).encode("utf-8")) | replaced)
+        _check(_read_run_log, valid["run_log"], text)

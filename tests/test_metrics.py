@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spoofamp.errors import (
-    CoefficientDegeneracyError,
     ConfigError,
     DegenerateSignalError,
     ScoreFileError,
@@ -159,18 +158,19 @@ class TestMinTdcf:
                 while True:
                     pri = rng.uniform(0.05, 1.0, 3)
                     pri /= pri.sum()
-                    params = TdcfParams(
-                        p_target=float(pri[0]), p_nontarget=float(pri[1]),
-                        p_spoof=float(pri[2]),
-                        c_miss=float(rng.uniform(0.5, 10)), c_fa=float(rng.uniform(0.5, 10)),
-                        c_fa_spoof=float(rng.uniform(0.5, 10)),
-                        asv_pmiss=float(rng.uniform(0.0, 0.2)),
-                        asv_pfa=float(rng.uniform(0.0, 0.2)),
-                        asv_pmiss_spoof=float(rng.uniform(0.0, 0.5)),
-                    )
-                    c0, c1, c2 = tdcf_coefficients(params)
-                    if c1 > 0.0 and c2 > 0.0:
+                    try:
+                        params = TdcfParams(
+                            p_target=float(pri[0]), p_nontarget=float(pri[1]),
+                            p_spoof=float(pri[2]),
+                            c_miss=float(rng.uniform(0.5, 10)), c_fa=float(rng.uniform(0.5, 10)),
+                            c_fa_spoof=float(rng.uniform(0.5, 10)),
+                            asv_pmiss=float(rng.uniform(0.0, 0.2)),
+                            asv_pfa=float(rng.uniform(0.0, 0.2)),
+                            asv_pmiss_spoof=float(rng.uniform(0.0, 0.5)),
+                        )
                         break
+                    except ConfigError:  # degenerate costs: draw again
+                        pass
             got = min_tdcf(_records(bona, spoof), params)
             want = _min_tdcf_oracle(bona, spoof, params)
             assert got == pytest.approx(want, abs=1e-12), f"set {i}"
@@ -191,13 +191,12 @@ class TestMinTdcf:
 
     def test_coefficient_degeneracy_rejected(self):
         # asv_pmiss = 1 makes C1 = p_target*c_miss - C0 <= 0
-        params = TdcfParams(
-            p_target=0.5, p_nontarget=0.25, p_spoof=0.25,
-            c_miss=1.0, c_fa=1.0, c_fa_spoof=1.0,
-            asv_pmiss=1.0, asv_pfa=0.0, asv_pmiss_spoof=0.0,
-        )
-        with pytest.raises(CoefficientDegeneracyError):
-            min_tdcf(_records([0.9], [0.1]), params)
+        with pytest.raises(ConfigError, match="tandem cost coefficients degenerate: C1="):
+            TdcfParams(
+                p_target=0.5, p_nontarget=0.25, p_spoof=0.25,
+                c_miss=1.0, c_fa=1.0, c_fa_spoof=1.0,
+                asv_pmiss=1.0, asv_pfa=0.0, asv_pmiss_spoof=0.0,
+            )
 
     def test_coefficients_formula(self):
         c0, c1, c2 = tdcf_coefficients(UNIT_PARAMS)

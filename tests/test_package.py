@@ -26,12 +26,11 @@ _PUBLIC_SURFACE = {
     },
     "enhance": {"EnhancerKind", "enhance"},
     "errors": {
-        "AudioIOError", "CoefficientDegeneracyError", "ConfigError", "DegenerateSignalError",
-        "DuplicateIdError", "EnhancerError", "EnhancerOutputError", "EnhancerProcessError",
-        "EnhancerTimeoutError", "MalformedWavError", "ManifestError", "MismatchError",
-        "MissingIdError", "MissingReferenceError", "ScoreFileError", "SingleClassError",
-        "SpoofampError", "StageError", "TrainingDataError", "UnsupportedEncodingError",
-        "UnwritablePathError",
+        "AudioIOError", "ConfigError", "DegenerateSignalError", "DuplicateIdError",
+        "EnhancerError", "EnhancerOutputError", "EnhancerProcessError", "EnhancerTimeoutError",
+        "MalformedWavError", "ManifestError", "MismatchError", "MissingReferenceError",
+        "ScoreFileError", "SingleClassError", "SpoofampError", "StageError",
+        "TrainingDataError", "UnsupportedEncodingError", "UnwritablePathError",
     },
     "manifest": {"ManifestEntry", "load_manifest", "write_manifest"},
     "metrics": {

@@ -19,7 +19,6 @@ from spoofamp.audio import crop_or_pad, read_wav, write_wav
 from spoofamp.config import PipelineConfig, config_hash, derive_seed
 from spoofamp.errors import (
     ConfigError,
-    MissingIdError,
     ScoreFileError,
     StageError,
     UnwritablePathError,
@@ -373,11 +372,17 @@ class TestFileAccess:
 
     def test_only_optional_files_are_probed(self):
         # the reader decides that an input is missing; a probe belongs only where a
-        # missing file is a valid state: the CLI's run log and the protocol's extensions
-        allowed = self._function_lines("cli.py", ("_audio_entries",)) | self._function_lines(
+        # missing file is a valid state: a run's log and the protocol's extensions
+        allowed = self._function_lines("pipeline.py", ("_read_run",)) | self._function_lines(
             "manifest.py", ("_resolve_protocol_path",)
         )
         assert self._hits(("os.path.isfile", "os.path.exists"), allowed) == []
+
+    def test_only_pipeline_names_the_run_log(self):
+        # pipeline writes a run directory and reads it back; no other module knows its layout
+        hits = self._hits(("run_log.json",), set())
+        assert hits != []
+        assert [h for h in hits if not h.startswith("pipeline.py:")] == []
 
 
 class TestBenchmarkWiring:
@@ -559,7 +564,7 @@ class TestJoinScores:
 
     def test_missing_manifest_id(self):
         entries = _entries(("U1", "bonafide"), ("U2", "spoof"))
-        with pytest.raises(MissingIdError, match="U2"):
+        with pytest.raises(ScoreFileError, match="U2"):
             join_scores(entries, [("U1", None, None, 0.5)])
 
     def test_label_conflict(self):
