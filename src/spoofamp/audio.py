@@ -1,4 +1,4 @@
-"""Signal container, WAV file I/O, and cropping.
+"""Signal container, WAV encoding and decoding, and cropping.
 
 All audio is held as float64 internally regardless of file encoding, because
 the projection residual math downstream asserts orthogonality at 1e-9, which
@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import _read_file, _write_file
 from .errors import (
     AudioIOError,
     ConfigError,
@@ -18,7 +19,6 @@ from .errors import (
     MalformedWavError,
     MismatchError,
     UnsupportedEncodingError,
-    UnwritablePathError,
     _is_finite_number,
     _is_integer,
 )
@@ -83,36 +83,6 @@ def _check_aligned(a, b, name_a, name_b):
         raise MismatchError(
             f"sample rate mismatch: {name_a} {a.sample_rate} vs {name_b} {b.sample_rate}"
         )
-
-
-def _read_file(path, what, error):
-    """The bytes of the file at path; a missing file or any other OSError
-    raises error naming the file."""
-    try:
-        with open(path, "rb") as f:
-            return f.read()
-    except FileNotFoundError as e:
-        raise error(f"no such {what}: {path}") from e
-    except OSError as e:
-        raise error(f"cannot read {what} {path}: {e}") from e
-
-
-def _read_text(path, what, error):
-    """The file at path as UTF-8 text, newlines translated as text mode does."""
-    try:
-        text = _read_file(path, what, error).decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise error(f"{path}: {what} is not UTF-8 text: {e}") from e
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def _write_file(path, data):
-    """Write bytes to path; an OSError raises UnwritablePathError naming the file."""
-    try:
-        with open(path, "wb") as f:
-            f.write(data)
-    except OSError as e:
-        raise UnwritablePathError(f"cannot write {path}: {e}") from e
 
 
 def read_wav(path):

@@ -12,7 +12,8 @@ import sys
 from . import detector, metrics, pipeline, synth
 from .amplify import EXTRACTION_MODES, extract_residual
 from .amplify import amplify as _amplify_op
-from .audio import _check_seconds, _write_file, read_wav, write_wav
+from ._files import _write_file
+from .audio import _check_seconds, read_wav, write_wav
 from .config import PipelineConfig, derive_seed, load_config
 from .errors import ConfigError, SpoofampError
 from .manifest import MANIFEST_FORMATS, load_manifest

@@ -11,8 +11,9 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from ._files import _read_json_object
 from .amplify import _check_alpha, _check_extraction_mode
-from .audio import _check_seconds, _read_text
+from .audio import _check_seconds
 from .enhance import EnhancerKind
 from .errors import ConfigError, _is_integer
 from .mixing import _check_snr_db
@@ -65,27 +66,6 @@ class PipelineConfig:
 
     def with_overrides(self, **kwargs):
         return replace(self, **kwargs)
-
-
-def _read_json_object(path, what, error=ConfigError, known=None):
-    """Parse a JSON file holding one object and drop its comment keys.
-
-    Keys starting with an underscore are comments and are dropped. When known
-    is given, any other key outside it is rejected so typos fail loudly. Every
-    failure raises error with a message naming what the file is and its path.
-    """
-    try:
-        doc = json.loads(_read_text(path, what, error))
-    except (ValueError, RecursionError) as e:  # RecursionError: arrays nested too deep
-        raise error(f"{what} {path} is not valid JSON: {e}") from e
-    if not isinstance(doc, dict):
-        raise error(f"{what} {path} must hold a JSON object")
-    clean = {key: value for key, value in doc.items() if not key.startswith("_")}
-    if known is not None:
-        for key in clean:
-            if key not in known:
-                raise error(f"{what} {path}: unknown key {key!r}")
-    return clean
 
 
 def load_config(path):

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import _write_file
-from .config import _read_json_object
+from ._files import _read_json_object, _write_file
 from .errors import (
     ConfigError,
     DegenerateSignalError,

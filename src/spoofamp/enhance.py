@@ -10,7 +10,6 @@ spectral subtraction) or RMS (for the Wiener gain's power estimate).
 """
 
 import shlex
-import shutil
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
@@ -145,8 +144,7 @@ def _run_external(command_template, y, timeout_s):
         Process ran too long, exited nonzero, or produced unusable audio;
         each carries captured stderr text.
     """
-    tmpdir = tempfile.mkdtemp(prefix="spoofamp-ext-")
-    try:
+    with tempfile.TemporaryDirectory(prefix="spoofamp-ext-", ignore_cleanup_errors=True) as tmpdir:
         in_path = f"{tmpdir}/in.wav"
         out_path = f"{tmpdir}/out.wav"
         write_wav(y, in_path)
@@ -183,8 +181,6 @@ def _run_external(command_template, y, timeout_s):
                 stderr=proc.stderr,
             )
         return y.with_samples(_match_length(result.samples, len(y)))
-    finally:
-        shutil.rmtree(tmpdir, ignore_errors=True)
 
 
 def enhance(kind, y, reference_clean=None):

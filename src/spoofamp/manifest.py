@@ -12,7 +12,7 @@ import logging
 import os
 from dataclasses import dataclass
 
-from .audio import _read_text, _write_file
+from ._files import _read_text, _write_file
 from .errors import ConfigError, DuplicateIdError, ManifestError
 from .metrics import LABELS
 
@@ -49,7 +49,7 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
         Unknown format, or asvspoof_protocol without an audio_root.
     ManifestError
         Missing or unreadable file, malformed line (message cites the line
-        number) or unknown label.
+        number), unknown label, or an id that cannot name a file.
     DuplicateIdError
         Repeated utterance id (message cites both line numbers).
     """
@@ -83,6 +83,8 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
             utt, audio_path, label, attack = tokens
             if not os.path.isabs(audio_path):
                 audio_path = os.path.join(base_dir, audio_path)
+        if utt.split() != [utt] or "/" in utt or os.sep in utt:  # the id names its output files
+            raise ManifestError(f"{path}:{lineno}: utterance id {utt!r} cannot name a file")
         if label not in LABELS:
             raise ManifestError(
                 f"{path}:{lineno}: unknown label {label!r} (expected one of {LABELS})"

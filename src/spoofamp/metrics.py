@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import _read_text, _write_file
+from ._files import _read_text, _write_file
 from .errors import (
     ConfigError,
     DegenerateSignalError,
@@ -278,9 +278,16 @@ def parse_score_file(path):
     return ScoreFile(rows=rows, config_hash=config_hash)
 
 
+def _is_config_hash(value):
+    """Whether value has the form config.config_hash writes: 16 lowercase hex digits."""
+    return isinstance(value, str) and len(value) == 16 and set(value) <= set("0123456789abcdef")
+
+
 def write_score_file(path, records, config_hash=None):
     """Write records as 4-column score lines, with an optional config hash
-    comment header."""
+    comment header; a hash not of config.config_hash's form raises ConfigError."""
+    if config_hash is not None and not _is_config_hash(config_hash):
+        raise ConfigError(f"config_hash {config_hash!r} is not 16 lowercase hex")
     lines = [f"# config_hash={config_hash}\n"] if config_hash else []
     lines += [f"{r.utterance_id} {r.attack_id} {r.label} {r.score!r}\n" for r in records]
     _write_file(path, "".join(lines).encode("utf-8"))

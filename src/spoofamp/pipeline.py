@@ -9,23 +9,16 @@ finish, so outputs and logs are byte identical at any parallelism level.
 import json
 import logging
 import os
-import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import detector, metrics
+from ._files import _make_dir, _read_json_object, _remove_file, _write_file
 from .amplify import process_utterance_details
-from .audio import _write_file, crop_or_pad, read_wav, write_wav
-from .config import _read_json_object, config_doc, config_hash, derive_seed
+from .audio import crop_or_pad, read_wav, write_wav
+from .config import config_doc, config_hash, derive_seed
 from .enhance import EnhancerKind
-from .errors import (
-    ConfigError,
-    ScoreFileError,
-    SpoofampError,
-    StageError,
-    UnwritablePathError,
-    _stage,
-)
+from .errors import ConfigError, ScoreFileError, SpoofampError, StageError, _stage
 
 _log = logging.getLogger(__name__)
 
@@ -97,10 +90,9 @@ def run_pipeline(config, entries, out_dir):
     Failures are logged per utterance and counted, never raised.
     """
     chash = config_hash(config)  # before any WAV is written: a failure here leaves nothing
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as e:
-        raise UnwritablePathError(f"cannot create output directory {out_dir}: {e}") from e
+    _make_dir(out_dir, "output")
+    log_path = os.path.join(out_dir, _RUN_LOG)
+    _remove_file(log_path)  # a previous run's log must not outlive a run that stops midway
     enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
     records = _map_entries(
         entries, lambda e: _process_one(e, config, enhancer, out_dir), config.parallelism
@@ -114,7 +106,6 @@ def run_pipeline(config, entries, out_dir):
         "n_failed": n_failed,
         "entries": records,
     }
-    log_path = os.path.join(out_dir, _RUN_LOG)
     _write_file(log_path, (json.dumps(log_doc, indent=1, sort_keys=True) + "\n").encode("utf-8"))
     return RunResult(n_ok, n_failed, log_path, chash)
 
@@ -130,8 +121,7 @@ def _read_run(run_dir, entries):
     if not all(isinstance(r.get("utterance_id"), str) for r in records):
         raise ConfigError(f"run log {log_path}: every utterance_id must be a string")
     chash = log.get("config_hash")
-    hex16 = isinstance(chash, str) and re.fullmatch("[0-9a-f]{16}", chash)
-    if "config_hash" in log and not hex16:  # the form config.config_hash writes
+    if "config_hash" in log and not metrics._is_config_hash(chash):
         raise ConfigError(f"run log {log_path}: config_hash {chash!r} is not 16 lowercase hex")
     failed = {r["utterance_id"] for r in records if r.get("status") == "failed"}
     kept = [e for e in entries if e.utterance_id not in failed]

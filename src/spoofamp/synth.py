@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._files import _make_dir
 from .audio import Waveform, _check_seconds, write_wav
 from .config import derive_seed
-from .errors import ConfigError, UnwritablePathError, _is_finite_number, _is_integer
+from .errors import ConfigError, _is_finite_number, _is_integer
 from .manifest import ManifestEntry, write_manifest
 from .noise import _check_sample_rate, generate
 
@@ -207,10 +208,7 @@ def synth_corpus(spec, out_dir, prefix="SYN"):
     Returns (entries, manifest_path). File and manifest content are byte
     identical across reruns of the same spec.
     """
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as e:
-        raise UnwritablePathError(f"cannot create corpus directory {out_dir}: {e}") from e
+    _make_dir(out_dir, "corpus")
     entries = []
     jobs = [(f"{prefix}_B_{i:04d}", False) for i in range(spec.n_bonafide)]
     jobs += [(f"{prefix}_S_{i:04d}", True) for i in range(spec.n_spoof)]

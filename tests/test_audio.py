@@ -1,21 +1,16 @@
 """Waveform container, WAV round-trips, cropping, and the SNR oracle."""
 
+import os
 import re
+import stat
 import struct
 
 import numpy as np
 import pytest
 
-from spoofamp import audio
-from spoofamp.audio import (
-    Waveform,
-    _read_file,
-    _read_text,
-    _write_file,
-    crop_or_pad,
-    read_wav,
-    write_wav,
-)
+from spoofamp import _files
+from spoofamp._files import _read_file, _read_text, _write_file
+from spoofamp.audio import Waveform, crop_or_pad, read_wav, write_wav
 from spoofamp.errors import (
     AudioIOError,
     ConfigError,
@@ -166,7 +161,7 @@ class TestFileIO:
         def denied(path, mode):
             raise PermissionError(13, "Permission denied", path)
 
-        monkeypatch.setattr(audio, "open", denied, raising=False)
+        monkeypatch.setattr(_files, "open", denied, raising=False)
         with pytest.raises(AudioIOError, match="cannot read audio file .*Permission denied"):
             read_wav(str(p))
 
@@ -184,6 +179,59 @@ class TestFileIO:
     def test_write_failure_names_file(self, tmp_path):
         with pytest.raises(UnwritablePathError, match=re.escape(f"cannot write {tmp_path}: ")):
             _write_file(str(tmp_path), b"x")
+
+    def test_write_replaces_the_whole_file_with_umask_mode(self, tmp_path):
+        p = tmp_path / "out.bin"
+        p.write_bytes(b"a longer old content")
+        _write_file(str(p), b"new")
+        assert p.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["out.bin"]  # no temp file left beside it
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(p.stat().st_mode) == 0o666 & ~umask
+
+    def test_symlink_is_written_through(self, tmp_path):
+        real = tmp_path / "real.bin"
+        real.write_bytes(b"old")
+        link = tmp_path / "link.bin"
+        link.symlink_to(real)
+        _write_file(str(link), b"new")
+        assert link.is_symlink()
+        assert real.read_bytes() == b"new"
+        assert sorted(os.listdir(tmp_path)) == ["link.bin", "real.bin"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_is_written_in_place_not_replaced(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            _write_file(str(fifo), b"abc")
+            assert os.read(reader, 16) == b"abc"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+
+    def test_directory_target_leaves_no_temp_beside_it(self, tmp_path):
+        target = tmp_path / "d"
+        target.mkdir()
+        with pytest.raises(UnwritablePathError, match=re.escape(f"cannot write {target}: ")):
+            _write_file(str(target), b"x")
+        assert os.listdir(tmp_path) == ["d"]
+
+    def test_failed_rename_keeps_old_bytes_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        p = tmp_path / "out.bin"
+        p.write_bytes(b"old")
+
+        def refused(src, dst):
+            raise PermissionError(13, "Permission denied", dst)
+
+        monkeypatch.setattr(_files.os, "replace", refused)
+        with pytest.raises(UnwritablePathError, match=re.escape(f"cannot write {p}: ")):
+            _write_file(str(p), b"new")
+        assert p.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.bin"]
 
 
 class TestWavErrors:

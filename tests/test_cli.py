@@ -496,6 +496,15 @@ class TestDegenerateTdcf:
 
 
 class TestMissingInputs:
+    def test_process_refuses_an_id_that_escapes_out_dir(self, ws, tmp_path, capsys):
+        wav = load_manifest(ws["manifest"])[0].path
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"../escaped\t{wav}\tbonafide\t-\n")
+        rc = main(["process", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "utterance id '../escaped' cannot name a file" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["m.tsv"]
+
     def test_process_missing_manifest(self, tmp_path, capsys):
         rc = main([
             "process", "--manifest", str(tmp_path / "nope.tsv"),

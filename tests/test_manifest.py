@@ -2,6 +2,7 @@
 
 import logging
 import os
+import re
 
 import pytest
 
@@ -118,6 +119,20 @@ class TestSharedBehavior:
         )
         with pytest.raises(DuplicateIdError, match=r"lines 1 and 3"):
             load_manifest(str(p))
+
+    @pytest.mark.parametrize("utt", ["../x", "a/b", "U 1", ""])
+    def test_id_that_cannot_name_a_file_cites_line(self, tmp_path, utt):
+        p = tmp_path / "m.tsv"
+        p.write_text(f"OK\ta.wav\tbonafide\t-\n{utt}\tb.wav\tspoof\tA01\n")
+        with pytest.raises(ManifestError, match=re.escape(f"{p}:2: utterance id {utt!r}")):
+            load_manifest(str(p))
+
+    @pytest.mark.parametrize("utt", ["../x", "a/b"])
+    def test_protocol_id_that_cannot_name_a_file(self, tmp_path, utt):
+        p = tmp_path / "protocol.txt"
+        p.write_text(f"S {utt} - A01 spoof\n")
+        with pytest.raises(ManifestError, match=re.escape(f"{p}:1: utterance id {utt!r}")):
+            load_manifest(str(p), fmt="asvspoof_protocol", audio_root=str(tmp_path))
 
     def test_crlf_and_cr_line_ends(self, tmp_path):
         p = tmp_path / "manifest.tsv"

@@ -292,13 +292,19 @@ class TestScoreFiles:
     def test_four_column_roundtrip(self, tmp_path):
         recs = _records([0.75, -0.001953125], [0.5])
         p = tmp_path / "scores.txt"
-        write_score_file(str(p), recs, config_hash="abc123")
+        write_score_file(str(p), recs, config_hash="0123456789abcdef")
         parsed = parse_score_file(str(p))
-        assert parsed.config_hash == "abc123"
+        assert parsed.config_hash == "0123456789abcdef"
         assert len(parsed.rows) == 3
         utt, attack, label, score = parsed.rows[0]
         assert (utt, attack, label) == ("B0", "-", "bonafide")
         assert score == recs[0].score  # repr round-trips floats exactly
+
+    def test_write_rejects_a_hash_not_of_config_hash_form(self, tmp_path):
+        p = tmp_path / "scores.txt"
+        with pytest.raises(ConfigError, match="is not 16 lowercase hex"):
+            write_score_file(str(p), _records([0.5], [0.25]), config_hash="ab cd\n# x")
+        assert not p.exists()
 
     def test_two_column_format(self, tmp_path):
         p = tmp_path / "scores.txt"

@@ -13,6 +13,7 @@ import spoofamp
 # Public functions and classes defined in each submodule. A name added or
 # dropped here is a change to the library's public surface.
 _PUBLIC_SURFACE = {
+    "_files": set(),
     "amplify": {
         "ProcessDetails", "Residual", "amplify", "extract_residual", "process_utterance",
         "process_utterance_details",
@@ -73,6 +74,19 @@ def test_submodules_not_shadowed_by_root_exports():
         scope = {}
         exec(f"import spoofamp.{name} as m", scope)
         assert isinstance(scope["m"], types.ModuleType), name
+
+
+def test_detector_import_loads_no_dsp_chain():
+    """Reading and writing a model needs the file boundary, not the config,
+    the DSP chain or the WAV module."""
+    loaded = _run_fresh(
+        "import sys, spoofamp.detector\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('spoofamp.')))"
+    )
+    assert loaded == [
+        "spoofamp._files", "spoofamp.detector", "spoofamp.errors", "spoofamp.metrics",
+        "spoofamp.stft",
+    ]
 
 
 def test_cli_import_loads_no_scipy():

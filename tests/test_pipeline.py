@@ -5,9 +5,11 @@ import importlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from spoofamp import amplify as amplify_module
 from spoofamp import pipeline
-from spoofamp.audio import crop_or_pad, read_wav, write_wav
+from spoofamp.audio import Waveform, crop_or_pad, read_wav, write_wav
 from spoofamp.config import PipelineConfig, config_hash, derive_seed
 from spoofamp.errors import (
     ConfigError,
@@ -276,6 +278,29 @@ class TestRunPipeline:
             run_pipeline(_config(), corpus[0], str(out))
         assert not out.exists()
 
+    def test_aborted_rerun_leaves_no_run_log(self, corpus, tmp_path, monkeypatch):
+        # a log left by an earlier run would vouch for the WAVs of this one
+        entries, _ = corpus
+        out = tmp_path / "run"
+        run_pipeline(_config(), entries, str(out))
+        assert (out / "run_log.json").exists()
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "process_utterance_details", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(_config(alpha=0.5), entries, str(out))
+        assert not (out / "run_log.json").exists()
+
+    def test_log_that_cannot_be_removed_stops_the_run(self, corpus, tmp_path):
+        out = tmp_path / "run"
+        log = out / "run_log.json"
+        log.mkdir(parents=True)
+        with pytest.raises(UnwritablePathError, match=re.escape(f"cannot remove {log}: ")):
+            run_pipeline(_config(), corpus[0], str(out))
+        assert os.listdir(out) == ["run_log.json"]  # and no WAV
+
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
 _RUN_IN_CHILD = """
@@ -338,6 +363,45 @@ class TestBlasThreads:
         assert hits == []
 
 
+class TestKilledRun:
+    @pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="needs SIGKILL")
+    def test_killed_process_leaves_only_complete_wavs_and_no_log(self, tmp_path):
+        wav_dir = tmp_path / "wavs"
+        wav_dir.mkdir()
+        rng = np.random.default_rng(0)
+        entries = []
+        for i in range(48):
+            path = str(wav_dir / f"U{i:02d}.wav")
+            write_wav(Waveform(0.1 * rng.standard_normal(64000), 16000), path)
+            entries.append(ManifestEntry(f"U{i:02d}", path, ("bonafide", "spoof")[i % 2], "-"))
+        manifest = str(tmp_path / "manifest.tsv")
+        write_manifest(manifest, entries)
+        out = tmp_path / "out"
+        run_pipeline(_config(alpha=0.5), [], str(out))  # a finished log of another config
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spoofamp.cli", "process", "--manifest", manifest,
+             "--out-dir", str(out), "--parallelism", "1"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not any(n.endswith(".wav") for n in os.listdir(out)):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.001)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL  # killed midway, not finished
+        names = os.listdir(out)
+        wavs = [n for n in names if n.endswith(".wav")]
+        assert 0 < len(wavs) < len(entries)
+        for name in wavs:
+            assert len(read_wav(str(out / name))) == 64000  # crop_seconds 4 at 16 kHz
+        assert "run_log.json" not in names
+
+
 class TestFileAccess:
     _PACKAGE = os.path.join(_SRC, "spoofamp")
 
@@ -365,16 +429,22 @@ class TestFileAccess:
         return hits
 
     def test_only_the_audio_reader_and_writer_open_files(self):
-        # every other module reads through audio._read_file and writes through
-        # audio._write_file, so each I/O failure maps to one SpoofampError
-        allowed = self._function_lines("audio.py", ("_read_file", "_write_file"))
-        assert self._hits(("open(",), allowed) == []
+        # every other module reads, writes, creates and removes through _files,
+        # so each I/O failure maps to one SpoofampError
+        allowed = self._function_lines(
+            "_files.py", ("_read_file", "_write_file", "_make_dir", "_remove_file")
+        )
+        needles = ("open(", "os.makedirs", "os.replace", "os.remove")
+        assert self._hits(needles, allowed) == []
 
     def test_only_optional_files_are_probed(self):
         # the reader decides that an input is missing; a probe belongs only where a
-        # missing file is a valid state: a run's log and the protocol's extensions
-        allowed = self._function_lines("pipeline.py", ("_read_run",)) | self._function_lines(
-            "manifest.py", ("_resolve_protocol_path",)
+        # missing file is a valid state: a run's log and the protocol's extensions,
+        # and the writer's check for a target that a rename must not replace
+        allowed = (
+            self._function_lines("pipeline.py", ("_read_run",))
+            | self._function_lines("manifest.py", ("_resolve_protocol_path",))
+            | self._function_lines("_files.py", ("_write_file",))
         )
         assert self._hits(("os.path.isfile", "os.path.exists"), allowed) == []
 
