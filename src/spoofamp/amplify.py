@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mixing, noise
-from .audio import Waveform, _check_aligned
+from .audio import Waveform, _Fresh, _check_aligned
 from .enhance import enhance
 from .errors import ConfigError, DegenerateSignalError, _is_finite_number, _stage
 
@@ -62,13 +62,15 @@ def extract_residual(x, x_hat, mode="projection"):
     _check_extraction_mode(mode)
     _check_aligned(x, x_hat, "x", "x_hat")
     if mode == "naive":
-        return Residual(x.with_samples(x.samples - x_hat.samples), 1.0)
+        return Residual(x.with_samples(_Fresh(x.samples - x_hat.samples)), 1.0)
     denom = x_hat.energy()
     if denom == 0.0:
         raise DegenerateSignalError("x_hat has zero energy; projection undefined")
-    w = float(np.add.reduce(x.samples * x_hat.samples) / denom)
-    a_hat = x.with_samples(x.samples - w * x_hat.samples)
-    return Residual(a_hat, w)
+    a_hat = np.multiply(x.samples, x_hat.samples)  # the numerator's terms, then the residual
+    w = float(np.add.reduce(a_hat) / denom)
+    np.multiply(w, x_hat.samples, out=a_hat)
+    np.subtract(x.samples, a_hat, out=a_hat)
+    return Residual(x.with_samples(_Fresh(a_hat)), w)
 
 
 def amplify(x, a_hat, alpha):
@@ -88,7 +90,9 @@ def amplify(x, a_hat, alpha):
     _check_aligned(x, a_hat, "x", "residual")
     if alpha == 0.0:
         return x
-    return x.with_samples(x.samples + alpha * a_hat.samples)
+    y = alpha * a_hat.samples
+    y += x.samples  # x + alpha * a_hat to the bit, as IEEE addition commutes
+    return x.with_samples(_Fresh(y))
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,7 @@ def process_utterance_details(x, config, enhancer, noise_seed):
             n = noise.generate(config.noise_color, len(x), x.sample_rate, noise_seed)
         with _stage("mixing"):
             y = mixing.add_noise_at_snr(x, n, config.snr_db)
+        del n  # free the noise before enhancement, the chain's memory peak
     with _stage("enhance"):
         x_hat = enhance(enhancer, y, reference_clean=x)
     with _stage("extract"):

@@ -39,7 +39,8 @@ class Waveform:
     Parameters
     ----------
     samples : array_like
-        One-dimensional amplitude sequence; stored as read-only float64.
+        One-dimensional amplitude sequence; a read-only float64 copy is
+        stored, so later changes to the caller's array do not reach it.
     sample_rate : int
         Samples per second, > 0.
     """
@@ -48,7 +49,10 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
+        if isinstance(self.samples, _Fresh):
+            arr = self.samples.array
+        else:
+            arr = np.array(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise DegenerateSignalError(f"samples must be 1-D, got shape {arr.shape}")
         if arr.size < 1:
@@ -59,7 +63,6 @@ class Waveform:
             raise DegenerateSignalError(
                 f"sample_rate must be a positive integer, got {self.sample_rate!r}"
             )
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
@@ -74,6 +77,16 @@ class Waveform:
     def with_samples(self, samples):
         """New Waveform with the same sample rate and different samples."""
         return Waveform(samples, self.sample_rate)
+
+
+class _Fresh:
+    """Wraps a float64 array that a stage has just allocated and no one else
+    holds; a Waveform given one takes the array over instead of copying it."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array):
+        self.array = array
 
 
 def _check_aligned(a, b, name_a, name_b):
@@ -148,7 +161,8 @@ def read_wav(path):
         raise MalformedWavError(
             f"data chunk of {len(data)} bytes is not a whole number of {bits}-bit samples: {path}"
         )
-    samples = np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
+    samples = np.frombuffer(data, dtype=dtype).astype(np.float64)
+    samples *= scale
 
     if samples.size == 0:
         raise MalformedWavError(f"data chunk holds no samples: {path}")
@@ -159,7 +173,7 @@ def read_wav(path):
         samples = samples[:usable].reshape(-1, channels).mean(axis=1)
         if samples.size == 0:
             raise MalformedWavError(f"data chunk shorter than one frame: {path}")
-    return Waveform(samples, int(sample_rate))
+    return Waveform(_Fresh(samples), int(sample_rate))
 
 
 def write_wav(w, path):

@@ -99,13 +99,17 @@ def extract_features(w, config=FeatureConfig()):
         raise DegenerateSignalError(
             f"input too short for features: {len(w)} < {WINDOW_LENGTH} samples"
         )
-    power = np.abs(stft(w.samples)) ** 2
+    power = np.abs(stft(w.samples))
+    power **= 2
     edges = _band_edges(config, w.sample_rate)
-    band_energy = np.add.reduceat(power, edges[:-1], axis=1)
-    log_energy = np.log(band_energy + _EPS)
+    log_energy = np.add.reduceat(power, edges[:-1], axis=1)  # band energies, logged in place
+    log_energy += _EPS
+    np.log(log_energy, out=log_energy)
     means = log_energy.mean(axis=0)
     variances = log_energy.var(axis=0)
-    flatness = np.exp(np.mean(np.log(power + _EPS), axis=1)) / (power.mean(axis=1) + _EPS)
+    log_power = power + _EPS
+    np.log(log_power, out=log_power)
+    flatness = np.exp(np.mean(log_power, axis=1)) / (power.mean(axis=1) + _EPS)
     freqs = np.fft.rfftfreq(WINDOW_LENGTH, d=1.0 / w.sample_rate)
     hi = float(power[:, freqs >= _SPLIT_HZ].sum())
     lo = float(power[:, freqs < _SPLIT_HZ].sum())

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import Waveform, read_wav, write_wav
+from .audio import Waveform, _Fresh, read_wav, write_wav
 from .errors import (
     AudioIOError,
     ConfigError,
@@ -116,19 +116,29 @@ def _spectral_subtraction(y, factor, floor):
     spectra = stft(y.samples)
     mag = np.abs(spectra)
     nhat = _OVERSUBTRACTION * _RAYLEIGH_MEAN_OVER_Q10 * _noise_profile(mag)
-    target = np.maximum(mag - factor * nhat[None, :], floor * mag)
-    ratio = np.where(mag > 0.0, target / np.where(mag > 0.0, mag, 1.0), floor)
-    out = istft(spectra * ratio, len(y))
-    return y.with_samples(out)
+    # gain = max(mag - factor * nhat, floor * mag) / mag, and floor where mag is 0
+    gain = floor * mag
+    np.maximum(mag - factor * nhat[None, :], gain, out=gain)
+    nonzero = mag > 0.0
+    np.divide(gain, mag, out=gain, where=nonzero)
+    gain[~nonzero] = floor
+    spectra *= gain
+    del gain
+    return y.with_samples(_Fresh(istft(spectra, len(y))))
 
 
 def _wiener(y, floor):
     spectra = stft(y.samples)
-    power = np.abs(spectra) ** 2
-    nhat = _OVERSUBTRACTION * _RAYLEIGH_RMS_OVER_Q10 * _noise_profile(np.sqrt(power))
-    gain = np.maximum(1.0 - nhat[None, :] ** 2 / np.maximum(power, 1e-300), floor)
-    out = istft(spectra * gain, len(y))
-    return y.with_samples(out)
+    gain = np.abs(spectra)
+    gain **= 2  # the power, turned into the gain in place once the profile is taken
+    nhat = _OVERSUBTRACTION * _RAYLEIGH_RMS_OVER_Q10 * _noise_profile(np.sqrt(gain))
+    np.maximum(gain, 1e-300, out=gain)
+    np.divide(nhat[None, :] ** 2, gain, out=gain)
+    np.subtract(1.0, gain, out=gain)
+    np.maximum(gain, floor, out=gain)
+    spectra *= gain
+    del gain
+    return y.with_samples(_Fresh(istft(spectra, len(y))))
 
 
 def _run_external(command_template, y, timeout_s):

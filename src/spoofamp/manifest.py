@@ -40,6 +40,14 @@ def _resolve_protocol_path(audio_root, utterance_id):
     return os.path.join(audio_root, utterance_id + ".wav")
 
 
+def _check_entry(where, utterance_id, label):
+    """The id names the entry's output files, and the label is one of LABELS."""
+    if utterance_id.split() != [utterance_id] or "/" in utterance_id or os.sep in utterance_id:
+        raise ManifestError(f"{where}: utterance id {utterance_id!r} cannot name a file")
+    if label not in LABELS:
+        raise ManifestError(f"{where}: unknown label {label!r} (expected one of {LABELS})")
+
+
 def load_manifest(path, fmt="simple_tsv", audio_root=None):
     """Parse a manifest file into a list of ManifestEntry.
 
@@ -83,12 +91,7 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
             utt, audio_path, label, attack = tokens
             if not os.path.isabs(audio_path):
                 audio_path = os.path.join(base_dir, audio_path)
-        if utt.split() != [utt] or "/" in utt or os.sep in utt:  # the id names its output files
-            raise ManifestError(f"{path}:{lineno}: utterance id {utt!r} cannot name a file")
-        if label not in LABELS:
-            raise ManifestError(
-                f"{path}:{lineno}: unknown label {label!r} (expected one of {LABELS})"
-            )
+        _check_entry(f"{path}:{lineno}", utt, label)
         if utt in seen:
             raise DuplicateIdError(
                 f"{path}: duplicate utterance id {utt!r} on lines {seen[utt]} and {lineno}"
@@ -102,16 +105,41 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
 
 def write_manifest(path, entries):
     """Write entries in simple_tsv format; paths inside the manifest's own
-    directory are stored relative to it, all others absolute."""
+    directory are stored relative to it, all others absolute.
+
+    load_manifest reads the file back as the same entries, with each path
+    made absolute.
+
+    Raises
+    ------
+    ManifestError
+        Before anything is written, for an entry that load_manifest would
+        refuse or split differently: a bad id or label, or a tab or line
+        break in its path or attack id. The message names the entry.
+    DuplicateIdError
+        Repeated utterance id (message cites both entries).
+    """
     base_dir = os.path.dirname(os.path.abspath(path))
     lines = []
-    for e in entries:
+    seen = {}
+    for i, e in enumerate(entries, start=1):
+        where = f"{path}: entry {i}"
+        _check_entry(where, e.utterance_id, e.label)
+        for name, value in (("path", e.path), ("attack id", e.attack_id)):
+            if any(c in value for c in "\t\n\r"):  # the reader reads "\r" as a line break
+                raise ManifestError(f"{where}: {name} {value!r} holds a tab or line break")
+        if e.utterance_id in seen:
+            raise DuplicateIdError(
+                f"{path}: duplicate utterance id {e.utterance_id!r} "
+                f"in entries {seen[e.utterance_id]} and {i}"
+            )
+        seen[e.utterance_id] = i
         p = os.path.abspath(e.path)
         try:
             rel = os.path.relpath(p, base_dir)
         except ValueError:  # another drive on Windows
             rel = p
-        if not rel.startswith(".."):
+        if rel != "." and not rel.startswith(".."):
             p = rel
         lines.append(f"{e.utterance_id}\t{p}\t{e.label}\t{e.attack_id}\n")
     _write_file(path, "".join(lines).encode("utf-8"))

@@ -6,7 +6,7 @@ which scales the noise so the mixture hits the requested SNR exactly.
 
 import numpy as np
 
-from .audio import _check_aligned
+from .audio import _Fresh, _check_aligned
 from .errors import ConfigError, DegenerateSignalError, _is_finite_number
 
 
@@ -42,4 +42,6 @@ def add_noise_at_snr(x, n, snr_db):
     if en == 0.0:
         raise DegenerateSignalError("noise has zero energy")
     scale = np.sqrt(ex / (en * 10.0 ** (snr_db / 10.0)))
-    return x.with_samples(x.samples + scale * n.samples)
+    y = scale * n.samples
+    y += x.samples  # IEEE addition commutes, so this is x + scale * n to the bit
+    return x.with_samples(_Fresh(y))

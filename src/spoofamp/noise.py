@@ -8,7 +8,7 @@ and the result inverse transformed and normalized to unit RMS.
 
 import numpy as np
 
-from .audio import Waveform
+from .audio import Waveform, _Fresh
 from .errors import ConfigError, DegenerateSignalError, _is_integer
 
 NOISE_COLORS = ("white", "pink", "violet")
@@ -50,13 +50,15 @@ def generate(color, length, sample_rate, seed):
         # a single sample has no spectrum to shape; normalize its magnitude
         return Waveform(np.array([1.0 if white[0] >= 0 else -1.0]), sample_rate)
     spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(length, d=1.0 / sample_rate)
-    exponent = _AMPLITUDE_EXPONENT[color]
-    weights = np.empty_like(freqs)
-    weights[1:] = freqs[1:] ** exponent
+    del white
+    weights = np.fft.rfftfreq(length, d=1.0 / sample_rate)
+    weights[1:] **= _AMPLITUDE_EXPONENT[color]
     weights[0] = 0.0  # zero DC so the output is exactly zero mean
-    shaped = np.fft.irfft(spectrum * weights, n=length)
+    spectrum *= weights
+    shaped = np.fft.irfft(spectrum, n=length)
+    del spectrum
     rms = np.sqrt(np.mean(shaped**2))
     if rms == 0.0:
         raise DegenerateSignalError("shaped noise collapsed to zero (degenerate spec)")
-    return Waveform(shaped / rms, sample_rate)
+    shaped /= rms
+    return Waveform(_Fresh(shaped), sample_rate)

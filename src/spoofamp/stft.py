@@ -4,8 +4,8 @@ A periodic Hann window at 50% overlap sums to exactly 1.0 at every sample
 position, so analysis-windowed frames reconstruct the input by plain
 overlap-add with no synthesis window. The window is fixed at 512 samples and
 the hop at half of it, so the padded signal is a run of hop-sized blocks and
-frame i spans blocks i and i + 1. Both edges are zero padded by one hop so the first and last samples
-sit under a full window sum.
+frame i spans blocks i and i + 1. Both edges are zero padded by one hop so the
+first and last samples sit under a full window sum.
 """
 
 import numpy as np
@@ -37,9 +37,10 @@ def stft(samples):
         raise DegenerateSignalError("stft input must be a non-empty 1-D array")
     # one hop of zeros, the signal, then zeros up to a block boundary plus one hop
     n_frames = -(-x.size // HOP) + 1
-    blocks = np.zeros((n_frames + 1, HOP), dtype=np.float64)
-    blocks.reshape(-1)[HOP : HOP + x.size] = x
-    frames = np.concatenate([blocks[:-1], blocks[1:]], axis=1) * _WINDOW
+    padded = np.zeros((n_frames + 1) * HOP, dtype=np.float64)
+    padded[HOP : HOP + x.size] = x
+    frames = np.lib.stride_tricks.sliding_window_view(padded, WINDOW_LENGTH)[::HOP] * _WINDOW
+    del padded
     return np.fft.rfft(frames, axis=1)
 
 

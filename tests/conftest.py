@@ -5,9 +5,12 @@ import struct
 import numpy as np
 import pytest
 
+from spoofamp import enhance as _enhance
 from spoofamp.audio import Waveform
+from spoofamp.detector import _EPS, _SPLIT_HZ, _band_edges
 from spoofamp.errors import ConfigError, DegenerateSignalError
-from spoofamp.stft import hann_periodic
+from spoofamp.noise import _AMPLITUDE_EXPONENT
+from spoofamp.stft import _WINDOW, HOP, hann_periodic, istft
 
 
 def make_sine(freq_hz=440.0, seconds=1.0, sample_rate=16000, amplitude=0.5, phase=0.0):
@@ -89,6 +92,85 @@ def psd_slope(w, f_lo, f_hi):
     y = 10.0 * np.log10(psd[band])
     slope, _intercept = np.polyfit(x, y, 1)
     return float(slope)
+
+
+# Oracles for the per-utterance stages, written as plain out-of-place numpy
+# formulas; the library builds the same results in place and must match them
+# to the bit. Each takes and returns float64 arrays.
+
+
+def stft_oracle(x):
+    """stft framing: hop-sized zero-padded blocks, frame i = blocks i and i + 1."""
+    n_frames = -(-x.size // HOP) + 1
+    blocks = np.zeros((n_frames + 1, HOP), dtype=np.float64)
+    blocks.reshape(-1)[HOP : HOP + x.size] = x
+    frames = np.concatenate([blocks[:-1], blocks[1:]], axis=1) * _WINDOW
+    return np.fft.rfft(frames, axis=1)
+
+
+def spectral_subtraction_oracle(y, factor, floor):
+    spectra = stft_oracle(y)
+    mag = np.abs(spectra)
+    nhat = (_enhance._OVERSUBTRACTION * _enhance._RAYLEIGH_MEAN_OVER_Q10
+            * np.percentile(mag, _enhance._NOISE_PERCENTILE, axis=0))
+    target = np.maximum(mag - factor * nhat[None, :], floor * mag)
+    ratio = np.where(mag > 0.0, target / np.where(mag > 0.0, mag, 1.0), floor)
+    return istft(spectra * ratio, y.size)
+
+
+def wiener_oracle(y, floor):
+    spectra = stft_oracle(y)
+    power = np.abs(spectra) ** 2
+    nhat = (_enhance._OVERSUBTRACTION * _enhance._RAYLEIGH_RMS_OVER_Q10
+            * np.percentile(np.sqrt(power), _enhance._NOISE_PERCENTILE, axis=0))
+    gain = np.maximum(1.0 - nhat[None, :] ** 2 / np.maximum(power, 1e-300), floor)
+    return istft(spectra * gain, y.size)
+
+
+def noise_oracle(color, length, sample_rate, seed):
+    white = np.random.default_rng(seed).standard_normal(length)
+    if length == 1:
+        return np.array([1.0 if white[0] >= 0 else -1.0])
+    freqs = np.fft.rfftfreq(length, d=1.0 / sample_rate)
+    weights = np.empty_like(freqs)
+    weights[1:] = freqs[1:] ** _AMPLITUDE_EXPONENT[color]
+    weights[0] = 0.0
+    shaped = np.fft.irfft(np.fft.rfft(white) * weights, n=length)
+    return shaped / np.sqrt(np.mean(shaped**2))
+
+
+def add_noise_oracle(x, n, snr_db):
+    ex = float(np.add.reduce(x * x))
+    en = float(np.add.reduce(n * n))
+    return x + np.sqrt(ex / (en * 10.0 ** (snr_db / 10.0))) * n
+
+
+def extract_residual_oracle(x, x_hat, mode):
+    if mode == "naive":
+        return x - x_hat
+    w = float(np.add.reduce(x * x_hat) / float(np.add.reduce(x_hat * x_hat)))
+    return x - w * x_hat
+
+
+def amplify_oracle(x, a_hat, alpha):
+    return x + alpha * a_hat
+
+
+def extract_features_oracle(samples, sample_rate, config):
+    power = np.abs(stft_oracle(samples)) ** 2
+    edges = _band_edges(config, sample_rate)
+    log_energy = np.log(np.add.reduceat(power, edges[:-1], axis=1) + _EPS)
+    flatness = np.exp(np.mean(np.log(power + _EPS), axis=1)) / (power.mean(axis=1) + _EPS)
+    freqs = np.fft.rfftfreq(2 * HOP, d=1.0 / sample_rate)
+    hi = float(power[:, freqs >= _SPLIT_HZ].sum())
+    lo = float(power[:, freqs < _SPLIT_HZ].sum())
+    return np.concatenate([log_energy.mean(axis=0), log_energy.var(axis=0),
+                           [float(flatness.mean())], [hi / (lo + _EPS)]])
+
+
+def wav_scaling_oracle(data, dtype, scale):
+    """read_wav's decoding of mono sample bytes."""
+    return np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
 
 
 @pytest.fixture

@@ -1,0 +1,174 @@
+"""The in-place stage bodies against their out-of-place oracles, to the bit,
+and the ownership rules of Waveform storage."""
+
+import struct
+
+import numpy as np
+import pytest
+
+from spoofamp import noise
+from spoofamp.amplify import amplify, extract_residual
+from spoofamp.audio import Waveform, crop_or_pad, read_wav
+from spoofamp.detector import FeatureConfig, extract_features
+from spoofamp.enhance import EnhancerKind, enhance
+from spoofamp.mixing import add_noise_at_snr
+from spoofamp.stft import stft
+
+from conftest import (
+    add_noise_oracle,
+    amplify_oracle,
+    extract_features_oracle,
+    extract_residual_oracle,
+    noise_oracle,
+    spectral_subtraction_oracle,
+    stft_oracle,
+    wav_scaling_oracle,
+    wiener_oracle,
+    write_minimal_wav,
+)
+
+LENGTHS = (1, 255, 256, 257, 16000, 64000)
+SR = 16000
+
+
+def _same(got, want):
+    """Equal bytes: same shape, dtype and every bit, the sign of zero included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _wave(n, seed):
+    return Waveform(0.1 * np.random.default_rng(seed).standard_normal(n), SR)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_stft(n):
+    x = _wave(n, 1).samples
+    assert _same(stft(x), stft_oracle(x))
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("params", [{}, {"floor": 0.3}])
+def test_wiener(n, params):
+    y = _wave(n, 2)
+    kind = EnhancerKind("wiener", params)
+    assert _same(enhance(kind, y).samples, wiener_oracle(y.samples, kind.params["floor"]))
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("params", [{}, {"subtraction_factor": 0.0, "floor": 0.5}])
+def test_spectral_subtraction(n, params):
+    y = _wave(n, 3)
+    kind = EnhancerKind("spectral_subtraction", params)
+    got = enhance(kind, y)
+    want = spectral_subtraction_oracle(
+        y.samples, kind.params["subtraction_factor"], kind.params["floor"]
+    )
+    assert _same(got.samples, want)
+
+
+def test_spectral_subtraction_with_silent_bins():
+    # zero-magnitude bins take the floor as their ratio
+    y = Waveform(np.concatenate([np.zeros(2048), _wave(2048, 4).samples]), SR)
+    got = enhance(EnhancerKind("spectral_subtraction"), y)
+    assert _same(got.samples, spectral_subtraction_oracle(y.samples, 1.0, 0.02))
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("color", noise.NOISE_COLORS)
+def test_noise_generate(n, color):
+    assert _same(noise.generate(color, n, SR, 7).samples, noise_oracle(color, n, SR, 7))
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_add_noise_at_snr(n):
+    x, n_ = _wave(n, 5), _wave(n, 6)
+    for snr in (-10.0, 0.0, 17.5):
+        want = add_noise_oracle(x.samples, n_.samples, snr)
+        assert _same(add_noise_at_snr(x, n_, snr).samples, want)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("mode", ["projection", "naive"])
+def test_extract_residual(n, mode):
+    x, x_hat = _wave(n, 8), _wave(n, 9)
+    got = extract_residual(x, x_hat, mode).a_hat
+    assert _same(got.samples, extract_residual_oracle(x.samples, x_hat.samples, mode))
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_amplify(n):
+    x, a_hat = _wave(n, 10), _wave(n, 11)
+    for alpha in (0.5, 1.4, 3.0):
+        want = amplify_oracle(x.samples, a_hat.samples, alpha)
+        assert _same(amplify(x, a_hat, alpha).samples, want)
+
+
+@pytest.mark.parametrize("n", [512, 16000, 64000])
+def test_extract_features(n):
+    w = _wave(n, 12)
+    for config in (FeatureConfig(), FeatureConfig(n_bands=40)):
+        assert _same(extract_features(w, config), extract_features_oracle(w.samples, SR, config))
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize(
+    "dtype, fmt_tag, bits, scale", [("<i2", 1, 16, 1.0 / 32768.0), ("<f4", 3, 32, 1.0)]
+)
+def test_read_wav_scaling(tmp_path, n, dtype, fmt_tag, bits, scale):
+    rng = np.random.default_rng(13)
+    if dtype == "<i2":
+        data = rng.integers(-32768, 32768, n).astype("<i2").tobytes()
+    else:
+        data = rng.standard_normal(n).astype("<f4").tobytes()
+    p = tmp_path / "a.wav"
+    write_minimal_wav(p, data, fmt_tag=fmt_tag, bits=bits, channels=1, rate=SR)
+    assert _same(read_wav(str(p)).samples, wav_scaling_oracle(data, dtype, scale))
+
+
+class TestStorage:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.linspace(-1.0, 1.0, 64),
+            lambda: np.linspace(-1.0, 1.0, 64).astype(np.float32),
+            lambda: np.linspace(-1.0, 1.0, 128)[::2],
+        ],
+        ids=["float64", "float32", "strided"],
+    )
+    def test_caller_array_is_copied(self, make):
+        src = make()
+        before = np.array(src, dtype=np.float64)
+        w = Waveform(src, SR)
+        v = w.with_samples(src)
+        src[:] = 7.0
+        assert _same(w.samples, before)
+        assert _same(v.samples, before)
+
+    def test_read_only_view_of_a_writeable_array_is_copied(self):
+        base = np.linspace(-1.0, 1.0, 64)
+        view = base[:]
+        view.flags.writeable = False
+        w = Waveform(view, SR)
+        base[:] = 7.0
+        assert w.samples[0] == -1.0
+
+    def test_every_stage_output_is_read_only(self, tmp_path):
+        x = _wave(4000, 14)
+        n = noise.generate("pink", len(x), SR, 1)
+        y = add_noise_at_snr(x, n, 0.0)
+        outs = [n, y]
+        for kind in ("wiener", "spectral_subtraction"):
+            outs.append(enhance(EnhancerKind(kind), y))
+        for mode in ("projection", "naive"):
+            outs.append(extract_residual(x, outs[-1], mode).a_hat)
+        outs.append(amplify(x, outs[-1], 1.4))
+        outs.append(crop_or_pad(x, 0.1, 0))
+        p = tmp_path / "s.wav"
+        stereo = struct.pack("<4h", 1, 2, 3, 4)
+        write_minimal_wav(p, stereo, fmt_tag=1, bits=16, channels=2, rate=SR)
+        outs.append(read_wav(str(p)))
+        for w in outs:
+            assert not w.samples.flags.writeable
+            with pytest.raises(ValueError):
+                w.samples[0] = 0.0

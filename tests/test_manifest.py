@@ -5,6 +5,8 @@ import os
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spoofamp.errors import (
     ConfigError,
@@ -13,6 +15,7 @@ from spoofamp.errors import (
     UnwritablePathError,
 )
 from spoofamp.manifest import ManifestEntry, load_manifest, write_manifest
+from spoofamp.metrics import LABELS
 
 
 class TestProtocolFormat:
@@ -175,3 +178,72 @@ class TestWriteManifest:
         path = str(tmp_path / "no" / "manifest.tsv")
         with pytest.raises(UnwritablePathError, match=f"cannot write {path}"):
             write_manifest(path, [ManifestEntry("U1", "u1.wav", "bonafide", "-")])
+
+    @pytest.mark.parametrize(
+        "entry, match",
+        [
+            (ManifestEntry("a\tb", "/x.wav", "bonafide", "-"), "utterance id 'a\\tb'"),
+            (ManifestEntry("a b", "/x.wav", "bonafide", "-"), "utterance id 'a b'"),
+            (ManifestEntry("a/b", "/x.wav", "bonafide", "-"), "utterance id 'a/b'"),
+            (ManifestEntry("U2", "/x\ny.wav", "bonafide", "-"), "path '/x\\ny.wav'"),
+            (ManifestEntry("U2", "/x.wav", "maybe", "-"), "unknown label 'maybe'"),
+            (ManifestEntry("U2", "/x\ty.wav", "spoof", "A01"), "path"),
+            (ManifestEntry("U2", "/x.wav", "spoof", "A\r01"), "attack id"),
+            (ManifestEntry("U2", "/x.wav", "spoof", "A\t01"), "attack id"),
+        ],
+    )
+    def test_entry_the_reader_would_refuse_is_not_written(self, tmp_path, entry, match):
+        p = tmp_path / "m.tsv"
+        ok = ManifestEntry("U1", "/u1.wav", "bonafide", "-")
+        pattern = re.escape(f"{p}: entry 2: ") + ".*" + re.escape(match)
+        with pytest.raises(ManifestError, match=pattern):
+            write_manifest(str(p), [ok, entry])
+        assert not p.exists()
+
+    def test_duplicate_id_is_not_written(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        entries = [ManifestEntry(u, "/x.wav", "spoof", "-") for u in ("U1", "U2", "U1")]
+        with pytest.raises(DuplicateIdError, match="entries 1 and 3"):
+            write_manifest(str(p), entries)
+        assert not p.exists()
+
+    def test_path_of_the_manifest_directory_reads_back(self, tmp_path):
+        p = tmp_path / "m.tsv"
+        entries = [ManifestEntry("U1", str(tmp_path), "bonafide", "-")]
+        write_manifest(str(p), entries)
+        assert load_manifest(str(p)) == entries
+
+    # any text but surrogates, which are not UTF-8
+    _TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(_TEXT, st.text("Ua1_.-é", min_size=1, max_size=3)),  # often valid
+                st.booleans(),
+                _TEXT,
+                st.sampled_from(LABELS * 4 + ("maybe",)),
+                _TEXT,
+            ),
+            max_size=4,
+        )
+    )
+    def test_written_manifest_reads_back_equal(self, tmp_path, rows):
+        p = tmp_path / "m.tsv"
+        if p.exists():
+            p.unlink()
+        entries = [
+            ManifestEntry(utt, os.path.join(str(tmp_path) if inside else "/elsewhere", name),
+                          label, attack)
+            for utt, inside, name, label, attack in rows
+        ]
+        try:
+            write_manifest(str(p), entries)
+        except ManifestError:
+            assert not p.exists()
+            return
+        want = [ManifestEntry(e.utterance_id, os.path.abspath(e.path), e.label, e.attack_id)
+                for e in entries]
+        assert load_manifest(str(p)) == want
