@@ -237,6 +237,5 @@ def crop_or_pad(w, target_seconds, rng_seed):
         rng = np.random.default_rng(rng_seed)
         start = int(rng.integers(0, n - out_len + 1))
         return w.with_samples(w.samples[start : start + out_len])
-    reps = -(-out_len // n)  # ceil
-    tiled = np.tile(w.samples, reps)[:out_len]
-    return w.with_samples(tiled)
+    whole, part = divmod(out_len, n)
+    return Waveform(_Fresh(np.concatenate([w.samples] * whole + [w.samples[:part]])), w.sample_rate)

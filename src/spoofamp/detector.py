@@ -135,12 +135,16 @@ def fit(features, labels, feature_config=FeatureConfig()):
     Raises
     ------
     TrainingDataError
-        A class is missing or has fewer than 2 examples.
+        A label outside LABELS, or a class missing or with fewer than 2
+        examples.
     """
     features = [np.asarray(f, dtype=np.float64) for f in features]
     labels = list(labels)
     if len(features) != len(labels):
         raise MismatchError(f"{len(features)} feature vectors vs {len(labels)} labels")
+    for label in labels:
+        if label not in LABELS:
+            raise TrainingDataError(f"unknown label {label!r} (expected one of {LABELS})")
     means, variances, priors = {}, {}, {}
     for label in LABELS:
         rows = [f for f, l in zip(features, labels) if l == label]

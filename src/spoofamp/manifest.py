@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ._files import _read_text, _write_file
 from .errors import ConfigError, DuplicateIdError, ManifestError
-from .metrics import LABELS
+from .metrics import LABELS, _is_token
 
 MANIFEST_FORMATS = ("asvspoof_protocol", "simple_tsv")
 
@@ -40,12 +40,18 @@ def _resolve_protocol_path(audio_root, utterance_id):
     return os.path.join(audio_root, utterance_id + ".wav")
 
 
-def _check_entry(where, utterance_id, label):
-    """The id names the entry's output files, and the label is one of LABELS."""
-    if utterance_id.split() != [utterance_id] or "/" in utterance_id or os.sep in utterance_id:
+def _check_entry(where, utterance_id, label, attack_id):
+    """The id names the entry's output files, the label is one of LABELS, and
+    the attack id is one field of a score line."""
+    if not _is_token(utterance_id) or "/" in utterance_id or os.sep in utterance_id:
         raise ManifestError(f"{where}: utterance id {utterance_id!r} cannot name a file")
     if label not in LABELS:
         raise ManifestError(f"{where}: unknown label {label!r} (expected one of {LABELS})")
+    if not _is_token(attack_id):
+        raise ManifestError(
+            f"{where}: attack id {attack_id!r} must be one token without whitespace; "
+            "use '-' for none"
+        )
 
 
 def load_manifest(path, fmt="simple_tsv", audio_root=None):
@@ -57,7 +63,8 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
         Unknown format, or asvspoof_protocol without an audio_root.
     ManifestError
         Missing or unreadable file, malformed line (message cites the line
-        number), unknown label, or an id that cannot name a file.
+        number), unknown label, an id that cannot name a file, or an attack
+        id that is not one token without whitespace.
     DuplicateIdError
         Repeated utterance id (message cites both line numbers).
     """
@@ -91,7 +98,7 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
             utt, audio_path, label, attack = tokens
             if not os.path.isabs(audio_path):
                 audio_path = os.path.join(base_dir, audio_path)
-        _check_entry(f"{path}:{lineno}", utt, label)
+        _check_entry(f"{path}:{lineno}", utt, label, attack)
         if utt in seen:
             raise DuplicateIdError(
                 f"{path}: duplicate utterance id {utt!r} on lines {seen[utt]} and {lineno}"
@@ -114,8 +121,8 @@ def write_manifest(path, entries):
     ------
     ManifestError
         Before anything is written, for an entry that load_manifest would
-        refuse or split differently: a bad id or label, or a tab or line
-        break in its path or attack id. The message names the entry.
+        refuse or split differently: a bad id, label or attack id, or a tab
+        or line break in its path. The message names the entry.
     DuplicateIdError
         Repeated utterance id (message cites both entries).
     """
@@ -124,10 +131,9 @@ def write_manifest(path, entries):
     seen = {}
     for i, e in enumerate(entries, start=1):
         where = f"{path}: entry {i}"
-        _check_entry(where, e.utterance_id, e.label)
-        for name, value in (("path", e.path), ("attack id", e.attack_id)):
-            if any(c in value for c in "\t\n\r"):  # the reader reads "\r" as a line break
-                raise ManifestError(f"{where}: {name} {value!r} holds a tab or line break")
+        _check_entry(where, e.utterance_id, e.label, e.attack_id)
+        if any(c in e.path for c in "\t\n\r"):  # the reader reads "\r" as a line break
+            raise ManifestError(f"{where}: path {e.path!r} holds a tab or line break")
         if e.utterance_id in seen:
             raise DuplicateIdError(
                 f"{path}: duplicate utterance id {e.utterance_id!r} "

@@ -283,11 +283,37 @@ def _is_config_hash(value):
     return isinstance(value, str) and len(value) == 16 and set(value) <= set("0123456789abcdef")
 
 
+def _is_token(value):
+    """Whether value is a string that str.split() reads back as itself alone."""
+    return isinstance(value, str) and value.split() == [value]
+
+
 def write_score_file(path, records, config_hash=None):
     """Write records as 4-column score lines, with an optional config hash
-    comment header; a hash not of config.config_hash's form raises ConfigError."""
+    comment header; parse_score_file reads them back as the same rows.
+
+    Raises
+    ------
+    ConfigError
+        A hash not of config.config_hash's form.
+    ScoreFileError
+        Before anything is written, for a record whose utterance id or
+        attack id is not one token without whitespace, or whose id starts
+        with '#', which would read back as a comment.
+    """
     if config_hash is not None and not _is_config_hash(config_hash):
         raise ConfigError(f"config_hash {config_hash!r} is not 16 lowercase hex")
     lines = [f"# config_hash={config_hash}\n"] if config_hash else []
-    lines += [f"{r.utterance_id} {r.attack_id} {r.label} {r.score!r}\n" for r in records]
+    for i, r in enumerate(records, start=1):
+        if not _is_token(r.utterance_id) or r.utterance_id.startswith("#"):
+            raise ScoreFileError(
+                f"{path}: record {i}: utterance id {r.utterance_id!r} must be one token "
+                "without whitespace, not starting with '#'"
+            )
+        if not _is_token(r.attack_id):
+            raise ScoreFileError(
+                f"{path}: record {i} ({r.utterance_id}): attack id {r.attack_id!r} must be "
+                "one token without whitespace; use '-' for none"
+            )
+        lines.append(f"{r.utterance_id} {r.attack_id} {r.label} {float(r.score)!r}\n")
     _write_file(path, "".join(lines).encode("utf-8"))

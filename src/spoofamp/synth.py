@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import _make_dir
-from .audio import Waveform, _check_seconds, write_wav
+from .audio import Waveform, _check_seconds, _Fresh, write_wav
 from .config import derive_seed
 from .errors import ConfigError, _is_finite_number, _is_integer
 from .manifest import ManifestEntry, write_manifest
@@ -70,31 +70,22 @@ class SynthSpec:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
 
-def _harmonic_bank(n_samples, sample_rate, f0, vib_rate, vib_depth, amps, phases):
-    """Sum of sinusoidal harmonics with optional vibrato.
+def _harmonic_bank(theta, amps, phases):
+    """Sum of sinusoidal harmonics of the fundamental phase theta.
 
-    Harmonic k (1-based) contributes amps[k-1] * sin(2*pi*k*base(t) +
-    phases[k-1]), where base(t) integrates an instantaneous frequency of
-    f0 + vib_depth*cos(2*pi*vib_rate*t).
-
-    With theta = 2*pi*base(t), z = exp(i*theta) and c_k = amps[k-1] *
-    exp(i*phases[k-1]), the sum is Im(sum_k c_k z^k): a polynomial in z,
-    evaluated by Horner's rule over k. That costs one cos/sin pair and one
-    complex multiply-add per harmonic instead of one full-length sin per
-    harmonic. z is computed per sample from theta, not by a recurrence over
-    time, whose rounding error would grow with the utterance length.
+    Harmonic k (1-based) contributes amps[k-1] * sin(k*theta + phases[k-1]).
+    With z = exp(i*theta) and c_k = amps[k-1] * exp(i*phases[k-1]), the sum
+    is Im(sum_k c_k z^k): a polynomial in z, evaluated by Horner's rule over
+    k. That costs one cos/sin pair and one complex multiply-add per harmonic
+    instead of one full-length sin per harmonic. z is computed per sample
+    from theta, not by a recurrence over time, whose rounding error would
+    grow with the utterance length.
     """
-    t = np.arange(n_samples, dtype=np.float64) / sample_rate
-    if vib_rate > 0.0:
-        base = f0 * t + vib_depth * np.sin(_TWO_PI * vib_rate * t) / (_TWO_PI * vib_rate)
-    else:
-        base = f0 * t
-    theta = _TWO_PI * base
-    z = np.empty(n_samples, dtype=np.complex128)
+    z = np.empty(theta.size, dtype=np.complex128)
     np.cos(theta, out=z.real)
     np.sin(theta, out=z.imag)
     coeffs = np.asarray(amps) * np.exp(1j * np.asarray(phases))
-    acc = np.full(n_samples, coeffs[-1], dtype=np.complex128)
+    acc = np.full(theta.size, coeffs[-1], dtype=np.complex128)
     for c in coeffs[-2::-1]:
         acc *= z
         acc += c
@@ -103,7 +94,8 @@ def _harmonic_bank(n_samples, sample_rate, f0, vib_rate, vib_depth, amps, phases
 
 
 def _pseudo_speech(utt_id, spec):
-    """One bona fide style utterance, deterministic in (spec.seed, utt_id)."""
+    """One bona fide style utterance as a new float64 array, deterministic in
+    (spec.seed, utt_id)."""
     rng = np.random.default_rng(derive_seed(spec.seed, utt_id, "voice"))
     n = int(round(spec.duration_s * spec.sample_rate))
     sr = spec.sample_rate
@@ -116,9 +108,12 @@ def _pseudo_speech(utt_id, spec):
     phases = rng.uniform(0.0, 2.0 * np.pi, n_harm)
     vib_rate = rng.uniform(*VIB_RATE_RANGE_HZ)
     vib_depth = rng.uniform(*VIB_DEPTH_RANGE_HZ)
-    voiced = _harmonic_bank(n, sr, f0, vib_rate, vib_depth, amps, phases)
-
+    # fundamental phase: 2*pi times the integral of f0 + vib_depth*cos(2*pi*vib_rate*t)
     t = np.arange(n, dtype=np.float64) / sr
+    theta = _TWO_PI * (f0 * t + vib_depth * np.sin(_TWO_PI * vib_rate * t) / (_TWO_PI * vib_rate))
+    voiced = _harmonic_bank(theta, amps, phases)
+    del theta
+
     am_rate = rng.uniform(*AM_RATE_RANGE_HZ)
     am_phase = rng.uniform(0.0, 2.0 * np.pi)
     am_power = rng.uniform(*AM_POWER_RANGE)
@@ -126,33 +121,38 @@ def _pseudo_speech(utt_id, spec):
     envelope = env_floor + (1.0 - env_floor) * (
         0.5 + 0.5 * np.sin(2.0 * np.pi * am_rate * t + am_phase)
     ) ** am_power
+    del t
     ramp = min(int(0.01 * sr), n // 2)
     if ramp > 0:
         fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
         envelope[:ramp] *= fade
         envelope[-ramp:] *= fade[::-1]
-    sig = voiced * envelope
+    sig = voiced
+    sig *= envelope
+    del envelope
 
     pink = generate("pink", n, sr, derive_seed(spec.seed, utt_id, "pinkfloor")).samples
     noise_level = rng.uniform(*NOISE_FLOOR_RANGE) * np.sqrt(np.mean(sig**2))
-    sig = sig + noise_level * pink
+    sig += noise_level * pink
+    del pink
 
     # random channel coloration: amplitude weight (f / 1 kHz)^tilt, DC zeroed
     tilt = rng.uniform(*TILT_RANGE)
     if tilt != 0.0:
         spectrum = np.fft.rfft(sig)
-        freqs = np.fft.rfftfreq(n, 1.0 / sr)
-        weights = np.zeros_like(freqs)
-        weights[1:] = (freqs[1:] / 1000.0) ** tilt
-        sig = np.fft.irfft(spectrum * weights, n)
+        weights = np.fft.rfftfreq(n, 1.0 / sr)  # bin 0 is 0 Hz and stays 0
+        weights[1:] /= 1000.0
+        weights[1:] **= tilt
+        spectrum *= weights
+        sig = np.fft.irfft(spectrum, n)
 
     target_rms = rng.uniform(*TARGET_RMS_RANGE)
     sig *= target_rms / np.sqrt(np.mean(sig**2))
-    return Waveform(sig, sr)
+    return sig
 
 
 def apply_artifact(samples, sample_rate, kind, strength):
-    """Inject one artifact family into a signal, preserving its RMS.
+    """Inject one artifact family into a signal, preserving its RMS, as a new array.
 
     comb_filter adds a copy delayed by COMB_DELAY_SAMPLES scaled by strength;
     quantization maps amplitudes onto ceil(2/strength) uniform cells; band_notch
@@ -188,18 +188,16 @@ def apply_artifact(samples, sample_rate, kind, strength):
         y = np.fft.irfft(spectrum, n=x.size)
     rms_out = np.sqrt(np.mean(y**2))
     if rms_out > 0.0 and rms_in > 0.0:
-        y = y * (rms_in / rms_out)
+        y *= rms_in / rms_out
     return y
 
 
 def synth_utterance(utt_id, spec, spoof):
     """Generate one corpus item; spoof items get the artifact injection."""
-    w = _pseudo_speech(utt_id, spec)
-    if not spoof:
-        return w
-    return w.with_samples(
-        apply_artifact(w.samples, spec.sample_rate, spec.artifact_kind, spec.artifact_strength)
-    )
+    sig = _pseudo_speech(utt_id, spec)
+    if spoof:
+        sig = apply_artifact(sig, spec.sample_rate, spec.artifact_kind, spec.artifact_strength)
+    return Waveform(_Fresh(sig), spec.sample_rate)
 
 
 def synth_corpus(spec, out_dir, prefix="SYN"):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from spoofamp import enhance as _enhance
+from spoofamp import synth as _synth
 from spoofamp.audio import Waveform
+from spoofamp.config import derive_seed
 from spoofamp.detector import _EPS, _SPLIT_HZ, _band_edges
 from spoofamp.errors import ConfigError, DegenerateSignalError
 from spoofamp.noise import _AMPLITUDE_EXPONENT
@@ -171,6 +173,109 @@ def extract_features_oracle(samples, sample_rate, config):
 def wav_scaling_oracle(data, dtype, scale):
     """read_wav's decoding of mono sample bytes."""
     return np.frombuffer(data, dtype=dtype).astype(np.float64) * scale
+
+
+def pad_oracle(x, out_len):
+    """crop_or_pad's padding: whole repeats of x, truncated to out_len."""
+    return np.tile(x, -(-out_len // x.size))[:out_len]
+
+
+def harmonic_bank_oracle(n_samples, sample_rate, f0, vib_rate, vib_depth, amps, phases):
+    """The harmonic bank building its own time axis and vibrato phase."""
+    t = np.arange(n_samples, dtype=np.float64) / sample_rate
+    if vib_rate > 0.0:
+        base = f0 * t + vib_depth * np.sin(2.0 * np.pi * vib_rate * t) / (2.0 * np.pi * vib_rate)
+    else:
+        base = f0 * t
+    theta = 2.0 * np.pi * base
+    z = np.empty(n_samples, dtype=np.complex128)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    coeffs = np.asarray(amps) * np.exp(1j * np.asarray(phases))
+    acc = np.full(n_samples, coeffs[-1], dtype=np.complex128)
+    for c in coeffs[-2::-1]:
+        acc *= z
+        acc += c
+    acc *= z
+    return acc.imag.copy()
+
+
+def pseudo_speech_oracle(utt_id, spec):
+    """One bona fide utterance, every step in a new array."""
+    rng = np.random.default_rng(derive_seed(spec.seed, utt_id, "voice"))
+    n = int(round(spec.duration_s * spec.sample_rate))
+    sr = spec.sample_rate
+    f0 = rng.uniform(*_synth.F0_RANGE_HZ)
+    decay = rng.uniform(*_synth.DECAY_RANGE)
+    n_harm = max(3, min(40, int(0.45 * sr / f0)))
+    amps = (np.arange(1, n_harm + 1, dtype=np.float64)) ** (-decay)
+    amps /= amps.sum()
+    phases = rng.uniform(0.0, 2.0 * np.pi, n_harm)
+    vib_rate = rng.uniform(*_synth.VIB_RATE_RANGE_HZ)
+    vib_depth = rng.uniform(*_synth.VIB_DEPTH_RANGE_HZ)
+    voiced = harmonic_bank_oracle(n, sr, f0, vib_rate, vib_depth, amps, phases)
+    t = np.arange(n, dtype=np.float64) / sr
+    am_rate = rng.uniform(*_synth.AM_RATE_RANGE_HZ)
+    am_phase = rng.uniform(0.0, 2.0 * np.pi)
+    am_power = rng.uniform(*_synth.AM_POWER_RANGE)
+    env_floor = rng.uniform(*_synth.ENV_FLOOR_RANGE)
+    envelope = env_floor + (1.0 - env_floor) * (
+        0.5 + 0.5 * np.sin(2.0 * np.pi * am_rate * t + am_phase)
+    ) ** am_power
+    ramp = min(int(0.01 * sr), n // 2)
+    if ramp > 0:
+        fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(ramp) / ramp)
+        envelope[:ramp] *= fade
+        envelope[-ramp:] *= fade[::-1]
+    sig = voiced * envelope
+    pink = noise_oracle("pink", n, sr, derive_seed(spec.seed, utt_id, "pinkfloor"))
+    noise_level = rng.uniform(*_synth.NOISE_FLOOR_RANGE) * np.sqrt(np.mean(sig**2))
+    sig = sig + noise_level * pink
+    tilt = rng.uniform(*_synth.TILT_RANGE)
+    if tilt != 0.0:
+        spectrum = np.fft.rfft(sig)
+        freqs = np.fft.rfftfreq(n, 1.0 / sr)
+        weights = np.zeros_like(freqs)
+        weights[1:] = (freqs[1:] / 1000.0) ** tilt
+        sig = np.fft.irfft(spectrum * weights, n)
+    target_rms = rng.uniform(*_synth.TARGET_RMS_RANGE)
+    return sig * (target_rms / np.sqrt(np.mean(sig**2)))
+
+
+def apply_artifact_oracle(x, sample_rate, kind, strength):
+    """apply_artifact with its RMS match in a new array."""
+    rms_in = np.sqrt(np.mean(x**2))
+    if kind == "comb_filter":
+        delayed = np.concatenate([np.zeros(min(_synth.COMB_DELAY_SAMPLES, x.size)), x])[: x.size]
+        y = x + strength * delayed
+    elif kind == "quantization":
+        levels = max(2, int(np.ceil(2.0 / strength)))
+        peak = np.max(np.abs(x))
+        if peak == 0.0:
+            return x.copy()
+        step = 2.0 * peak / levels
+        cell = np.minimum(np.floor((x + peak) / step), levels - 1)
+        y = -peak + (cell + 0.5) * step
+    else:
+        spectrum = np.fft.rfft(x)
+        spacing = sample_rate / x.size
+        n_zero = int(round(strength * _synth.NOTCH_FULL_WIDTH_HZ / spacing))
+        if n_zero > 0:
+            lo = max(0, int(round(_synth.NOTCH_CENTER_HZ / spacing)) - (n_zero - 1) // 2)
+            spectrum[lo : min(spectrum.size, lo + n_zero)] = 0.0
+        y = np.fft.irfft(spectrum, n=x.size)
+    rms_out = np.sqrt(np.mean(y**2))
+    if rms_out > 0.0 and rms_in > 0.0:
+        y = y * (rms_in / rms_out)
+    return y
+
+
+def synth_utterance_oracle(utt_id, spec, spoof):
+    sig = pseudo_speech_oracle(utt_id, spec)
+    if spoof:
+        sig = apply_artifact_oracle(sig, spec.sample_rate, spec.artifact_kind,
+                                    spec.artifact_strength)
+    return sig
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from spoofamp.detector import FeatureConfig, extract_features
 from spoofamp.enhance import EnhancerKind, enhance
 from spoofamp.mixing import add_noise_at_snr
 from spoofamp.stft import stft
+from spoofamp.synth import ARTIFACT_KINDS, SynthSpec, synth_utterance
 
 from conftest import (
     add_noise_oracle,
@@ -20,8 +21,10 @@ from conftest import (
     extract_features_oracle,
     extract_residual_oracle,
     noise_oracle,
+    pad_oracle,
     spectral_subtraction_oracle,
     stft_oracle,
+    synth_utterance_oracle,
     wav_scaling_oracle,
     wiener_oracle,
     write_minimal_wav,
@@ -124,6 +127,32 @@ def test_read_wav_scaling(tmp_path, n, dtype, fmt_tag, bits, scale):
     p = tmp_path / "a.wav"
     write_minimal_wav(p, data, fmt_tag=fmt_tag, bits=bits, channels=1, rate=SR)
     assert _same(read_wav(str(p)).samples, wav_scaling_oracle(data, dtype, scale))
+
+
+@pytest.mark.parametrize("seconds", [0.3, 1.0, 4.0])
+@pytest.mark.parametrize("spoof", [False, True], ids=["bonafide", "spoof"])
+@pytest.mark.parametrize("kind", ARTIFACT_KINDS)
+def test_synth_utterance(kind, spoof, seconds):
+    for seed in (0, 1):
+        spec = SynthSpec(1, 1, duration_s=seconds, artifact_kind=kind, seed=seed)
+        for utt_id in ("SYN_B_0000", "SYN_S_0001"):
+            w = synth_utterance(utt_id, spec, spoof)
+            assert _same(w.samples, synth_utterance_oracle(utt_id, spec, spoof))
+            assert not w.samples.flags.writeable
+
+
+@pytest.mark.parametrize("n", [255, 16000])
+@pytest.mark.parametrize(
+    "out_len", [lambda n: n + 1, lambda n: 2 * n - 1, lambda n: 2 * n, lambda n: 5 * n // 2],
+    ids=["n+1", "2n-1", "2n", "2.5n"],
+)
+def test_pad(n, out_len):
+    x = _wave(n, 15)
+    target = out_len(n)
+    got = crop_or_pad(x, target / SR, 0)
+    assert len(got) == target
+    assert _same(got.samples, pad_oracle(x.samples, target))
+    assert not got.samples.flags.writeable
 
 
 class TestStorage:

@@ -410,6 +410,38 @@ class TestFitScore:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "spoof_attack, bona_attack, lineno, shown",
+        [("A 01", "", 1, "''"), ("A 01", "-", 4, "'A 01'")],
+        ids=["empty_and_spaced", "spaced"],
+    )
+    def test_attack_id_that_would_split_a_score_line(
+        self, ws, tmp_path, capsys, spoof_attack, bona_attack, lineno, shown
+    ):
+        # such an id once passed fit and score and broke only report, whose
+        # reader split the score line into 3 fields
+        manifest = str(tmp_path / "m.tsv")
+        lines = [
+            f"{e.utterance_id}\t{e.path}\t{e.label}\t"
+            + (spoof_attack if e.label == "spoof" else bona_attack)
+            for e in load_manifest(ws["manifest"])
+        ]
+        with open(manifest, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        model, scores = str(tmp_path / "m.json"), str(tmp_path / "s.txt")
+        for argv in (
+            ["fit", "--manifest", manifest, "--audio-dir", ws["processed"], "--n-bands", "4",
+             "--out-model", model],
+            ["score", "--model", ws["model"], "--manifest", manifest,
+             "--audio-dir", ws["processed"], "--out-scores", scores],
+            ["report", "--manifest", manifest, "--scores", ws["scores"]],
+        ):
+            assert main(argv) == 1
+            assert f"{manifest}:{lineno}: attack id {shown}" in capsys.readouterr().err
+        assert not os.path.exists(model)
+        assert not os.path.exists(scores)
+
+
 class TestReport:
     def test_report_text(self, ws, capsys):
         rc = main([

@@ -186,6 +186,13 @@ class TestFit:
         with pytest.raises(TrainingDataError):
             fit(feats, ["bonafide", "bonafide"])
 
+    def test_unknown_label_rejected(self):
+        # dropping it would leave priors of 0.4 and 0.4
+        feats = [np.array([float(i)]) for i in range(5)]
+        labels = ["bonafide", "bonafide", "spoof", "spoof", "maybe"]
+        with pytest.raises(TrainingDataError, match="unknown label 'maybe'"):
+            fit(feats, labels)
+
     def test_single_example_rejected(self):
         feats = [np.array([0.0]), np.array([1.0]), np.array([2.0])]
         with pytest.raises(TrainingDataError):

@@ -103,6 +103,15 @@ class TestTsvFormat:
         with pytest.raises(ManifestError, match="genuine"):
             load_manifest(str(p))
 
+    @pytest.mark.parametrize("attack", ["A 01", "", " A01", "A01\x0b"])
+    def test_attack_id_that_is_not_one_token_cites_line(self, tmp_path, attack):
+        # score files separate fields by whitespace, so such an id would split a score line
+        p = tmp_path / "m.tsv"
+        p.write_text(f"U1\ta.wav\tbonafide\t-\nU2\tb.wav\tspoof\t{attack}\n")
+        want = f"{p}:2: attack id {attack!r} must be one token without whitespace; use '-'"
+        with pytest.raises(ManifestError, match=re.escape(want)):
+            load_manifest(str(p))
+
 
 class TestSharedBehavior:
     def test_unknown_format(self, tmp_path):
@@ -190,6 +199,8 @@ class TestWriteManifest:
             (ManifestEntry("U2", "/x\ty.wav", "spoof", "A01"), "path"),
             (ManifestEntry("U2", "/x.wav", "spoof", "A\r01"), "attack id"),
             (ManifestEntry("U2", "/x.wav", "spoof", "A\t01"), "attack id"),
+            (ManifestEntry("U2", "/x.wav", "spoof", "A 01"), "attack id 'A 01'"),
+            (ManifestEntry("U2", "/x.wav", "bonafide", ""), "attack id ''"),
         ],
     )
     def test_entry_the_reader_would_refuse_is_not_written(self, tmp_path, entry, match):

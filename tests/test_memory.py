@@ -10,8 +10,10 @@ copies a stage's own array again, crosses it.
 import tracemalloc
 
 from spoofamp.amplify import process_utterance_details
+from spoofamp.audio import crop_or_pad
 from spoofamp.config import PipelineConfig
 from spoofamp.enhance import EnhancerKind, enhance
+from spoofamp.synth import SynthSpec, synth_utterance
 
 from conftest import make_speechlike
 
@@ -52,3 +54,21 @@ def test_wiener_enhance_peak():
     y = make_speechlike(seed=1, seconds=4.0)
     peak = _peak_bytes(lambda: enhance(EnhancerKind("wiener"), y))
     assert peak <= 3.0 * MIB
+
+
+def test_synth_utterance_peak():
+    # the fundamental phase and the harmonic bank's two complex arrays set the
+    # peak, 3.4 MiB at 4 s for every artifact kind; a second time axis, the
+    # intermediates of each step kept alive, or a copy into the Waveform took 4.4 MiB
+    spec = SynthSpec(1, 1, duration_s=4.0, artifact_kind="band_notch")
+    for spoof in (False, True):
+        peak = _peak_bytes(lambda: synth_utterance("SYN_S_0000", spec, spoof))
+        assert peak <= 3.9 * MIB
+
+
+def test_padding_peak():
+    # padding 4 s to 5 s needs only its 0.61 MiB result; tiling whole repeats,
+    # keeping them alive under the slice and copying the slice took 1.66 MiB
+    x = make_speechlike(seed=2, seconds=4.0)
+    peak = _peak_bytes(lambda: crop_or_pad(x, 5.0, 0))
+    assert peak <= 1.2 * MIB

@@ -1,7 +1,11 @@
 """EER and min t-DCF against brute-force oracles, plus score file parsing."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spoofamp.errors import (
     ConfigError,
@@ -11,6 +15,7 @@ from spoofamp.errors import (
     UnwritablePathError,
 )
 from spoofamp.metrics import (
+    LABELS,
     Report,
     ScoreRecord,
     TdcfParams,
@@ -305,6 +310,58 @@ class TestScoreFiles:
         with pytest.raises(ConfigError, match="is not 16 lowercase hex"):
             write_score_file(str(p), _records([0.5], [0.25]), config_hash="ab cd\n# x")
         assert not p.exists()
+
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            (ScoreRecord("SYN_B_0000", "bonafide", "", 1.5), "attack id ''"),
+            (ScoreRecord("SYN_S_0000", "spoof", "A 01", 1.5), "attack id 'A 01'"),
+            (ScoreRecord("SYN_S_0000", "spoof", "A\n01", 1.5), "attack id 'A\\n01'"),
+            (ScoreRecord("a b", "spoof", "A01", 1.5), "utterance id 'a b'"),
+            (ScoreRecord("", "spoof", "A01", 1.5), "utterance id ''"),
+            (ScoreRecord("#U1", "spoof", "A01", 1.5), "utterance id '#U1'"),
+        ],
+    )
+    def test_write_refuses_a_record_the_reader_would_split(self, tmp_path, record, match):
+        p = tmp_path / "scores.txt"
+        pattern = re.escape(f"{p}: record 2") + ".*" + re.escape(match)
+        with pytest.raises(ScoreFileError, match=pattern):
+            write_score_file(str(p), [_records([0.5], [])[0], record])
+        assert not p.exists()
+
+    # any text but surrogates, which are not UTF-8
+    _TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=6)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(_TEXT, st.text("U#a1_-é", min_size=1, max_size=3)),  # often valid
+                st.one_of(_TEXT, st.text("A#01-", min_size=1, max_size=3)),
+                st.sampled_from(LABELS),
+                # a numpy score once came out as "np.float64(...)"
+                st.floats(allow_nan=False, allow_infinity=False).flatmap(
+                    lambda x: st.sampled_from([x, np.float64(x)])
+                ),
+            ),
+            max_size=4,
+        ),
+        st.one_of(st.none(), st.just("0123456789abcdef")),
+    )
+    def test_written_scores_read_back_equal(self, tmp_path, rows, config_hash):
+        p = tmp_path / "scores.txt"
+        if p.exists():
+            p.unlink()
+        records = [ScoreRecord(utt, label, attack, score) for utt, attack, label, score in rows]
+        try:
+            write_score_file(str(p), records, config_hash=config_hash)
+        except ScoreFileError:
+            assert not p.exists()
+            return
+        parsed = parse_score_file(str(p))
+        assert parsed.rows == list(rows)
+        assert parsed.config_hash == config_hash
 
     def test_two_column_format(self, tmp_path):
         p = tmp_path / "scores.txt"

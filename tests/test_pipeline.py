@@ -473,6 +473,22 @@ class TestBenchmarkWiring:
             assert called.count(name) == len(entries), name
         assert pipeline.read_wav is real_read_wav  # the tracer put the bindings back
 
+    def test_perfbench_tracer_binds_every_synth_site(self, tmp_path, monkeypatch):
+        # the benchmark's synth-heavy workload traces synth_utterance,
+        # apply_artifact, the pink floor's generate and write_wav by those names
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        tracer = importlib.import_module("tracer")
+        spec = SynthSpec(n_bonafide=2, n_spoof=3, duration_s=0.25, seed=4)
+        n = spec.n_bonafide + spec.n_spoof
+        with tracer.Tracer() as t:
+            synth_corpus(spec, str(tmp_path / "corpus"))
+        called = [span[0] for span in t.spans]
+        assert called.count("synth.synth_utterance") == n
+        assert called.count("audio.write_wav") == n
+        assert called.count("noise.generate") >= n
+        assert called.count("synth.apply_artifact") == spec.n_spoof
+        assert t.waveforms == 2 * n  # the pink floor's and the utterance's own
+
 
 class TestSweep:
     def test_zero_alpha_cell_matches_raw_baseline(self, corpus):

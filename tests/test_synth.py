@@ -33,6 +33,15 @@ def _harmonic_bank_reference(n, sr, f0, vib_rate, vib_depth, amps, phases):
     return out
 
 
+def _phase(n, sr, f0, vib_rate, vib_depth):
+    """Fundamental phase 2*pi*base(t) for _harmonic_bank, base as in the reference."""
+    t = np.arange(n) / sr
+    base = f0 * t
+    if vib_rate > 0:
+        base = base + vib_depth / (2 * np.pi * vib_rate) * np.sin(2 * np.pi * vib_rate * t)
+    return 2 * np.pi * base
+
+
 class TestHarmonicBank:
     def test_matches_reference(self):
         rng = np.random.default_rng(12)
@@ -44,7 +53,7 @@ class TestHarmonicBank:
             n_harm = int(rng.integers(1, 12))
             amps = rng.uniform(0.1, 1.0, n_harm)
             phases = rng.uniform(0, 2 * np.pi, n_harm)
-            got = _harmonic_bank(n, 16000, f0, vib_rate, vib_depth, amps, phases)
+            got = _harmonic_bank(_phase(n, 16000, f0, vib_rate, vib_depth), amps, phases)
             want = _harmonic_bank_reference(n, 16000, f0, vib_rate, vib_depth, amps, phases)
             assert np.allclose(got, want, rtol=0, atol=1e-9)
 
@@ -57,7 +66,7 @@ class TestHarmonicBank:
             f0 = float(rng.uniform(85, 255))
             amps = rng.uniform(0.1, 1.0, 40)
             phases = rng.uniform(0, 2 * np.pi, 40)
-            got = _harmonic_bank(n, 16000, f0, vib_rate, 2.0, amps, phases)
+            got = _harmonic_bank(_phase(n, 16000, f0, vib_rate, 2.0), amps, phases)
             want = _harmonic_bank_reference(n, 16000, f0, vib_rate, 2.0, amps, phases)
             assert np.allclose(got, want, rtol=0, atol=1e-9)
 
@@ -71,14 +80,14 @@ class TestHarmonicBank:
         amps /= amps.sum()
         phases = rng.uniform(0, 2 * np.pi, 40)
         n = 60 * 16000
-        got = _harmonic_bank(n, 16000, 85.0, 5.0, 3.0, amps, phases)
+        got = _harmonic_bank(_phase(n, 16000, 85.0, 5.0, 3.0), amps, phases)
         want = _harmonic_bank_reference(n, 16000, 85.0, 5.0, 3.0, amps, phases)
         assert np.allclose(got, want, rtol=0, atol=1e-9)
 
     def test_single_harmonic_is_sine(self):
         n = 1600
-        got = _harmonic_bank(n, 16000, 200.0, 0.0, 0.0, np.array([1.0]), np.array([0.0]))
         t = np.arange(n) / 16000
+        got = _harmonic_bank(2 * np.pi * 200.0 * t, np.array([1.0]), np.array([0.0]))
         assert np.allclose(got, np.sin(2 * np.pi * 200.0 * t), atol=1e-9)
 
 
