@@ -31,6 +31,15 @@ def _read_text(path, what, error):
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _utf8(line, where, error):
+    """line as UTF-8 bytes; text UTF-8 cannot encode, such as a lone
+    surrogate, raises error naming where the line comes from."""
+    try:
+        return line.encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise error(f"{where}: {line.rstrip()!r} is not UTF-8 text: {e.reason}") from e
+
+
 def _read_json_object(path, what, error=ConfigError, known=None):
     """Parse a JSON file holding one object and drop its comment keys.
 

@@ -53,11 +53,10 @@ def extract_residual(x, x_hat, mode="projection"):
     ------
     ConfigError
         Unknown mode.
-    MismatchError
-        Lengths or sample rates differ.
     DegenerateSignalError
-        x_hat has zero energy in projection mode (a silent enhancer output
-        signals a broken backend, not a usable estimate).
+        Lengths or sample rates differ, or x_hat has zero energy in
+        projection mode (a silent enhancer output signals a broken backend,
+        not a usable estimate).
     """
     _check_extraction_mode(mode)
     _check_aligned(x, x_hat, "x", "x_hat")
@@ -83,7 +82,7 @@ def amplify(x, a_hat, alpha):
     ------
     ConfigError
         alpha is not finite and >= 0.
-    MismatchError
+    DegenerateSignalError
         Lengths or sample rates differ.
     """
     _check_alpha(alpha)

@@ -16,9 +16,6 @@ from .errors import (
     AudioIOError,
     ConfigError,
     DegenerateSignalError,
-    MalformedWavError,
-    MismatchError,
-    UnsupportedEncodingError,
     _is_finite_number,
     _is_integer,
 )
@@ -91,9 +88,9 @@ class _Fresh:
 
 def _check_aligned(a, b, name_a, name_b):
     if len(a) != len(b):
-        raise MismatchError(f"length mismatch: {name_a} {len(a)} vs {name_b} {len(b)}")
+        raise DegenerateSignalError(f"length mismatch: {name_a} {len(a)} vs {name_b} {len(b)}")
     if a.sample_rate != b.sample_rate:
-        raise MismatchError(
+        raise DegenerateSignalError(
             f"sample rate mismatch: {name_a} {a.sample_rate} vs {name_b} {b.sample_rate}"
         )
 
@@ -106,73 +103,75 @@ def read_wav(path):
 
     Raises
     ------
-    MalformedWavError, UnsupportedEncodingError, AudioIOError
+    AudioIOError
+        Missing or unreadable file, not a valid RIFF/WAVE file, or an
+        encoding other than PCM16 or float32 WAV.
     """
     buf = memoryview(_read_file(path, "audio file", AudioIOError))
     if buf[:4] == b"fLaC":
-        raise UnsupportedEncodingError(f"FLAC is not supported, only WAV: {path}")
+        raise AudioIOError(f"FLAC is not supported, only WAV: {path}")
     if len(buf) < 12 or buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
-        raise MalformedWavError(f"not a RIFF/WAVE file: {path}")
+        raise AudioIOError(f"not a RIFF/WAVE file: {path}")
     fmt = data = None
     pos = 12
     while pos < len(buf):  # a later chunk of the same id wins
         if len(buf) - pos < 8:
-            raise MalformedWavError(f"truncated chunk header in {path}")
+            raise AudioIOError(f"truncated chunk header in {path}")
         cid, size = struct.unpack_from("<4sI", buf, pos)
         pos += 8
         if cid == b"fmt " and size < 16:
-            raise MalformedWavError(f"fmt chunk too small ({size} bytes) in {path}")
+            raise AudioIOError(f"fmt chunk too small ({size} bytes) in {path}")
         if len(buf) - pos < size:
             what = {b"fmt ": "fmt chunk", b"data": "data chunk"}.get(cid, f"chunk {cid!r}")
-            raise MalformedWavError(f"truncated file while reading {what}: {path}")
+            raise AudioIOError(f"truncated file while reading {what}: {path}")
         if cid == b"fmt ":
             fmt = bytes(buf[pos : pos + size])
         elif cid == b"data":
             data = buf[pos : pos + size]
         pos += size + size % 2  # chunks are word-aligned
     if fmt is None:
-        raise MalformedWavError(f"missing fmt chunk in {path}")
+        raise AudioIOError(f"missing fmt chunk in {path}")
     if data is None:
-        raise MalformedWavError(f"missing data chunk in {path}")
+        raise AudioIOError(f"missing data chunk in {path}")
 
     tag, channels, sample_rate, _byte_rate, _block_align, bits = struct.unpack_from("<HHIIHH", fmt)
     if tag == _FMT_EXTENSIBLE:
         # subformat GUID starts at byte 24 of the fmt chunk
         if len(fmt) < 40:
-            raise MalformedWavError(f"EXTENSIBLE fmt chunk shorter than 40 bytes: {path}")
+            raise AudioIOError(f"EXTENSIBLE fmt chunk shorter than 40 bytes: {path}")
         guid = fmt[24:40]
         if guid[2:] != _EXT_GUID_TAIL:
-            raise UnsupportedEncodingError(f"unknown EXTENSIBLE subformat GUID {guid.hex()}: {path}")
+            raise AudioIOError(f"unknown EXTENSIBLE subformat GUID {guid.hex()}: {path}")
         tag = struct.unpack_from("<H", guid)[0]
     if channels < 1:
-        raise MalformedWavError(f"fmt chunk declares zero channels: {path}")
+        raise AudioIOError(f"fmt chunk declares zero channels: {path}")
     if sample_rate == 0:
-        raise MalformedWavError(f"fmt chunk declares a sample rate of 0: {path}")
+        raise AudioIOError(f"fmt chunk declares a sample rate of 0: {path}")
 
     if tag == _FMT_PCM and bits == 16:
         dtype, scale = "<i2", 1.0 / 32768.0
     elif tag == _FMT_IEEE_FLOAT and bits == 32:
         dtype, scale = "<f4", 1.0
     else:
-        raise UnsupportedEncodingError(
+        raise AudioIOError(
             f"unsupported WAV encoding in {path}: format tag {tag}, {bits} bits per sample"
         )
     if len(data) % (bits // 8) != 0:
-        raise MalformedWavError(
+        raise AudioIOError(
             f"data chunk of {len(data)} bytes is not a whole number of {bits}-bit samples: {path}"
         )
     samples = np.frombuffer(data, dtype=dtype).astype(np.float64)
     samples *= scale
 
     if samples.size == 0:
-        raise MalformedWavError(f"data chunk holds no samples: {path}")
+        raise AudioIOError(f"data chunk holds no samples: {path}")
     if not np.all(np.isfinite(samples)):
-        raise MalformedWavError(f"data chunk holds NaN or infinite samples: {path}")
+        raise AudioIOError(f"data chunk holds NaN or infinite samples: {path}")
     if channels > 1:
         usable = (samples.size // channels) * channels
         samples = samples[:usable].reshape(-1, channels).mean(axis=1)
         if samples.size == 0:
-            raise MalformedWavError(f"data chunk shorter than one frame: {path}")
+            raise AudioIOError(f"data chunk shorter than one frame: {path}")
     return Waveform(_Fresh(samples), int(sample_rate))
 
 

@@ -17,7 +17,6 @@ from ._files import _read_json_object, _write_file
 from .errors import (
     ConfigError,
     DegenerateSignalError,
-    MismatchError,
     SpoofampError,
     TrainingDataError,
     _is_integer,
@@ -141,7 +140,7 @@ def fit(features, labels, feature_config=FeatureConfig()):
     features = [np.asarray(f, dtype=np.float64) for f in features]
     labels = list(labels)
     if len(features) != len(labels):
-        raise MismatchError(f"{len(features)} feature vectors vs {len(labels)} labels")
+        raise DegenerateSignalError(f"{len(features)} feature vectors vs {len(labels)} labels")
     for label in labels:
         if label not in LABELS:
             raise TrainingDataError(f"unknown label {label!r} (expected one of {LABELS})")
@@ -167,7 +166,9 @@ def score(model, f):
     f = np.asarray(f, dtype=np.float64)
     dim = model.means["bonafide"].size
     if f.size != dim:
-        raise MismatchError(f"feature dimensionality {f.size} != model dimensionality {dim}")
+        raise DegenerateSignalError(
+            f"feature dimensionality {f.size} != model dimensionality {dim}"
+        )
 
     def loglik(label):
         mu = model.means[label]

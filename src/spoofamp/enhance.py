@@ -20,10 +20,7 @@ from .audio import Waveform, _Fresh, read_wav, write_wav
 from .errors import (
     AudioIOError,
     ConfigError,
-    EnhancerOutputError,
-    EnhancerProcessError,
-    EnhancerTimeoutError,
-    MissingReferenceError,
+    EnhancerError,
     _is_finite_number,
 )
 from .stft import istft, stft
@@ -150,9 +147,9 @@ def _run_external(command_template, y, timeout_s):
 
     Raises
     ------
-    EnhancerTimeoutError, EnhancerProcessError, EnhancerOutputError
-        Process ran too long, exited nonzero, or produced unusable audio;
-        each carries captured stderr text.
+    EnhancerError
+        Process ran too long, could not launch, exited nonzero, or produced
+        unusable audio; carries captured stderr text.
     """
     with tempfile.TemporaryDirectory(prefix="spoofamp-ext-", ignore_cleanup_errors=True) as tmpdir:
         in_path = f"{tmpdir}/in.wav"
@@ -168,24 +165,24 @@ def _run_external(command_template, y, timeout_s):
             )
         except subprocess.TimeoutExpired as e:
             stderr = e.stderr if isinstance(e.stderr, str) else ""
-            raise EnhancerTimeoutError(
+            raise EnhancerError(
                 f"external enhancer exceeded {timeout_s} s: {tokens[0]}", stderr=stderr
             ) from e
         except OSError as e:
-            raise EnhancerProcessError(f"cannot launch external enhancer: {e}") from e
+            raise EnhancerError(f"cannot launch external enhancer: {e}") from e
         if proc.returncode != 0:
-            raise EnhancerProcessError(
+            raise EnhancerError(
                 f"external enhancer exited {proc.returncode}; stderr: {proc.stderr.strip()}",
                 stderr=proc.stderr,
             )
         try:
             result = read_wav(out_path)
         except AudioIOError as e:
-            raise EnhancerOutputError(
+            raise EnhancerError(
                 f"external enhancer output unreadable: {e}", stderr=proc.stderr
             ) from e
         if result.sample_rate != y.sample_rate:
-            raise EnhancerOutputError(
+            raise EnhancerError(
                 f"external enhancer changed sample rate: {y.sample_rate} -> "
                 f"{result.sample_rate}",
                 stderr=proc.stderr,
@@ -203,7 +200,7 @@ def enhance(kind, y, reference_clean=None):
         return y
     if kind.tag == "oracle_clean":
         if reference_clean is None:
-            raise MissingReferenceError("oracle_clean enhancer needs a clean reference")
+            raise ConfigError("oracle_clean enhancer needs a clean reference")
         return y.with_samples(_match_length(reference_clean.samples, len(y)))
     params = kind.params
     if kind.tag == "spectral_subtraction":

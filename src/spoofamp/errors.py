@@ -1,8 +1,9 @@
 """Exception hierarchy for the spoofamp package.
 
 Every error raised by the library derives from SpoofampError so callers can
-catch one base class. Subclasses exist wherever the contract requires a
-distinct, testable failure mode.
+catch one base class. A subclass exists only where a caller tells it apart:
+some code catches it, the CLI maps it to its own exit code, it carries data,
+or it is the error of one kind of input file.
 """
 
 import math
@@ -15,52 +16,27 @@ class SpoofampError(Exception):
 
 
 class AudioIOError(SpoofampError):
-    """Base class for WAV read/write failures."""
+    """An audio file cannot be read: missing, not a valid RIFF/WAVE file, or
+    in an encoding other than PCM16 or float32 WAV."""
 
 
-class MalformedWavError(AudioIOError):
-    """File exists but is not a structurally valid RIFF/WAVE file."""
-
-
-class UnsupportedEncodingError(AudioIOError):
-    """Audio this package does not decode: a WAV sample encoding other than
-    PCM16 or float32, or another container such as FLAC."""
-
-
-class UnwritablePathError(AudioIOError):
-    """Output path cannot be created or written."""
+class UnwritablePathError(SpoofampError):
+    """An output file or directory cannot be created, written, or removed."""
 
 
 class DegenerateSignalError(SpoofampError):
-    """Signal violates an operation's preconditions (zero energy, too short)."""
-
-
-class MismatchError(SpoofampError):
-    """Operands disagree in length, sample rate, or dimensionality."""
+    """Input data violates an operation's precondition: zero energy, too
+    short, operands that differ in length, sample rate or dimensionality, a
+    score record with a bad label or score, or scores from only one class."""
 
 
 class EnhancerError(SpoofampError):
-    """Base class for external enhancer subprocess failures."""
+    """External enhancer timed out, could not launch, exited nonzero, or
+    produced unusable audio; carries its captured stderr text."""
 
     def __init__(self, message, stderr=""):
         super().__init__(message)
         self.stderr = stderr
-
-
-class EnhancerTimeoutError(EnhancerError):
-    """External enhancer exceeded its time budget."""
-
-
-class EnhancerProcessError(EnhancerError):
-    """External enhancer exited with a nonzero status."""
-
-
-class EnhancerOutputError(EnhancerError):
-    """External enhancer produced missing, unreadable, or incompatible audio."""
-
-
-class MissingReferenceError(SpoofampError):
-    """oracle_clean enhancer invoked without a clean reference signal."""
 
 
 class StageError(SpoofampError):
@@ -85,24 +61,19 @@ def _stage(name):
         raise StageError(name, SpoofampError(f"{type(e).__name__}: {e}")) from e
 
 
-class SingleClassError(SpoofampError):
-    """Metric or fit invoked with records from only one class."""
-
-
 class TrainingDataError(SpoofampError):
-    """Detector training set is too small or missing a class."""
+    """Detector training labels are unknown or give a class fewer than two
+    examples, or a model file is missing or malformed."""
 
 
 class ManifestError(SpoofampError):
-    """Manifest file is malformed; message carries the offending line number."""
-
-
-class DuplicateIdError(ManifestError):
-    """Same utterance id appears twice; message cites both line numbers."""
+    """Manifest file or entry is malformed or repeats an id; the message
+    carries the offending line or entry number."""
 
 
 class ScoreFileError(SpoofampError):
-    """Score file line cannot be parsed."""
+    """Score file is missing or malformed, a record cannot be written as one
+    line, or the scores disagree with their manifest."""
 
 
 class ConfigError(SpoofampError):

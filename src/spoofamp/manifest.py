@@ -12,8 +12,8 @@ import logging
 import os
 from dataclasses import dataclass
 
-from ._files import _read_text, _write_file
-from .errors import ConfigError, DuplicateIdError, ManifestError
+from ._files import _read_text, _utf8, _write_file
+from .errors import ConfigError, ManifestError
 from .metrics import LABELS, _is_token
 
 MANIFEST_FORMATS = ("asvspoof_protocol", "simple_tsv")
@@ -41,10 +41,12 @@ def _resolve_protocol_path(audio_root, utterance_id):
 
 
 def _check_entry(where, utterance_id, label, attack_id):
-    """The id names the entry's output files, the label is one of LABELS, and
-    the attack id is one field of a score line."""
+    """The id names the entry's output files and a score line, the label is
+    one of LABELS, and the attack id is one field of a score line."""
     if not _is_token(utterance_id) or "/" in utterance_id or os.sep in utterance_id:
         raise ManifestError(f"{where}: utterance id {utterance_id!r} cannot name a file")
+    if utterance_id.startswith("#"):  # a score file reads the line as a comment
+        raise ManifestError(f"{where}: utterance id {utterance_id!r} must not start with '#'")
     if label not in LABELS:
         raise ManifestError(f"{where}: unknown label {label!r} (expected one of {LABELS})")
     if not _is_token(attack_id):
@@ -63,10 +65,9 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
         Unknown format, or asvspoof_protocol without an audio_root.
     ManifestError
         Missing or unreadable file, malformed line (message cites the line
-        number), unknown label, an id that cannot name a file, or an attack
-        id that is not one token without whitespace.
-    DuplicateIdError
-        Repeated utterance id (message cites both line numbers).
+        number), unknown label, an id that cannot name a file or starts
+        with '#', an attack id that is not one token without whitespace, or
+        a repeated utterance id (message cites both line numbers).
     """
     if fmt not in MANIFEST_FORMATS:
         raise ConfigError(f"unknown manifest format {fmt!r}; choose from {MANIFEST_FORMATS}")
@@ -100,7 +101,7 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
                 audio_path = os.path.join(base_dir, audio_path)
         _check_entry(f"{path}:{lineno}", utt, label, attack)
         if utt in seen:
-            raise DuplicateIdError(
+            raise ManifestError(
                 f"{path}: duplicate utterance id {utt!r} on lines {seen[utt]} and {lineno}"
             )
         seen[utt] = lineno
@@ -121,10 +122,10 @@ def write_manifest(path, entries):
     ------
     ManifestError
         Before anything is written, for an entry that load_manifest would
-        refuse or split differently: a bad id, label or attack id, or a tab
-        or line break in its path. The message names the entry.
-    DuplicateIdError
-        Repeated utterance id (message cites both entries).
+        refuse or split differently: a bad id, label or attack id, a tab or
+        line break in its path, text UTF-8 cannot encode, or a repeated
+        utterance id (message cites both entries). The message names the
+        entry.
     """
     base_dir = os.path.dirname(os.path.abspath(path))
     lines = []
@@ -135,7 +136,7 @@ def write_manifest(path, entries):
         if any(c in e.path for c in "\t\n\r"):  # the reader reads "\r" as a line break
             raise ManifestError(f"{where}: path {e.path!r} holds a tab or line break")
         if e.utterance_id in seen:
-            raise DuplicateIdError(
+            raise ManifestError(
                 f"{path}: duplicate utterance id {e.utterance_id!r} "
                 f"in entries {seen[e.utterance_id]} and {i}"
             )
@@ -147,5 +148,6 @@ def write_manifest(path, entries):
             rel = p
         if rel != "." and not rel.startswith(".."):
             p = rel
-        lines.append(f"{e.utterance_id}\t{p}\t{e.label}\t{e.attack_id}\n")
-    _write_file(path, "".join(lines).encode("utf-8"))
+        line = f"{e.utterance_id}\t{p}\t{e.label}\t{e.attack_id}\n"
+        lines.append(_utf8(line, where, ManifestError))
+    _write_file(path, b"".join(lines))

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._files import _read_text, _write_file
+from ._files import _read_text, _utf8, _write_file
 from .errors import (
     ConfigError,
     DegenerateSignalError,
     ScoreFileError,
-    SingleClassError,
     _is_finite_number,
 )
 
@@ -37,7 +36,7 @@ class ScoreRecord:
     def __post_init__(self):
         if self.label not in LABELS:
             raise DegenerateSignalError(f"label must be one of {LABELS}, got {self.label!r}")
-        if not np.isfinite(self.score):
+        if not _is_finite_number(self.score):
             raise DegenerateSignalError(
                 f"score for {self.utterance_id!r} is not finite: {self.score}"
             )
@@ -82,7 +81,7 @@ def _split_scores(records):
     bona = np.sort(np.array([r.score for r in records if r.label == "bonafide"], dtype=np.float64))
     spoof = np.sort(np.array([r.score for r in records if r.label == "spoof"], dtype=np.float64))
     if bona.size == 0 or spoof.size == 0:
-        raise SingleClassError(
+        raise DegenerateSignalError(
             f"need both classes, got {bona.size} bonafide and {spoof.size} spoof"
         )
     return bona, spoof
@@ -132,7 +131,7 @@ def eer(records):
                 t = d0 / (d0 - d)
                 return float(f0 + t * (f - f0))
         prev = (f, m, d)
-    raise SingleClassError("DET curve does not cross the miss = false-alarm diagonal")
+    raise DegenerateSignalError("DET curve does not cross the miss = false-alarm diagonal")
 
 
 def tdcf_coefficients(params):
@@ -159,7 +158,8 @@ def min_tdcf(records, params):
 
     Raises
     ------
-    SingleClassError
+    DegenerateSignalError
+        Records hold only one class.
     """
     bona, spoof = _split_scores(records)
     c0, c1, c2 = tdcf_coefficients(params)
@@ -298,12 +298,12 @@ def write_score_file(path, records, config_hash=None):
         A hash not of config.config_hash's form.
     ScoreFileError
         Before anything is written, for a record whose utterance id or
-        attack id is not one token without whitespace, or whose id starts
-        with '#', which would read back as a comment.
+        attack id is not one token of UTF-8 text without whitespace, or
+        whose id starts with '#', which would read back as a comment.
     """
     if config_hash is not None and not _is_config_hash(config_hash):
         raise ConfigError(f"config_hash {config_hash!r} is not 16 lowercase hex")
-    lines = [f"# config_hash={config_hash}\n"] if config_hash else []
+    lines = [f"# config_hash={config_hash}\n".encode()] if config_hash else []
     for i, r in enumerate(records, start=1):
         if not _is_token(r.utterance_id) or r.utterance_id.startswith("#"):
             raise ScoreFileError(
@@ -315,5 +315,6 @@ def write_score_file(path, records, config_hash=None):
                 f"{path}: record {i} ({r.utterance_id}): attack id {r.attack_id!r} must be "
                 "one token without whitespace; use '-' for none"
             )
-        lines.append(f"{r.utterance_id} {r.attack_id} {r.label} {float(r.score)!r}\n")
-    _write_file(path, "".join(lines).encode("utf-8"))
+        line = f"{r.utterance_id} {r.attack_id} {r.label} {float(r.score)!r}\n"
+        lines.append(_utf8(line, f"{path}: record {i}", ScoreFileError))
+    _write_file(path, b"".join(lines))

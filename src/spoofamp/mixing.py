@@ -28,10 +28,9 @@ def add_noise_at_snr(x, n, snr_db):
     ------
     ConfigError
         snr_db is not finite or not within +-300 dB.
-    MismatchError
-        Length or sample rate mismatch between x and n.
     DegenerateSignalError
-        Zero-energy signal or noise.
+        Length or sample rate mismatch between x and n, or zero-energy
+        signal or noise.
     """
     _check_snr_db(snr_db)
     _check_aligned(x, n, "signal", "noise")

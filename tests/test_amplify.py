@@ -14,7 +14,7 @@ from spoofamp.amplify import (
 from spoofamp.audio import Waveform
 from spoofamp.config import PipelineConfig
 from spoofamp.enhance import EnhancerKind
-from spoofamp.errors import ConfigError, DegenerateSignalError, MismatchError, StageError
+from spoofamp.errors import ConfigError, DegenerateSignalError, StageError
 
 from conftest import make_speechlike
 
@@ -95,7 +95,7 @@ class TestExtractResidual:
         assert EXTRACTION_MODES == ("projection", "naive")
 
     def test_length_mismatch(self):
-        with pytest.raises(MismatchError):
+        with pytest.raises(DegenerateSignalError, match="length mismatch: x 2 vs x_hat 1"):
             extract_residual(_wave([1.0, 1.0]), _wave([1.0]))
 
 
@@ -129,7 +129,7 @@ class TestAmplify:
 
     def test_length_mismatch(self):
         x = _wave([1.0, 1.0])
-        with pytest.raises(MismatchError):
+        with pytest.raises(DegenerateSignalError, match="length mismatch: x 2 vs residual 1"):
             amplify(x, _wave([1.0]), 1.0)
 
 

@@ -15,9 +15,7 @@ from spoofamp.errors import (
     AudioIOError,
     ConfigError,
     DegenerateSignalError,
-    MalformedWavError,
     ManifestError,
-    UnsupportedEncodingError,
     UnwritablePathError,
 )
 from spoofamp.manifest import load_manifest
@@ -242,13 +240,13 @@ class TestWavErrors:
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "t.wav"
         p.write_bytes(b"RIFF\x00\x00")
-        with pytest.raises(MalformedWavError):
+        with pytest.raises(AudioIOError, match="not a RIFF/WAVE file"):
             read_wav(str(p))
 
     def test_not_riff(self, tmp_path):
         p = tmp_path / "t.wav"
         p.write_bytes(b"OggS" + b"\x00" * 40)
-        with pytest.raises(MalformedWavError):
+        with pytest.raises(AudioIOError, match="not a RIFF/WAVE file"):
             read_wav(str(p))
 
     def test_missing_data_chunk(self, tmp_path):
@@ -256,7 +254,7 @@ class TestWavErrors:
         body = fmt
         p = tmp_path / "t.wav"
         p.write_bytes(struct.pack("<4sI4s", b"RIFF", 4 + len(body), b"WAVE") + body)
-        with pytest.raises(MalformedWavError):
+        with pytest.raises(AudioIOError, match="missing data chunk"):
             read_wav(str(p))
 
     def test_unsupported_encoding(self, tmp_path):
@@ -264,7 +262,7 @@ class TestWavErrors:
         payload = bytes([128, 255])
         p = tmp_path / "u.wav"
         write_minimal_wav(p, payload, fmt_tag=1, bits=8, channels=1, rate=16000)
-        with pytest.raises(UnsupportedEncodingError, match="unsupported WAV encoding") as e:
+        with pytest.raises(AudioIOError, match="unsupported WAV encoding") as e:
             read_wav(str(p))
         assert str(p) in str(e.value)
 
@@ -276,7 +274,7 @@ class TestWavErrors:
     def test_partial_sample_rejected(self, tmp_path, payload, fmt_tag, bits):
         p = tmp_path / "partial.wav"
         write_minimal_wav(p, payload, fmt_tag=fmt_tag, bits=bits, channels=1, rate=16000)
-        with pytest.raises(MalformedWavError, match="whole number"):
+        with pytest.raises(AudioIOError, match="whole number"):
             read_wav(str(p))
 
     @pytest.mark.parametrize(
@@ -297,39 +295,38 @@ class TestWavErrors:
                                               channels, match):
         p = tmp_path / "corrupt.wav"
         write_minimal_wav(p, payload, fmt_tag=fmt_tag, bits=bits, channels=channels, rate=rate)
-        with pytest.raises(MalformedWavError, match=match) as e:
+        with pytest.raises(AudioIOError, match=match) as e:
             read_wav(str(p))
         assert str(p) in str(e.value)
 
     @pytest.mark.parametrize(
-        "corrupt, error, match",
+        "corrupt, match",
         [
             # byte 50 lies in the EXTENSIBLE subformat GUID's fixed tail
-            (lambda b: b[:50] + bytes([b[50] ^ 0xFF]) + b[51:], UnsupportedEncodingError,
+            (lambda b: b[:50] + bytes([b[50] ^ 0xFF]) + b[51:],
              "unknown EXTENSIBLE subformat GUID"),
-            (lambda b: b[:-2], MalformedWavError, "truncated file while reading data chunk"),
+            (lambda b: b[:-2], "truncated file while reading data chunk"),
             # bytes 16..19 hold the fmt chunk's size
-            (lambda b: b[:16] + struct.pack("<I", 14) + b[20:], MalformedWavError,
-             r"fmt chunk too small \(14 bytes\)"),
-            (lambda b: b.replace(b"fmt ", b"junk"), MalformedWavError, "missing fmt chunk"),
+            (lambda b: b[:16] + struct.pack("<I", 14) + b[20:], r"fmt chunk too small \(14 bytes\)"),
+            (lambda b: b.replace(b"fmt ", b"junk"), "missing fmt chunk"),
         ],
         ids=["unknown_guid", "truncated_data", "short_fmt", "no_fmt"],
     )
-    def test_damaged_file_named(self, tmp_path, corrupt, error, match):
+    def test_damaged_file_named(self, tmp_path, corrupt, match):
         p = tmp_path / "damaged.wav"
         payload = struct.pack("<2f", 0.5, -0.5)
         write_minimal_wav(p, payload, fmt_tag=3, bits=32, channels=1, rate=16000,
                           extensible=True)
         assert read_wav(str(p)).samples.tolist() == [0.5, -0.5]
         p.write_bytes(corrupt(p.read_bytes()))
-        with pytest.raises(error, match=match) as e:
+        with pytest.raises(AudioIOError, match=match) as e:
             read_wav(str(p))
         assert str(p) in str(e.value)
 
     def test_flac_named(self, tmp_path):
         p = tmp_path / "a.flac"
         p.write_bytes(b"fLaC" + b"\x00" * 40)
-        with pytest.raises(UnsupportedEncodingError, match="FLAC"):
+        with pytest.raises(AudioIOError, match="FLAC is not supported"):
             read_wav(str(p))
 
     def test_unwritable_path(self, tmp_path):

@@ -19,7 +19,6 @@ from spoofamp.detector import (
 from spoofamp.errors import (
     ConfigError,
     DegenerateSignalError,
-    MismatchError,
     TrainingDataError,
     UnwritablePathError,
 )
@@ -199,7 +198,7 @@ class TestFit:
             fit(feats, ["bonafide", "bonafide", "spoof"])
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(MismatchError):
+        with pytest.raises(DegenerateSignalError, match="1 feature vectors vs 2 labels"):
             fit([np.array([0.0])], ["bonafide", "spoof"])
 
 
@@ -230,7 +229,7 @@ class TestScore:
 
     def test_dimension_mismatch_rejected(self):
         m = _hand_model(mu_b=0.0, mu_s=1.0)
-        with pytest.raises(MismatchError):
+        with pytest.raises(DegenerateSignalError, match="feature dimensionality 2 != model"):
             score(m, np.array([0.0, 1.0]))
 
     def test_separable_features_reach_zero_eer(self):

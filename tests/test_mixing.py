@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spoofamp.audio import Waveform
-from spoofamp.errors import ConfigError, DegenerateSignalError, MismatchError
+from spoofamp.errors import ConfigError, DegenerateSignalError
 from spoofamp.mixing import add_noise_at_snr
 
 from conftest import measure_snr
@@ -53,13 +53,13 @@ class TestAddNoiseAtSnr:
             add_noise_at_snr(x, n, 0.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(MismatchError):
+        with pytest.raises(DegenerateSignalError, match="length mismatch: signal 8 vs noise 9"):
             add_noise_at_snr(
                 Waveform(np.ones(8), 16000), Waveform(np.ones(9), 16000), 0.0
             )
 
     def test_rate_mismatch(self):
-        with pytest.raises(MismatchError, match="signal 16000 vs noise 8000"):
+        with pytest.raises(DegenerateSignalError, match="signal 16000 vs noise 8000"):
             add_noise_at_snr(
                 Waveform(np.ones(8), 16000), Waveform(np.ones(8), 8000), 0.0
             )

@@ -1,5 +1,6 @@
 """Package-level layout of the spoofamp namespace."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -9,6 +10,7 @@ import sys
 import types
 
 import spoofamp
+from spoofamp import errors
 
 # Public functions and classes defined in each submodule. A name added or
 # dropped here is a change to the library's public surface.
@@ -27,11 +29,9 @@ _PUBLIC_SURFACE = {
     },
     "enhance": {"EnhancerKind", "enhance"},
     "errors": {
-        "AudioIOError", "ConfigError", "DegenerateSignalError", "DuplicateIdError",
-        "EnhancerError", "EnhancerOutputError", "EnhancerProcessError", "EnhancerTimeoutError",
-        "MalformedWavError", "ManifestError", "MismatchError", "MissingReferenceError",
-        "ScoreFileError", "SingleClassError", "SpoofampError", "StageError",
-        "TrainingDataError", "UnsupportedEncodingError", "UnwritablePathError",
+        "AudioIOError", "ConfigError", "DegenerateSignalError", "EnhancerError",
+        "ManifestError", "ScoreFileError", "SpoofampError", "StageError", "TrainingDataError",
+        "UnwritablePathError",
     },
     "manifest": {"ManifestEntry", "load_manifest", "write_manifest"},
     "metrics": {
@@ -124,3 +124,39 @@ def test_public_surface():
             and value.__module__ == module.__name__
         }
     assert found == _PUBLIC_SURFACE
+
+
+def test_error_bases():
+    """Every error derives directly from SpoofampError, so catching one class
+    never catches another by accident."""
+    bases = {name: getattr(errors, name).__bases__ for name in _PUBLIC_SURFACE["errors"]}
+    assert bases.pop("SpoofampError") == (Exception,)
+    assert bases == {name: (errors.SpoofampError,) for name in bases}
+
+
+def test_every_error_is_raised_or_caught():
+    """An error class earns its name only where code raises or catches it, or
+    where it is the base of one that is."""
+    named = set()
+    package = os.path.dirname(spoofamp.__file__)
+    for info in pkgutil.iter_modules(spoofamp.__path__):
+        with open(os.path.join(package, f"{info.name}.py"), encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                clause = node.exc
+            elif isinstance(node, ast.ExceptHandler):
+                clause = node.type
+            else:
+                continue
+            for sub in ast.walk(clause) if clause else ():  # a bare raise or except names none
+                if isinstance(sub, ast.Name):
+                    named.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    named.add(sub.attr)
+    used = [getattr(errors, name) for name in _PUBLIC_SURFACE["errors"] & named]
+    unused = [
+        name for name in sorted(_PUBLIC_SURFACE["errors"])
+        if not any(issubclass(cls, getattr(errors, name)) for cls in used)
+    ]
+    assert unused == []
