@@ -9,6 +9,7 @@ envelope of the DET operating points with linear interpolation between the
 two achievable points bracketing the miss = false-alarm diagonal.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,10 @@ class ScoreRecord:
     def __post_init__(self):
         if self.label not in LABELS:
             raise DegenerateSignalError(f"label must be one of {LABELS}, got {self.label!r}")
+        if not isinstance(self.score, numbers.Real) or isinstance(self.score, bool):
+            raise DegenerateSignalError(
+                f"score for {self.utterance_id!r} is not a number: {self.score!r}"
+            )
         if not _is_finite_number(self.score):
             raise DegenerateSignalError(
                 f"score for {self.utterance_id!r} is not finite: {self.score}"

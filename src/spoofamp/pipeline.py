@@ -170,57 +170,79 @@ def sweep(
 ):
     """Run the pipeline grid over one config axis and tabulate metrics.
 
-    Every entry is read and cropped once, in stage 'io'. For each value one pass
-    runs the chain over the train and eval crops together, in memory; the detector
-    is fit on the train split's amplified output (plus the raw crops when
-    include_raw_training is set) and EER / min t-DCF computed on the eval split. A
-    failing cell is recorded with its error and the sweep continues.
+    The utterance is the outer loop and the cell the inner one. A worker reads
+    and crops one entry, in stage 'io', runs the chain of every cell on that
+    crop and keeps only the feature vectors (and, for a train entry when
+    include_raw_training is set, the crop's own), so no crop outlives its
+    utterance. Each cell's detector is then fit on the train split's amplified
+    output (plus the raw features) and EER / min t-DCF computed on the eval
+    split. A refused value or a failure on any utterance fails only its cell,
+    with the error of its first failing utterance in train+eval order, and the
+    sweep continues; a failed read or crop raises StageError('io').
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    values = list(values)
     # no swept axis touches the enhancer, so one serves every cell
     enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
-    train_entries, eval_entries = list(train_entries), list(eval_entries)
-    # the swept axes touch neither seed, so the crops serve every cell
-    with _stage("io"):
-        loaded = [_load(e, config) for e in train_entries + eval_entries]
+    train_entries = list(train_entries)
+    entries = train_entries + list(eval_entries)
     n_train = len(train_entries)
+    cfgs = []  # a cell's config, or the message of the error that refused its value
+    for value in values:
+        try:
+            cfgs.append(config.with_overrides(**{axis: value}))
+        except SpoofampError as e:
+            cfgs.append(str(e))
+
+    def features(i):
+        # the swept axes touch neither seed, so one crop serves every cell
+        with _stage("io"):
+            x, _, noise_seed = _load(entries[i], config)
+        raw = None
+        if include_raw_training and i < n_train:
+            raw = detector.extract_features(x, feature_config)
+        # per cell, the feature vector or an error message: a kept exception
+        # would keep its traceback's frames, and so the crop, alive
+        row = []
+        for cfg in cfgs:
+            if isinstance(cfg, str):
+                row.append(cfg)
+                continue
+            try:
+                details = process_utterance_details(x, cfg, enhancer, noise_seed)
+                row.append(detector.extract_features(details.x_tilde, feature_config))
+            except SpoofampError as e:
+                row.append(str(e))
+        return raw, row
+
+    rows = _map_entries(range(len(entries)), features, config.parallelism)
     train_labels = [e.label for e in train_entries]
     raw_train_features = []
     if include_raw_training:
-        raw_train_features = [
-            detector.extract_features(x, feature_config) for x, _, _ in loaded[:n_train]
-        ]
+        raw_train_features = [raw for raw, _ in rows[:n_train]]
         train_labels = train_labels + train_labels
     cells = []
-    for value in values:
-        try:
-            cfg = config.with_overrides(**{axis: value})
-
-            def features(item):
-                x, _, noise_seed = item
-                details = process_utterance_details(x, cfg, enhancer, noise_seed)
-                return detector.extract_features(details.x_tilde, feature_config)
-
-            feats = _map_entries(loaded, features, cfg.parallelism)
-            train_feats = feats[:n_train] + raw_train_features
-            model = detector.fit(train_feats, train_labels, feature_config)
-            records = [
-                metrics.ScoreRecord(e.utterance_id, e.label, e.attack_id, detector.score(model, f))
-                for e, f in zip(eval_entries, feats[n_train:])
-            ]
-            cells.append(
-                SweepCell(
-                    axis=axis,
-                    value=value,
-                    eer=metrics.eer(records),
-                    min_tdcf=metrics.min_tdcf(records, tdcf_params),
-                    error=None,
-                )
-            )
-        except SpoofampError as e:
-            _log.warning("sweep cell %s=%r failed: %s", axis, value, e)
-            cells.append(SweepCell(axis=axis, value=value, eer=None, min_tdcf=None, error=str(e)))
+    for k, value in enumerate(values):
+        feats = [row[k] for _, row in rows]
+        error = next((f for f in feats if isinstance(f, str)), None)
+        eer = tdcf = None
+        if error is None:
+            try:
+                train_feats = feats[:n_train] + raw_train_features
+                model = detector.fit(train_feats, train_labels, feature_config)
+                records = [
+                    metrics.ScoreRecord(
+                        e.utterance_id, e.label, e.attack_id, detector.score(model, f)
+                    )
+                    for e, f in zip(entries[n_train:], feats[n_train:])
+                ]
+                eer, tdcf = metrics.eer(records), metrics.min_tdcf(records, tdcf_params)
+            except SpoofampError as e:
+                error = str(e)
+        if error is not None:
+            _log.warning("sweep cell %s=%r failed: %s", axis, value, error)
+        cells.append(SweepCell(axis=axis, value=value, eer=eer, min_tdcf=tdcf, error=error))
     return cells
 
 

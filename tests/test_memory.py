@@ -1,19 +1,23 @@
-"""Allocation peaks of the per-utterance chain.
+"""Allocation peaks of the per-utterance chain and of a sweep.
 
 tracemalloc counts the bytes numpy asks for, so the peaks do not depend on
 the allocator or on what else runs. Each bound sits between the in-place
 stage bodies and the out-of-place ones they replaced; a stage that goes back
 to building its result through full-length temporaries, or a Waveform that
-copies a stage's own array again, crosses it.
+copies a stage's own array again, crosses it. A sweep that holds every crop
+for every cell again crosses the bound on its growth with the corpus.
 """
 
 import tracemalloc
 
+from spoofamp import noise
 from spoofamp.amplify import process_utterance_details
 from spoofamp.audio import crop_or_pad
 from spoofamp.config import PipelineConfig
 from spoofamp.enhance import EnhancerKind, enhance
-from spoofamp.synth import SynthSpec, synth_utterance
+from spoofamp.errors import DegenerateSignalError
+from spoofamp.pipeline import load_tdcf_params, sweep
+from spoofamp.synth import SynthSpec, synth_corpus, synth_utterance
 
 from conftest import make_speechlike
 
@@ -72,3 +76,33 @@ def test_padding_peak():
     x = make_speechlike(seed=2, seconds=4.0)
     peak = _peak_bytes(lambda: crop_or_pad(x, 5.0, 0))
     assert peak <= 1.2 * MIB
+
+
+def test_sweep_peak_does_not_grow_with_corpus(tmp_path, monkeypatch):
+    # a sweep keeps each utterance's feature vectors, not its crop; 24 more 1 s
+    # crops are 3.07 MB of float64, all alive at once when a sweep loads every
+    # crop before its first cell. The violet cell fails on every utterance, and
+    # a kept exception would keep its crop alive through its traceback.
+    real_generate = noise.generate
+
+    def generate(color, n, sample_rate, seed):
+        if color == "violet":
+            raise DegenerateSignalError("no violet noise")
+        return real_generate(color, n, sample_rate, seed)
+
+    monkeypatch.setattr(noise, "generate", generate)
+    spec = SynthSpec(n_bonafide=16, n_spoof=16, duration_s=1.0, seed=5)
+    entries, _ = synth_corpus(spec, str(tmp_path))
+    config = PipelineConfig(crop_seconds=1.0, enhancer="spectral_subtraction", parallelism=1)
+    tdcf = load_tdcf_params()
+
+    def peak(n):
+        bonafide, spoof = entries[: n // 2], entries[16 : 16 + n // 2]
+        train = bonafide[::2] + spoof[::2]
+        eval_ = bonafide[1::2] + spoof[1::2]
+        return _peak_bytes(
+            lambda: sweep(config, train, eval_, "noise_color", ["white", "violet"], tdcf)
+        )
+
+    crop_bytes = 16000 * 8
+    assert peak(32) - peak(8) < 0.25 * 24 * crop_bytes

@@ -215,10 +215,17 @@ class TestValidation:
             ScoreRecord("U1", "genuine", "-", 0.5)
 
     def test_score_record_non_finite(self):
-        # a string, None or a bool is no finite number either
-        for score in (float("nan"), "0.5", None, True):
-            with pytest.raises(DegenerateSignalError, match="score for 'U1' is not finite"):
+        for score, text in ((float("nan"), "nan"), (float("-inf"), "-inf")):
+            with pytest.raises(DegenerateSignalError) as e:
                 ScoreRecord("U1", "bonafide", "-", score)
+            assert str(e.value) == f"score for 'U1' is not finite: {text}"
+
+    def test_score_record_not_a_number(self):
+        # a string, None or a bool is no number; the message shows it as it came
+        for score, text in (("0.5", "'0.5'"), (None, "None"), (True, "True")):
+            with pytest.raises(DegenerateSignalError) as e:
+                ScoreRecord("U1", "bonafide", "-", score)
+            assert str(e.value) == f"score for 'U1' is not a number: {text}"
 
     def test_tdcf_priors_must_sum_to_one(self):
         with pytest.raises(ConfigError):

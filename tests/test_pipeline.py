@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 from spoofamp import amplify as amplify_module
+from spoofamp import noise as noise_module
 from spoofamp import pipeline
 from spoofamp.audio import Waveform, crop_or_pad, read_wav, write_wav
 from spoofamp.config import PipelineConfig, config_hash, derive_seed
 from spoofamp.errors import (
     ConfigError,
+    DegenerateSignalError,
     ScoreFileError,
     StageError,
     UnwritablePathError,
@@ -473,6 +475,26 @@ class TestBenchmarkWiring:
             assert called.count(name) == len(entries), name
         assert pipeline.read_wav is real_read_wav  # the tracer put the bindings back
 
+    def test_perfbench_tracer_sees_one_read_per_sweep_entry(self, corpus, monkeypatch):
+        # a sweep reads and crops each entry once and runs every cell on that crop
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        tracer = importlib.import_module("tracer")
+        entries, _ = corpus
+        train = entries[:2] + entries[3:5]
+        values = [1.0, 2.0, 0.5]
+        with tracer.Tracer() as t:
+            cells = sweep(
+                _config(), train, entries, "alpha", values, UNIT_PARAMS,
+                feature_config=FeatureConfig(n_bands=4),
+            )
+        assert all(c.error is None for c in cells)
+        called = [span[0] for span in t.spans]
+        n = len(train) + len(entries)
+        assert called.count("audio.read_wav") == n
+        assert called.count("audio.crop_or_pad") == n
+        assert called.count("amplify.process_utterance_details") == n * len(values)
+        assert called.count("detector.extract_features") == n * len(values)
+
     def test_perfbench_tracer_binds_every_synth_site(self, tmp_path, monkeypatch):
         # the benchmark's synth-heavy workload traces synth_utterance,
         # apply_artifact, the pink floor's generate and write_wav by those names
@@ -553,6 +575,14 @@ class TestSweep:
         assert all(c.error is None for c in cells)
         assert all(c.eer is not None and c.min_tdcf is not None for c in cells)
 
+    def test_entries_and_values_may_be_iterators(self, corpus):
+        entries, _ = corpus
+        cells = sweep(
+            _config(), iter(entries), iter(entries), "alpha", iter([1.0, 2.0]),
+            UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
+        )
+        assert [(c.value, c.error) for c in cells] == [(1.0, None), (2.0, None)]
+
     def test_failing_cell_recorded_and_sweep_continues(self, corpus):
         entries, _ = corpus
         cells = sweep(
@@ -593,8 +623,40 @@ class TestSweep:
         assert cells[1].error is None
         assert cells[1].eer is not None
 
+    def test_fault_in_one_utterance_fails_only_its_cell(self, corpus, monkeypatch):
+        # SYN_S_0001 comes before SYN_B_0002 in train+eval order, though not by id;
+        # which of the two a worker reaches first must not matter
+        entries, _ = corpus
+        train = entries[:2] + entries[3:5]
+        _fault_noise(monkeypatch, {("SYN_B_0002", "pink"), ("SYN_S_0001", "pink")})
+        for par in (1, 2):
+            cells = sweep(
+                _config(parallelism=par), train, entries, "noise_color", ["white", "pink"],
+                UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
+            )
+            assert cells[0].error is None
+            assert cells[0].eer is not None
+            assert cells[1].error == "stage 'noise-gen' failed: no noise for SYN_S_0001"
+            assert cells[1].eer is None and cells[1].min_tdcf is None
+
+    def test_same_cells_at_any_parallelism(self, corpus, monkeypatch):
+        entries, _ = corpus
+        train = entries[:2] + entries[3:5]
+        _fault_noise(monkeypatch, {("SYN_B_0002", "pink"), ("SYN_S_0001", "pink")})
+        runs = [
+            sweep(
+                _config(parallelism=par), train, entries, "noise_color",
+                ["white", "pink", "violet"], UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
+            )
+            for par in (1, 3)
+        ]
+        assert [c.error is None for c in runs[0]] == [True, False, True]
+        assert runs[0] == runs[1]
+        assert sweep_csv_text(runs[0]).encode() == sweep_csv_text(runs[1]).encode()
+
     def test_load_fault_is_a_stage_error(self, corpus, monkeypatch):
-        # the crops are loaded once, before the first cell; raised by a stand-in
+        # each entry is loaded once, by the worker that then runs every cell on
+        # it; a failed load fails the sweep, not a cell; raised by a stand-in
         entries, _ = corpus
 
         def crop_out_of_memory(w, target_seconds, rng_seed):
@@ -604,6 +666,30 @@ class TestSweep:
         with pytest.raises(StageError) as e:
             sweep(_config(), entries, entries, "alpha", [1.0], UNIT_PARAMS)
         assert str(e.value) == "stage 'io' failed: MemoryError: Unable to allocate 29.8 GiB"
+
+    def test_load_fault_stops_the_entries_not_started(self, corpus, monkeypatch):
+        # the first entry's read fails; the pool's map cancels the entries no
+        # worker has started, so the sweep raises without running every cell
+        # on the other entries first
+        entries, _ = corpus
+        real_read_wav = pipeline.read_wav
+        chains = []
+
+        def read_wav(path):
+            if path == entries[0].path:
+                raise MemoryError("Unable to allocate 29.8 GiB")
+            return real_read_wav(path)
+
+        def chain(x, cfg, enhancer, noise_seed):
+            chains.append(noise_seed)
+            time.sleep(0.05)
+            return amplify_module.process_utterance_details(x, cfg, enhancer, noise_seed)
+
+        monkeypatch.setattr(pipeline, "read_wav", read_wav)
+        monkeypatch.setattr(pipeline, "process_utterance_details", chain)
+        with pytest.raises(StageError, match="stage 'io' failed"):
+            sweep(_config(), entries * 4, entries, "alpha", [1.0, 2.0], UNIT_PARAMS)
+        assert len(chains) < 2 * 4  # at most the entries a worker had started
 
     def test_unknown_axis_rejected(self, corpus):
         entries, _ = corpus
@@ -626,6 +712,21 @@ class TestSweep:
         assert lines[3] == "skip_noise_addition,off,0.500000,1.000000,ok"
         assert lines[4] == "noise_color,infrared,,,error: bad; very bad"
         assert all(len(line.split(",")) == 5 for line in lines)
+
+
+def _fault_noise(monkeypatch, faults):
+    """Make noise generation fail for each (utterance id, noise color) pair in
+    faults, telling the utterance by its noise seed under _config's global seed."""
+    real_generate = noise_module.generate
+    ids = {derive_seed(99, utt, "noise"): utt for utt, _ in faults}
+
+    def generate(color, n, sample_rate, seed):
+        utt = ids.get(seed)
+        if (utt, color) in faults:
+            raise DegenerateSignalError(f"no noise for {utt}")
+        return real_generate(color, n, sample_rate, seed)
+
+    monkeypatch.setattr(noise_module, "generate", generate)
 
 
 def _entries(*ids_labels):
