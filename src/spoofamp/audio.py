@@ -183,8 +183,14 @@ def write_wav(w, path):
 
     Raises
     ------
+    DegenerateSignalError
+        A rate above 1073741823 Hz: its byte rate, 4 * rate, overflows 32 bits.
     UnwritablePathError
     """
+    if w.sample_rate > 1073741823:  # before any file is made
+        raise DegenerateSignalError(
+            f"cannot write {path}: a float32 WAV holds at most 1073741823 Hz, got {w.sample_rate}"
+        )
     payload = w.samples.astype("<f4")
     # non-PCM encodings carry a fact chunk with the frame count
     fact = struct.pack("<4sII", b"fact", 4, len(w))

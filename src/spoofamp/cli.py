@@ -237,8 +237,8 @@ def build_parser():
 
     p = sub.add_parser("mix", help="add colored noise to a WAV at a target SNR")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--noise-color", default="white", choices=NOISE_COLORS)
-    p.add_argument("--snr-db", type=float, default=0.0)
+    p.add_argument("--noise-color", default=PipelineConfig.noise_color, choices=NOISE_COLORS)
+    p.add_argument("--snr-db", type=float, default=PipelineConfig.snr_db)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_mix)
@@ -246,14 +246,14 @@ def build_parser():
     p = sub.add_parser("extract", help="extract the residual of raw vs enhanced audio")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--enhanced", required=True)
-    p.add_argument("--mode", default="projection", choices=EXTRACTION_MODES)
+    p.add_argument("--mode", default=PipelineConfig.extraction_mode, choices=EXTRACTION_MODES)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_extract)
 
     p = sub.add_parser("amplify", help="add a scaled residual back onto audio")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--residual", required=True)
-    p.add_argument("--alpha", type=float, default=1.4)
+    p.add_argument("--alpha", type=float, default=PipelineConfig.alpha)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_amplify)
 
@@ -267,7 +267,7 @@ def build_parser():
     p = sub.add_parser("fit", help="fit the Gaussian detector on a manifest")
     _add_manifest_args(p)
     p.add_argument("--audio-dir", default=None, help="read <utterance_id>.wav from this dir")
-    p.add_argument("--n-bands", type=int, default=24)
+    p.add_argument("--n-bands", type=int, default=detector.FeatureConfig.n_bands)
     p.add_argument("--out-model", required=True)
     p.set_defaults(fn=_cmd_fit)
 
@@ -285,7 +285,7 @@ def build_parser():
     p.add_argument("--axis", required=True, choices=pipeline.SWEEP_AXES)
     p.add_argument("--values", required=True, help="comma-separated axis values")
     p.add_argument("--tdcf-params", default=None)
-    p.add_argument("--n-bands", type=int, default=24)
+    p.add_argument("--n-bands", type=int, default=detector.FeatureConfig.n_bands)
     p.add_argument("--include-raw-training", action="store_true")
     p.add_argument("--out", required=True, help="CSV output path")
     p.set_defaults(fn=_cmd_sweep)
@@ -294,11 +294,11 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.add_argument("--n-bonafide", type=int, required=True)
     p.add_argument("--n-spoof", type=int, required=True)
-    p.add_argument("--duration", type=float, default=4.0)
-    p.add_argument("--sample-rate", type=int, default=16000)
-    p.add_argument("--artifact", default="comb_filter", choices=ARTIFACT_KINDS)
-    p.add_argument("--strength", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--duration", type=float, default=SynthSpec.duration_s)
+    p.add_argument("--sample-rate", type=int, default=SynthSpec.sample_rate)
+    p.add_argument("--artifact", default=SynthSpec.artifact_kind, choices=ARTIFACT_KINDS)
+    p.add_argument("--strength", type=float, default=SynthSpec.artifact_strength)
+    p.add_argument("--seed", type=int, default=SynthSpec.seed)
     p.add_argument("--split", action="store_true", help="emit train/ and eval/ subcorpora")
     p.set_defaults(fn=_cmd_synth)
 

@@ -1,8 +1,8 @@
 """Corpus manifest ingestion in two formats.
 
 asvspoof_protocol: whitespace-separated `speaker_id utterance_id - attack_id
-key` lines with key in {bonafide, spoof}; audio paths are resolved as
-<audio_root>/<utterance_id> with extension probe order .wav then .flac.
+key` lines with key in {bonafide, spoof}; audio paths resolve to
+<audio_root>/<utterance_id>.wav, and an id with only a .flac file is refused.
 
 simple_tsv: tab-separated `utterance_id path label attack_id`; relative paths
 resolve against the manifest's directory.
@@ -31,13 +31,15 @@ class ManifestEntry:
     attack_id: str
 
 
-def _resolve_protocol_path(audio_root, utterance_id):
-    for ext in (".wav", ".flac"):
-        candidate = os.path.join(audio_root, utterance_id + ext)
-        if os.path.isfile(candidate):
-            return candidate
-    # nothing on disk yet; default to the wav name and let the runner report it
-    return os.path.join(audio_root, utterance_id + ".wav")
+def _resolve_protocol_path(where, audio_root, utterance_id):
+    wav = os.path.join(audio_root, utterance_id + ".wav")
+    flac = os.path.join(audio_root, utterance_id + ".flac")
+    if not os.path.isfile(wav) and os.path.isfile(flac):  # fail at load, not per utterance
+        raise ManifestError(
+            f"{where}: {flac}: FLAC is not read; convert the corpus to PCM16 or float32 WAV"
+        )
+    # with no file on disk yet, the wav name: the reader reports it missing
+    return wav
 
 
 def _check_entry(where, utterance_id, label, attack_id):
@@ -65,9 +67,9 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
         Unknown format, or asvspoof_protocol without an audio_root.
     ManifestError
         Missing or unreadable file, malformed line (message cites the line
-        number), unknown label, an id that cannot name a file or starts
-        with '#', an attack id that is not one token without whitespace, or
-        a repeated utterance id (message cites both line numbers).
+        number), unknown label, an id that cannot name a file, starts with
+        '#' or has only a FLAC audio file, an attack id that is not one
+        token, or a repeated utterance id (message cites both line numbers).
     """
     if fmt not in MANIFEST_FORMATS:
         raise ConfigError(f"unknown manifest format {fmt!r}; choose from {MANIFEST_FORMATS}")
@@ -88,7 +90,7 @@ def load_manifest(path, fmt="simple_tsv", audio_root=None):
                     f"(speaker utterance - attack key), got {len(tokens)}"
                 )
             _speaker, utt, _unused, attack, label = tokens
-            audio_path = _resolve_protocol_path(audio_root, utt)
+            audio_path = _resolve_protocol_path(f"{path}:{lineno}", audio_root, utt)
         else:
             tokens = line.split("\t")
             if len(tokens) != 4:

@@ -176,24 +176,19 @@ def sweep(
     include_raw_training is set, the crop's own), so no crop outlives its
     utterance. Each cell's detector is then fit on the train split's amplified
     output (plus the raw features) and EER / min t-DCF computed on the eval
-    split. A refused value or a failure on any utterance fails only its cell,
-    with the error of its first failing utterance in train+eval order, and the
-    sweep continues; a failed read or crop raises StageError('io').
+    split. A fault on an utterance fails only its cell, with the error of its
+    first failing utterance in train+eval order. A failed read or crop raises
+    StageError('io'); a refused axis or value raises ConfigError before any read.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     values = list(values)
+    cfgs = [config.with_overrides(**{axis: value}) for value in values]
     # no swept axis touches the enhancer, so one serves every cell
     enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
     train_entries = list(train_entries)
     entries = train_entries + list(eval_entries)
     n_train = len(train_entries)
-    cfgs = []  # a cell's config, or the message of the error that refused its value
-    for value in values:
-        try:
-            cfgs.append(config.with_overrides(**{axis: value}))
-        except SpoofampError as e:
-            cfgs.append(str(e))
 
     def features(i):
         # the swept axes touch neither seed, so one crop serves every cell
@@ -206,9 +201,6 @@ def sweep(
         # would keep its traceback's frames, and so the crop, alive
         row = []
         for cfg in cfgs:
-            if isinstance(cfg, str):
-                row.append(cfg)
-                continue
             try:
                 details = process_utterance_details(x, cfg, enhancer, noise_seed)
                 row.append(detector.extract_features(details.x_tilde, feature_config))

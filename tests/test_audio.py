@@ -334,6 +334,18 @@ class TestWavErrors:
         with pytest.raises(UnwritablePathError):
             write_wav(w, str(tmp_path / "no" / "dir" / "a.wav"))
 
+    def test_rate_whose_byte_rate_overflows_the_header_refused(self, tmp_path):
+        # a float32 WAV stores 4 * rate in 32 bits; the reader takes any 32-bit rate
+        write_wav(Waveform(np.zeros(4), 1073741823), str(tmp_path / "top.wav"))
+        assert read_wav(str(tmp_path / "top.wav")).sample_rate == 1073741823
+        out = tmp_path / "a.wav"
+        with pytest.raises(DegenerateSignalError) as e:
+            write_wav(Waveform(np.zeros(4), 1073741824), str(out))
+        assert str(e.value) == (
+            f"cannot write {out}: a float32 WAV holds at most 1073741823 Hz, got 1073741824"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["top.wav"]  # no file, no temp file
+
 
 class TestCropOrPad:
     def test_exact_length_identity(self):

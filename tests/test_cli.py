@@ -9,11 +9,15 @@ import pytest
 
 from spoofamp import pipeline
 from spoofamp.audio import read_wav
-from spoofamp.cli import main
+from spoofamp.cli import build_parser, main
 from spoofamp.config import PipelineConfig
+from spoofamp.detector import FeatureConfig
 from spoofamp.errors import ConfigError, ManifestError, ScoreFileError
-from spoofamp.manifest import load_manifest
+from spoofamp.manifest import load_manifest, write_manifest
 from spoofamp.metrics import parse_score_file
+from spoofamp.synth import SynthSpec
+
+from conftest import write_minimal_wav
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +159,31 @@ class TestSignalCommands:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {match}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-noise", "--color", "white", "--seconds", "2e-6",
+             "--sample-rate", "2000000000"],
+            ["mix", "--in", "{fast}"],
+            ["amplify", "--in", "{fast}", "--residual", "{fast}"],
+        ],
+        ids=["gen-noise", "mix", "amplify"],
+    )
+    def test_unwritable_sample_rate_runtime_error(self, ws, tmp_path, capsys, argv):
+        # a 2 GHz WAV reads, but its float32 byte rate does not fit the writer's header
+        fast = tmp_path / "fast.wav"
+        pcm = read_wav(os.path.join(ws["corpus"], "SYN_B_0000.wav")).samples * 32767
+        write_minimal_wav(fast, pcm.astype("<i2").tobytes(), fmt_tag=1, bits=16, channels=1,
+                          rate=2_000_000_000)
+        out = tmp_path / "x.wav"
+        rc = main([a.format(fast=fast) for a in argv] + ["--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: a float32 WAV holds at most 1073741823 Hz, "
+            "got 2000000000\n"
+        )
+        assert os.listdir(tmp_path) == ["fast.wav"]  # no output, no temp file
 
     def test_mix(self, ws, tmp_path):
         src = os.path.join(ws["corpus"], "SYN_B_0000.wav")
@@ -537,6 +566,23 @@ class TestMissingInputs:
         assert "utterance id '../escaped' cannot name a file" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["m.tsv"]
 
+    def test_process_refuses_a_flac_corpus_at_load(self, tmp_path, capsys):
+        audio = tmp_path / "flac"
+        audio.mkdir()
+        (audio / "U1.flac").write_bytes(b"fLaC" + b"\x00" * 40)
+        protocol = tmp_path / "protocol.txt"
+        protocol.write_text("S U1 - - bonafide\n")
+        rc = main([
+            "process", "--manifest", str(protocol), "--manifest-format", "asvspoof_protocol",
+            "--audio-root", str(audio), "--out-dir", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {protocol}:1: {audio / 'U1.flac'}: FLAC is not read; "
+            "convert the corpus to PCM16 or float32 WAV\n"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["flac", "protocol.txt"]
+
     def test_process_missing_manifest(self, tmp_path, capsys):
         rc = main([
             "process", "--manifest", str(tmp_path / "nope.tsv"),
@@ -689,6 +735,25 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_training_fault_rows_runtime_error(self, ws, tmp_path, capsys):
+        # one bona fide train entry: every cell's fit fails, and each becomes an error row
+        entries = load_manifest(ws["manifest"])
+        bona = [e for e in entries if e.label == "bonafide"]
+        train = tmp_path / "one_bonafide.tsv"
+        write_manifest(str(train), [e for e in entries if e not in bona[1:]])
+        out = tmp_path / "s.csv"
+        rc = main([
+            "sweep", "--config", ws["config"], "--train-manifest", str(train),
+            "--eval-manifest", ws["manifest"], "--axis", "alpha", "--values", "1.0,2.0",
+            "--n-bands", "4", "--out", str(out),
+        ])
+        assert rc == 1
+        error = "error: class 'bonafide' has 1 examples; need at least 2"
+        assert out.read_text() == (
+            f"axis,value,eer,min_tdcf,status\nalpha,1.0,,,{error}\nalpha,2.0,,,{error}\n"
+        )
+        assert capsys.readouterr().out == out.read_text()
+
     def test_load_fault_runtime_error(self, ws, tmp_path, capsys, monkeypatch):
         def crop_out_of_memory(w, target_seconds, rng_seed):
             raise MemoryError("Unable to allocate 29.8 GiB")
@@ -701,3 +766,29 @@ class TestSweepCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err == "error: stage 'io' failed: MemoryError: Unable to allocate 29.8 GiB\n"
+
+
+def test_parser_defaults_are_the_library_defaults():
+    # each default is stated once, by the type that owns the knob
+    parser = build_parser()
+    required = {
+        "amplify": ["--in", "x", "--residual", "r", "--out", "o"],
+        "mix": ["--in", "x", "--out", "o"],
+        "extract": ["--in", "x", "--enhanced", "e", "--out", "o"],
+        "fit": ["--manifest", "m", "--out-model", "o"],
+        "sweep": ["--train-manifest", "t", "--eval-manifest", "e", "--axis", "alpha",
+                  "--values", "1", "--out", "o"],
+        "synth": ["--out-dir", "o", "--n-bonafide", "1", "--n-spoof", "1"],
+    }
+    args = {name: vars(parser.parse_args([name, *argv])) for name, argv in required.items()}
+    assert args["amplify"]["alpha"] == PipelineConfig.alpha
+    assert args["mix"]["noise_color"] == PipelineConfig.noise_color
+    assert args["mix"]["snr_db"] == PipelineConfig.snr_db
+    assert args["extract"]["mode"] == PipelineConfig.extraction_mode
+    assert args["fit"]["n_bands"] == args["sweep"]["n_bands"] == FeatureConfig.n_bands
+    synth = args["synth"]
+    assert synth["duration"] == SynthSpec.duration_s
+    assert synth["sample_rate"] == SynthSpec.sample_rate
+    assert synth["artifact"] == SynthSpec.artifact_kind
+    assert synth["strength"] == SynthSpec.artifact_strength
+    assert synth["seed"] == SynthSpec.seed

@@ -31,14 +31,22 @@ class TestProtocolFormat:
         assert entries[1].attack_id == "A01"
 
     def test_wav_preferred_over_flac(self, tmp_path):
+        # a .wav beside a .flac is read; an id with only a .flac fails at load,
+        # as FLAC is not read, not once per utterance in the run
         (tmp_path / "U1.wav").write_bytes(b"")
         (tmp_path / "U1.flac").write_bytes(b"")
         (tmp_path / "U2.flac").write_bytes(b"")
         p = tmp_path / "protocol.txt"
-        p.write_text("S U1 - - bonafide\nS U2 - A01 spoof\n")
+        p.write_text("S U1 - - bonafide\n")
         entries = load_manifest(str(p), fmt="asvspoof_protocol", audio_root=str(tmp_path))
-        assert entries[0].path.endswith("U1.wav")
-        assert entries[1].path.endswith("U2.flac")
+        assert entries[0].path == str(tmp_path / "U1.wav")
+        p.write_text("S U1 - - bonafide\nS U2 - A01 spoof\n")
+        with pytest.raises(ManifestError) as e:
+            load_manifest(str(p), fmt="asvspoof_protocol", audio_root=str(tmp_path))
+        assert str(e.value) == (
+            f"{p}:2: {tmp_path / 'U2.flac'}: FLAC is not read; "
+            "convert the corpus to PCM16 or float32 WAV"
+        )
 
     def test_missing_audio_defaults_to_wav_name(self, tmp_path):
         p = tmp_path / "protocol.txt"

@@ -182,6 +182,28 @@ class TestRunPipeline:
         assert outcome.pop("PARTIAL") == ("failed", "io")
         assert set(outcome.values()) == {("ok", None)}
 
+    def test_unwritable_sample_rate_logged_at_io(self, corpus, tmp_path):
+        # the reader takes a 2 GHz header, but its float32 byte rate overflows the writer's
+        entries, _ = corpus
+        samples = read_wav(entries[0].path).samples
+        src = tmp_path / "fast.wav"
+        pcm = (samples * 32767).astype("<i2").tobytes()
+        write_minimal_wav(src, pcm, fmt_tag=1, bits=16, channels=1, rate=2_000_000_000)
+        out = tmp_path / "run"
+        entry = ManifestEntry("FAST", str(src), "bonafide", "-")
+        result = run_pipeline(_config(crop_seconds=2e-6), [entry], str(out))  # 4000 samples
+        assert (result.n_ok, result.n_failed) == (0, 1)
+        with open(result.log_path) as f:
+            [failed] = json.load(f)["entries"]
+        assert failed == {
+            "utterance_id": "FAST",
+            "status": "failed",
+            "stage": "io",
+            "error": f"cannot write {out / 'FAST.wav'}: a float32 WAV holds at most "
+            "1073741823 Hz, got 2000000000",
+        }
+        assert os.listdir(out) == ["run_log.json"]  # no WAV, no temp file
+
     def test_memory_does_not_grow_with_corpus(self, tmp_path):
         # only each utterance's log record outlives it, never its waveforms
         path = str(tmp_path / "x.wav")
@@ -441,8 +463,9 @@ class TestFileAccess:
 
     def test_only_optional_files_are_probed(self):
         # the reader decides that an input is missing; a probe belongs only where a
-        # missing file is a valid state: a run's log and the protocol's extensions,
-        # and the writer's check for a target that a rename must not replace
+        # missing file is a valid state: a run's log, a protocol id's .wav and the
+        # .flac that fails its manifest at load when no .wav is beside it, and the
+        # writer's check for a target that a rename must not replace
         allowed = (
             self._function_lines("pipeline.py", ("_read_run",))
             | self._function_lines("manifest.py", ("_resolve_protocol_path",))
@@ -583,26 +606,26 @@ class TestSweep:
         )
         assert [(c.value, c.error) for c in cells] == [(1.0, None), (2.0, None)]
 
-    def test_failing_cell_recorded_and_sweep_continues(self, corpus):
+    def test_refused_value_raises_before_any_read(self, corpus, monkeypatch):
+        # a value the config refuses is refused as the CLI refuses it: before any work
         entries, _ = corpus
-        cells = sweep(
-            _config(), entries, entries, "noise_color", ["infrared", "white"],
-            UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
-        )
-        assert cells[0].error is not None
-        assert cells[0].eer is None
-        assert cells[1].error is None
+        reads = _record_reads(monkeypatch)
+        with pytest.raises(ConfigError, match=r"^unknown noise color 'infrared'; "):
+            sweep(
+                _config(), entries, entries, "noise_color", ["white", "infrared"],
+                UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
+            )
+        assert reads == []
 
-    def test_non_number_value_fails_only_its_cell(self, corpus):
+    def test_non_number_value_raises_before_any_read(self, corpus, monkeypatch):
         entries, _ = corpus
-        cells = sweep(
-            _config(), entries, entries, "alpha", ["high", 1.0],
-            UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
-        )
-        assert cells[0].error == "alpha must be finite and >= 0, got high"
-        assert cells[0].eer is None
-        assert cells[1].error is None
-        assert cells[1].eer is not None
+        reads = _record_reads(monkeypatch)
+        with pytest.raises(ConfigError, match=r"^alpha must be finite and >= 0, got high$"):
+            sweep(
+                _config(), entries, entries, "alpha", ["high", 1.0],
+                UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
+            )
+        assert reads == []
 
     def test_unexpected_error_fails_only_its_cell(self, corpus, monkeypatch):
         entries, _ = corpus
@@ -653,6 +676,19 @@ class TestSweep:
         assert [c.error is None for c in runs[0]] == [True, False, True]
         assert runs[0] == runs[1]
         assert sweep_csv_text(runs[0]).encode() == sweep_csv_text(runs[1]).encode()
+
+    def test_training_fault_fails_every_cell_and_returns(self, corpus):
+        # one bona fide train entry: each cell's fit fails, after every chain ran
+        entries, _ = corpus
+        train = entries[:1] + entries[3:]
+        cells = sweep(
+            _config(), train, entries, "alpha", [1.0, 2.0], UNIT_PARAMS,
+            feature_config=FeatureConfig(n_bands=4),
+        )
+        assert [(c.value, c.eer, c.min_tdcf, c.error) for c in cells] == [
+            (value, None, None, "class 'bonafide' has 1 examples; need at least 2")
+            for value in (1.0, 2.0)
+        ]
 
     def test_load_fault_is_a_stage_error(self, corpus, monkeypatch):
         # each entry is loaded once, by the worker that then runs every cell on
@@ -712,6 +748,18 @@ class TestSweep:
         assert lines[3] == "skip_noise_addition,off,0.500000,1.000000,ok"
         assert lines[4] == "noise_color,infrared,,,error: bad; very bad"
         assert all(len(line.split(",")) == 5 for line in lines)
+
+
+def _record_reads(monkeypatch):
+    """The paths pipeline.read_wav is asked for, recorded by a stand-in that reads them."""
+    reads = []
+
+    def read_wav_spy(path):
+        reads.append(path)
+        return read_wav(path)
+
+    monkeypatch.setattr(pipeline, "read_wav", read_wav_spy)
+    return reads
 
 
 def _fault_noise(monkeypatch, faults):
