@@ -108,8 +108,9 @@ def _cmd_process(args):
 def _cmd_fit(args):
     entries, _run_hash = _audio_entries(args)
     fc = detector.FeatureConfig(n_bands=args.n_bands)
-    feats = [detector.extract_features(read_wav(e.path), fc) for e in entries]
     labels = [e.label for e in entries]
+    detector._check_labels(labels)  # before any WAV is read
+    feats = [detector.extract_features(read_wav(e.path), fc) for e in entries]
     model = detector.fit(feats, labels, fc)
     detector.save_model(model, args.out_model)
     print(f"fitted on {len(entries)} utterances; model: {args.out_model}")

@@ -126,6 +126,17 @@ class GaussianModel:
     feature_config: FeatureConfig = field(default_factory=FeatureConfig)
 
 
+def _check_labels(labels):
+    """fit's TrainingDataError for its labels, raised before any feature exists."""
+    for label in labels:
+        if label not in LABELS:
+            raise TrainingDataError(f"unknown label {label!r} (expected one of {LABELS})")
+    for label in LABELS:
+        n = labels.count(label)
+        if n < 2:
+            raise TrainingDataError(f"class {label!r} has {n} examples; need at least 2")
+
+
 def fit(features, labels, feature_config=FeatureConfig()):
     """Fit per-class mean and variance with a variance floor of 1e-6.
 
@@ -141,16 +152,10 @@ def fit(features, labels, feature_config=FeatureConfig()):
     labels = list(labels)
     if len(features) != len(labels):
         raise DegenerateSignalError(f"{len(features)} feature vectors vs {len(labels)} labels")
-    for label in labels:
-        if label not in LABELS:
-            raise TrainingDataError(f"unknown label {label!r} (expected one of {LABELS})")
+    _check_labels(labels)
     means, variances, priors = {}, {}, {}
     for label in LABELS:
         rows = [f for f, l in zip(features, labels) if l == label]
-        if len(rows) < 2:
-            raise TrainingDataError(
-                f"class {label!r} has {len(rows)} examples; need at least 2"
-            )
         mat = np.stack(rows)
         means[label] = mat.mean(axis=0)
         variances[label] = np.maximum(mat.var(axis=0), _VARIANCE_FLOOR)

@@ -128,7 +128,9 @@ def _wiener(y, floor):
     spectra = stft(y.samples)
     gain = np.abs(spectra)
     gain **= 2  # the power, turned into the gain in place once the profile is taken
-    nhat = _OVERSUBTRACTION * _RAYLEIGH_RMS_OVER_Q10 * _noise_profile(np.sqrt(gain))
+    # the magnitude is a throwaway, so the percentile may partition it in place
+    magnitude_q10 = np.percentile(np.sqrt(gain), _NOISE_PERCENTILE, axis=0, overwrite_input=True)
+    nhat = _OVERSUBTRACTION * _RAYLEIGH_RMS_OVER_Q10 * magnitude_q10
     np.maximum(gain, 1e-300, out=gain)
     np.divide(nhat[None, :] ** 2, gain, out=gain)
     np.subtract(1.0, gain, out=gain)

@@ -1,9 +1,11 @@
 """Deterministic colored noise synthesis.
 
-Colors are shaped in the frequency domain: seeded white Gaussian noise is
-transformed, its spectrum multiplied by f**exponent in amplitude (white 0,
-pink -1/2, violet +1, giving power laws f**0, 1/f, f**2), the DC bin zeroed,
-and the result inverse transformed and normalized to unit RMS.
+Every color starts from seeded white Gaussian noise and ends zero mean at unit
+RMS. White is the draw with its mean subtracted, which is what zeroing the DC
+bin of its spectrum does, to within round-off, without the transform pair.
+Pink and violet are shaped in the frequency domain: the spectrum is multiplied
+by f**exponent in amplitude (pink -1/2, violet +1, giving power laws 1/f and
+f**2), the DC bin zeroed, and the result inverse transformed.
 """
 
 import numpy as np
@@ -13,8 +15,8 @@ from .errors import ConfigError, DegenerateSignalError, _is_integer
 
 NOISE_COLORS = ("white", "pink", "violet")
 
-# amplitude-domain frequency exponent per color; power slope is twice this
-_AMPLITUDE_EXPONENT = {"white": 0.0, "pink": -0.5, "violet": 1.0}
+# amplitude-domain frequency exponent per shaped color; power slope is twice this
+_AMPLITUDE_EXPONENT = {"pink": -0.5, "violet": 1.0}
 
 
 def _check_noise_color(color):
@@ -28,8 +30,9 @@ def _check_sample_rate(sample_rate):
 
 
 def generate(color, length, sample_rate, seed):
-    """Synthesize one noise realization as a unit-RMS Waveform.
+    """Synthesize one noise realization as a zero-mean, unit-RMS Waveform.
 
+    White is the seeded draw less its mean; pink and violet are FFT-shaped.
     Deterministic: the same arguments always yield the same samples.
 
     Raises
@@ -49,14 +52,18 @@ def generate(color, length, sample_rate, seed):
     if length == 1:
         # a single sample has no spectrum to shape; normalize its magnitude
         return Waveform(np.array([1.0 if white[0] >= 0 else -1.0]), sample_rate)
-    spectrum = np.fft.rfft(white)
-    del white
-    weights = np.fft.rfftfreq(length, d=1.0 / sample_rate)
-    weights[1:] **= _AMPLITUDE_EXPONENT[color]
-    weights[0] = 0.0  # zero DC so the output is exactly zero mean
-    spectrum *= weights
-    shaped = np.fft.irfft(spectrum, n=length)
-    del spectrum
+    if color == "white":
+        white -= white.mean()
+        shaped = white
+    else:
+        spectrum = np.fft.rfft(white)
+        del white
+        weights = np.fft.rfftfreq(length, d=1.0 / sample_rate)
+        weights[1:] **= _AMPLITUDE_EXPONENT[color]
+        weights[0] = 0.0  # zero DC so the output is exactly zero mean
+        spectrum *= weights
+        shaped = np.fft.irfft(spectrum, n=length)
+        del spectrum
     rms = np.sqrt(np.mean(shaped**2))
     if rms == 0.0:
         raise DegenerateSignalError("shaped noise collapsed to zero (degenerate spec)")

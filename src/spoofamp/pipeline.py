@@ -178,7 +178,8 @@ def sweep(
     output (plus the raw features) and EER / min t-DCF computed on the eval
     split. A fault on an utterance fails only its cell, with the error of its
     first failing utterance in train+eval order. A failed read or crop raises
-    StageError('io'); a refused axis or value raises ConfigError before any read.
+    StageError('io'). A refused axis or value raises ConfigError, and train
+    labels the fit would refuse raise TrainingDataError, before any read.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -187,6 +188,10 @@ def sweep(
     # no swept axis touches the enhancer, so one serves every cell
     enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
     train_entries = list(train_entries)
+    train_labels = [e.label for e in train_entries]
+    if include_raw_training:
+        train_labels += train_labels
+    detector._check_labels(train_labels)
     entries = train_entries + list(eval_entries)
     n_train = len(train_entries)
 
@@ -209,11 +214,9 @@ def sweep(
         return raw, row
 
     rows = _map_entries(range(len(entries)), features, config.parallelism)
-    train_labels = [e.label for e in train_entries]
     raw_train_features = []
     if include_raw_training:
         raw_train_features = [raw for raw, _ in rows[:n_train]]
-        train_labels = train_labels + train_labels
     cells = []
     for k, value in enumerate(values):
         feats = [row[k] for _, row in rows]

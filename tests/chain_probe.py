@@ -1,0 +1,71 @@
+"""Probe the CPU and page-fault cost of the release chain per utterance.
+
+Not a test (pytest collects only test_*.py) and not a gate: it prints numbers
+so an allocation change can be sized before and after. It synthesises a 4 s
+corpus in memory, then runs noise, enhancement, extraction, amplification and
+feature extraction with the release-default config over every utterance, once
+in the calling thread and once in a 2-worker thread pool. For each it prints
+the median over the repeats of user ms, system ms and minor page faults per
+utterance, from resource.getrusage (the whole process, every thread).
+
+    PYTHONPATH=src python tests/chain_probe.py [--utterances 16] [--repeats 5]
+"""
+
+import argparse
+import resource
+import statistics
+from concurrent.futures import ThreadPoolExecutor
+
+from spoofamp.amplify import process_utterance_details
+from spoofamp.config import PipelineConfig, derive_seed
+from spoofamp.detector import FeatureConfig, extract_features
+from spoofamp.enhance import EnhancerKind
+from spoofamp.synth import SynthSpec, synth_utterance
+
+
+def _chain(x, config, enhancer, noise_seed):
+    details = process_utterance_details(x, config, enhancer, noise_seed)
+    return extract_features(details.x_tilde, FeatureConfig())
+
+
+def _measure(corpus, config, enhancer, workers):
+    """(user ms, system ms, minor faults) per utterance for one pass."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    if workers == 1:
+        for x, seed in corpus:
+            _chain(x, config, enhancer, seed)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda item: _chain(item[0], config, enhancer, item[1]), corpus))
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    n = len(corpus)
+    return (
+        1000.0 * (after.ru_utime - before.ru_utime) / n,
+        1000.0 * (after.ru_stime - before.ru_stime) / n,
+        (after.ru_minflt - before.ru_minflt) / n,
+    )
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--utterances", type=int, default=16)
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    config = PipelineConfig()
+    enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
+    spec = SynthSpec(args.utterances, args.utterances, duration_s=4.0, seed=1)
+    corpus = [
+        (synth_utterance(f"PROBE_{i:04d}", spec, i % 2 == 1),
+         derive_seed(config.global_seed, f"PROBE_{i:04d}", "noise"))
+        for i in range(args.utterances)
+    ]
+    _measure(corpus, config, enhancer, 1)  # warm-up: imports, FFT plans, first arenas
+    print("workers  user_ms/utt  sys_ms/utt  minflt/utt")
+    for workers in (1, 2):
+        runs = [_measure(corpus, config, enhancer, workers) for _ in range(args.repeats)]
+        user, system, faults = (statistics.median(col) for col in zip(*runs))
+        print(f"{workers:7d}  {user:11.2f}  {system:10.2f}  {faults:10.0f}")
+
+
+if __name__ == "__main__":
+    main()

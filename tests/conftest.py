@@ -110,6 +110,16 @@ def stft_oracle(x):
     return np.fft.rfft(frames, axis=1)
 
 
+def istft_oracle(spectra, n_samples):
+    """istft overlap-add: second halves of the irfft frames, then first halves,
+    summed into fresh hop-sized blocks."""
+    frames = np.fft.irfft(spectra, n=2 * HOP, axis=1)
+    blocks = np.zeros((frames.shape[0] + 1, HOP), dtype=np.float64)
+    blocks[1:] += frames[:, HOP:]
+    blocks[:-1] += frames[:, :HOP]
+    return blocks.reshape(-1)[HOP : HOP + n_samples]
+
+
 def spectral_subtraction_oracle(y, factor, floor):
     spectra = stft_oracle(y)
     mag = np.abs(spectra)
@@ -129,15 +139,26 @@ def wiener_oracle(y, floor):
     return istft(spectra * gain, y.size)
 
 
-def noise_oracle(color, length, sample_rate, seed):
+def fft_noise_oracle(color, length, sample_rate, seed):
+    """Noise shaped in the frequency domain with its DC bin zeroed; white has
+    a flat spectrum, so for white this only removes the mean."""
     white = np.random.default_rng(seed).standard_normal(length)
     if length == 1:
         return np.array([1.0 if white[0] >= 0 else -1.0])
     freqs = np.fft.rfftfreq(length, d=1.0 / sample_rate)
     weights = np.empty_like(freqs)
-    weights[1:] = freqs[1:] ** _AMPLITUDE_EXPONENT[color]
+    weights[1:] = freqs[1:] ** _AMPLITUDE_EXPONENT.get(color, 0.0)
     weights[0] = 0.0
     shaped = np.fft.irfft(np.fft.rfft(white) * weights, n=length)
+    return shaped / np.sqrt(np.mean(shaped**2))
+
+
+def noise_oracle(color, length, sample_rate, seed):
+    """noise.generate: white less its mean, pink and violet FFT-shaped."""
+    if color != "white" or length == 1:
+        return fft_noise_oracle(color, length, sample_rate, seed)
+    white = np.random.default_rng(seed).standard_normal(length)
+    shaped = white - white.mean()
     return shaped / np.sqrt(np.mean(shaped**2))
 
 

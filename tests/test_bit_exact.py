@@ -20,6 +20,7 @@ from conftest import (
     amplify_oracle,
     extract_features_oracle,
     extract_residual_oracle,
+    fft_noise_oracle,
     noise_oracle,
     pad_oracle,
     spectral_subtraction_oracle,
@@ -81,6 +82,14 @@ def test_spectral_subtraction_with_silent_bins():
 @pytest.mark.parametrize("color", noise.NOISE_COLORS)
 def test_noise_generate(n, color):
     assert _same(noise.generate(color, n, SR, 7).samples, noise_oracle(color, n, SR, 7))
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_white_matches_dc_zeroed_fft(n):
+    # subtracting the mean is what zeroing the DC bin of a flat spectrum does
+    for seed in (0, 7):
+        got = noise.generate("white", n, SR, seed).samples
+        assert np.max(np.abs(got - fft_noise_oracle("white", n, SR, seed))) <= 1e-14
 
 
 @pytest.mark.parametrize("n", LENGTHS)

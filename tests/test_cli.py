@@ -438,6 +438,21 @@ class TestFitScore:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_fit_refuses_labels_before_any_read(self, ws, tmp_path, capsys, monkeypatch):
+        entries = load_manifest(ws["manifest"])
+        bona = [e for e in entries if e.label == "bonafide"]
+        manifest = str(tmp_path / "one_bonafide.tsv")
+        write_manifest(manifest, [e for e in entries if e not in bona[1:]])
+        reads = []
+        monkeypatch.setattr("spoofamp.cli.read_wav", lambda path: reads.append(path))
+        model = tmp_path / "m.json"
+        rc = main(["fit", "--manifest", manifest, "--n-bands", "4", "--out-model", str(model)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: class 'bonafide' has 1 examples; need at least 2\n"
+        )
+        assert reads == []
+        assert not model.exists()
 
     @pytest.mark.parametrize(
         "spoof_attack, bona_attack, lineno, shown",
@@ -735,12 +750,16 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
-    def test_training_fault_rows_runtime_error(self, ws, tmp_path, capsys):
-        # one bona fide train entry: every cell's fit fails, and each becomes an error row
+    def test_training_fault_runtime_error_before_any_read(
+        self, ws, tmp_path, capsys, monkeypatch
+    ):
+        # one bona fide train entry: the fit would refuse it, so no WAV is read
         entries = load_manifest(ws["manifest"])
         bona = [e for e in entries if e.label == "bonafide"]
         train = tmp_path / "one_bonafide.tsv"
         write_manifest(str(train), [e for e in entries if e not in bona[1:]])
+        reads = []
+        monkeypatch.setattr(pipeline, "read_wav", lambda path: reads.append(path))
         out = tmp_path / "s.csv"
         rc = main([
             "sweep", "--config", ws["config"], "--train-manifest", str(train),
@@ -748,11 +767,11 @@ class TestSweepCommand:
             "--n-bands", "4", "--out", str(out),
         ])
         assert rc == 1
-        error = "error: class 'bonafide' has 1 examples; need at least 2"
-        assert out.read_text() == (
-            f"axis,value,eer,min_tdcf,status\nalpha,1.0,,,{error}\nalpha,2.0,,,{error}\n"
+        assert capsys.readouterr().err == (
+            "error: class 'bonafide' has 1 examples; need at least 2\n"
         )
-        assert capsys.readouterr().out == out.read_text()
+        assert reads == []
+        assert not out.exists()
 
     def test_load_fault_runtime_error(self, ws, tmp_path, capsys, monkeypatch):
         def crop_out_of_memory(w, target_seconds, rng_seed):

@@ -25,6 +25,7 @@ from spoofamp.errors import (
     DegenerateSignalError,
     ScoreFileError,
     StageError,
+    TrainingDataError,
     UnwritablePathError,
 )
 from spoofamp.manifest import ManifestEntry, load_manifest, write_manifest
@@ -677,18 +678,32 @@ class TestSweep:
         assert runs[0] == runs[1]
         assert sweep_csv_text(runs[0]).encode() == sweep_csv_text(runs[1]).encode()
 
-    def test_training_fault_fails_every_cell_and_returns(self, corpus):
-        # one bona fide train entry: each cell's fit fails, after every chain ran
+    def test_training_fault_raises_before_any_read(self, corpus, monkeypatch):
+        # one bona fide train entry: the fit would refuse it, so no chain runs
         entries, _ = corpus
         train = entries[:1] + entries[3:]
+        reads = _record_reads(monkeypatch)
+        with pytest.raises(
+            TrainingDataError, match=r"^class 'bonafide' has 1 examples; need at least 2$"
+        ):
+            sweep(
+                _config(), train, entries, "alpha", [1.0, 2.0], UNIT_PARAMS,
+                feature_config=FeatureConfig(n_bands=4),
+            )
+        assert reads == []
+
+    def test_raw_training_doubles_the_labels_checked(self, corpus, monkeypatch):
+        # the fit sees each train label twice under include_raw_training, so
+        # one bona fide train entry is enough
+        entries, _ = corpus
+        train = entries[:1] + entries[3:]
+        reads = _record_reads(monkeypatch)
         cells = sweep(
-            _config(), train, entries, "alpha", [1.0, 2.0], UNIT_PARAMS,
-            feature_config=FeatureConfig(n_bands=4),
+            _config(), train, entries, "alpha", [1.0], UNIT_PARAMS,
+            feature_config=FeatureConfig(n_bands=4), include_raw_training=True,
         )
-        assert [(c.value, c.eer, c.min_tdcf, c.error) for c in cells] == [
-            (value, None, None, "class 'bonafide' has 1 examples; need at least 2")
-            for value in (1.0, 2.0)
-        ]
+        assert [c.error for c in cells] == [None]
+        assert len(reads) == len(train) + len(entries)
 
     def test_load_fault_is_a_stage_error(self, corpus, monkeypatch):
         # each entry is loaded once, by the worker that then runs every cell on

@@ -1,10 +1,17 @@
 """STFT analysis, overlap-add reconstruction, and the fixed window."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from spoofamp.detector import FeatureConfig, extract_features
+from spoofamp.enhance import EnhancerKind, enhance
 from spoofamp.errors import DegenerateSignalError
 from spoofamp.stft import HOP, WINDOW_LENGTH, hann_periodic, istft, stft
+
+from conftest import istft_oracle, make_speechlike, stft_oracle
 
 
 class TestStftConfig:
@@ -91,3 +98,56 @@ class TestOverlapAdd:
             got = istft(spectra, n_samples)
             assert got.shape == (n_samples,)
             assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+class TestFrameScratch:
+    """stft and istft share one frame scratch per thread; no returned array
+    may alias it, and threads must not see each other's."""
+
+    def test_later_stft_leaves_earlier_spectra_alone(self):
+        rng = np.random.default_rng(20)
+        x, y = rng.standard_normal(64000), rng.standard_normal(64000)
+        a = stft(x)
+        before = a.copy()
+        b = stft(y)
+        istft(b, y.size)
+        assert a.tobytes() == before.tobytes()
+        assert not np.shares_memory(a, b)
+
+    def test_enhance_output_survives_later_calls(self):
+        y = make_speechlike(seed=21, seconds=4.0)
+        kind = EnhancerKind("wiener")
+        first = enhance(kind, y)
+        before = first.samples.copy()
+        enhance(kind, make_speechlike(seed=22, seconds=4.0))
+        extract_features(first, FeatureConfig())
+        assert first.samples.tobytes() == before.tobytes()
+
+    def test_growing_and_shrinking_lengths_in_one_thread(self):
+        rng = np.random.default_rng(23)
+        for n in (64000, 16000, 257, 64000):
+            x = rng.standard_normal(n)
+            spectra = stft(x)
+            assert spectra.tobytes() == stft_oracle(x).tobytes()
+            back = istft(spectra, n)
+            assert back.tobytes() == istft_oracle(spectra, n).tobytes()
+
+    def test_concurrent_threads_match_serial(self):
+        waves = [make_speechlike(seed=s, seconds=sec) for s, sec in enumerate((4.0, 1.0, 2.5, 0.3))]
+        kinds = [EnhancerKind("wiener"), EnhancerKind("spectral_subtraction")]
+
+        def run(w):
+            enhanced = [enhance(kind, w) for kind in kinds]
+            feats = [extract_features(v, FeatureConfig()) for v in [w, *enhanced]]
+            return b"".join(a.tobytes() for a in [*(v.samples for v in enhanced), *feats])
+
+        serial = [run(w) for w in waves]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                for _ in range(3):
+                    futures = [pool.submit(run, w) for w in waves]
+                    assert [f.result(timeout=60) for f in futures] == serial
+        finally:
+            sys.setswitchinterval(old_interval)
