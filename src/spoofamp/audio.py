@@ -185,13 +185,17 @@ def write_wav(w, path):
     ------
     DegenerateSignalError
         A rate above 1073741823 Hz: its byte rate, 4 * rate, overflows 32 bits.
+        A sample whose float32 rounding is infinite, which read_wav refuses.
     UnwritablePathError
     """
     if w.sample_rate > 1073741823:  # before any file is made
         raise DegenerateSignalError(
             f"cannot write {path}: a float32 WAV holds at most 1073741823 Hz, got {w.sample_rate}"
         )
-    payload = w.samples.astype("<f4")
+    with np.errstate(over="ignore"):
+        payload = w.samples.astype("<f4")
+    if not np.all(np.isfinite(payload)):
+        raise DegenerateSignalError(f"cannot write {path}: a sample lies beyond the float32 range")
     # non-PCM encodings carry a fact chunk with the frame count
     fact = struct.pack("<4sII", b"fact", 4, len(w))
     fmt = struct.pack(

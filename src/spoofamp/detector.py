@@ -231,11 +231,11 @@ def load_model(path):
     dim = feature_config.dim
     for label in LABELS:
         var = variances[label]  # NaN fails both comparisons below
-        if not (means[label].shape == var.shape == (dim,) and np.all((var > 0) & (var < np.inf))
-                and 0.0 < priors[label] < 1.0):
+        if not (means[label].shape == var.shape == (dim,) and np.all(np.isfinite(means[label]))
+                and np.all((var > 0) & (var < np.inf)) and 0.0 < priors[label] < 1.0):
             raise TrainingDataError(
                 f"{path}: malformed model: class {label!r} needs a mean and a variance of "
-                f"{dim} values, finite variances > 0 and a prior in (0, 1)"
+                f"{dim} values, finite means, finite variances > 0 and a prior in (0, 1)"
             )
     return GaussianModel(
         means=means, variances=variances, priors=priors, feature_config=feature_config

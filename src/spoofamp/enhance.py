@@ -1,12 +1,15 @@
 """Pluggable speech enhancement: built-in classical enhancers and an
 adapter that round-trips audio through an external command.
 
-Both classical enhancers estimate the noise magnitude per STFT bin as the
-10th percentile of that bin's frame magnitudes over the utterance. For
-Gaussian noise the bin magnitude is Rayleigh distributed, whose 10th
-percentile sits far below its mean, so the raw percentile underestimates the
-noise; the constants below rescale it to the Rayleigh mean amplitude (for
-spectral subtraction) or RMS (for the Wiener gain's power estimate).
+Both classical enhancers run one STFT mask body: take the STFT, turn its
+magnitudes into a gain in place, scale the spectra by that gain and invert.
+They differ only in the gain rule, spectral subtraction or Wiener. Both rules
+estimate the noise magnitude per STFT bin as the 10th percentile of that
+bin's frame magnitudes over the utterance. For Gaussian noise the bin
+magnitude is Rayleigh distributed, whose 10th percentile sits far below its
+mean, so the raw percentile underestimates the noise; the constants below
+rescale it to the Rayleigh mean amplitude (for spectral subtraction) or RMS
+(for the Wiener gain's power estimate).
 """
 
 import shlex
@@ -104,29 +107,18 @@ def _match_length(samples, n):
     return np.concatenate([samples, np.zeros(n - samples.size)])
 
 
-def _noise_profile(mag):
-    """Per-bin 10th percentile of frame magnitudes."""
-    return np.percentile(mag, _NOISE_PERCENTILE, axis=0)
-
-
-def _spectral_subtraction(y, factor, floor):
-    spectra = stft(y.samples)
-    mag = np.abs(spectra)
-    nhat = _OVERSUBTRACTION * _RAYLEIGH_MEAN_OVER_Q10 * _noise_profile(mag)
-    # gain = max(mag - factor * nhat, floor * mag) / mag, and floor where mag is 0
-    gain = floor * mag
-    np.maximum(mag - factor * nhat[None, :], gain, out=gain)
+def _subtraction_gain(mag, subtraction_factor, floor):
+    magnitude_q10 = np.percentile(mag, _NOISE_PERCENTILE, axis=0)
+    nhat = _OVERSUBTRACTION * _RAYLEIGH_MEAN_OVER_Q10 * magnitude_q10
+    # gain = max(mag - subtraction_factor * nhat, floor * mag) / mag, and floor where mag is 0
+    kept = floor * mag
+    np.maximum(mag - subtraction_factor * nhat[None, :], kept, out=kept)
     nonzero = mag > 0.0
-    np.divide(gain, mag, out=gain, where=nonzero)
-    gain[~nonzero] = floor
-    spectra *= gain
-    del gain
-    return y.with_samples(_Fresh(istft(spectra, len(y))))
+    np.divide(kept, mag, out=mag, where=nonzero)
+    mag[~nonzero] = floor
 
 
-def _wiener(y, floor):
-    spectra = stft(y.samples)
-    gain = np.abs(spectra)
+def _wiener_gain(gain, floor):
     gain **= 2  # the power, turned into the gain in place once the profile is taken
     # the magnitude is a throwaway, so the percentile may partition it in place
     magnitude_q10 = np.percentile(np.sqrt(gain), _NOISE_PERCENTILE, axis=0, overwrite_input=True)
@@ -135,12 +127,9 @@ def _wiener(y, floor):
     np.divide(nhat[None, :] ** 2, gain, out=gain)
     np.subtract(1.0, gain, out=gain)
     np.maximum(gain, floor, out=gain)
-    spectra *= gain
-    del gain
-    return y.with_samples(_Fresh(istft(spectra, len(y))))
 
 
-def _run_external(command_template, y, timeout_s):
+def _run_external(y, command, timeout_s):
     """Round-trip a waveform through an external enhancer command.
 
     The template must contain {in} and {out} placeholders; the input is
@@ -159,7 +148,7 @@ def _run_external(command_template, y, timeout_s):
         write_wav(y, in_path)
         tokens = [
             tok.replace("{in}", in_path).replace("{out}", out_path)
-            for tok in shlex.split(command_template)
+            for tok in shlex.split(command)
         ]
         try:
             proc = subprocess.run(
@@ -204,9 +193,11 @@ def enhance(kind, y, reference_clean=None):
         if reference_clean is None:
             raise ConfigError("oracle_clean enhancer needs a clean reference")
         return y.with_samples(_match_length(reference_clean.samples, len(y)))
-    params = kind.params
-    if kind.tag == "spectral_subtraction":
-        return _spectral_subtraction(y, params["subtraction_factor"], params["floor"])
-    if kind.tag == "wiener":
-        return _wiener(y, params["floor"])
-    return _run_external(params["command"], y, params["timeout_s"])
+    if kind.tag == "external":
+        return _run_external(y, **kind.params)
+    spectra = stft(y.samples)
+    gain = np.abs(spectra)
+    (_subtraction_gain if kind.tag == "spectral_subtraction" else _wiener_gain)(gain, **kind.params)
+    spectra *= gain
+    del gain
+    return y.with_samples(_Fresh(istft(spectra, len(y))))

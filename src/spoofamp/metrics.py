@@ -82,13 +82,16 @@ class TdcfParams:
             raise ConfigError(f"tandem cost coefficients degenerate: C1={c1}, C2={c2}")
 
 
+def _check_both_classes(labels):  # no EER or t-DCF is defined on one class
+    n_bona, n_spoof = labels.count("bonafide"), labels.count("spoof")
+    if n_bona == 0 or n_spoof == 0:
+        raise DegenerateSignalError(f"need both classes, got {n_bona} bonafide and {n_spoof} spoof")
+
+
 def _split_scores(records):
+    _check_both_classes([r.label for r in records])
     bona = np.sort(np.array([r.score for r in records if r.label == "bonafide"], dtype=np.float64))
     spoof = np.sort(np.array([r.score for r in records if r.label == "spoof"], dtype=np.float64))
-    if bona.size == 0 or spoof.size == 0:
-        raise DegenerateSignalError(
-            f"need both classes, got {bona.size} bonafide and {spoof.size} spoof"
-        )
     return bona, spoof
 
 
@@ -124,19 +127,14 @@ def eer(records):
     # falls and p_miss rises with the threshold, so that is the rate's first index
     fa, first = np.unique(p_fa, return_index=True)
     hull = _lower_hull(list(zip(fa, p_miss[first])))
-    # walk hull edges for the sign change of (p_miss - p_fa)
-    prev = None
-    for f, m in hull:
-        d = m - f
-        if d == 0.0:
-            return float(f)
-        if prev is not None:
-            f0, m0, d0 = prev
-            if d0 > 0.0 > d:
-                t = d0 / (d0 - d)
-                return float(f0 + t * (f - f0))
-        prev = (f, m, d)
-    raise DegenerateSignalError("DET curve does not cross the miss = false-alarm diagonal")
+    # d = p_miss - p_fa falls along the hull from p_miss >= 0 at p_fa = 0 to -1 at
+    # (1, 0): the crossing ends at the first point with d <= 0, and d > 0 before it
+    i = next(i for i, (f, m) in enumerate(hull) if m - f <= 0.0)
+    (f0, m0), (f, m) = hull[i - 1], hull[i]
+    d0, d = m0 - f0, m - f
+    if d == 0.0:
+        return float(f)
+    return float(f0 + d0 / (d0 - d) * (f - f0))
 
 
 def tdcf_coefficients(params):

@@ -171,15 +171,16 @@ def sweep(
     """Run the pipeline grid over one config axis and tabulate metrics.
 
     The utterance is the outer loop and the cell the inner one. A worker reads
-    and crops one entry, in stage 'io', runs the chain of every cell on that
-    crop and keeps only the feature vectors (and, for a train entry when
-    include_raw_training is set, the crop's own), so no crop outlives its
-    utterance. Each cell's detector is then fit on the train split's amplified
-    output (plus the raw features) and EER / min t-DCF computed on the eval
-    split. A fault on an utterance fails only its cell, with the error of its
-    first failing utterance in train+eval order. A failed read or crop raises
-    StageError('io'). A refused axis or value raises ConfigError, and train
-    labels the fit would refuse raise TrainingDataError, before any read.
+    and crops one entry, in stage 'io', and keeps only feature vectors, so no
+    crop outlives its utterance: those of every cell's chain output and, for a
+    train entry under include_raw_training, of the crop itself. Each cell's
+    detector is fit on the train split's amplified features, then the raw
+    ones, and EER / min t-DCF computed on the eval split. A fault fails only
+    its cell, with the error of its first failing vector in train, raw, eval
+    order, so a raw fault fails every cell. A failed read or crop raises
+    StageError('io'). Before any read, a refused axis or value raises
+    ConfigError, train labels the fit would refuse TrainingDataError, and an
+    eval split of one class DegenerateSignalError.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -188,49 +189,45 @@ def sweep(
     # no swept axis touches the enhancer, so one serves every cell
     enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
     train_entries = list(train_entries)
-    train_labels = [e.label for e in train_entries]
-    if include_raw_training:
-        train_labels += train_labels
+    n_train = len(train_entries)
+    train_labels = [e.label for e in train_entries] * (2 if include_raw_training else 1)
     detector._check_labels(train_labels)
     entries = train_entries + list(eval_entries)
-    n_train = len(train_entries)
+    metrics._check_both_classes([e.label for e in entries[n_train:]])
 
     def features(i):
         # the swept axes touch neither seed, so one crop serves every cell
         with _stage("io"):
             x, _, noise_seed = _load(entries[i], config)
-        raw = None
-        if include_raw_training and i < n_train:
-            raw = detector.extract_features(x, feature_config)
-        # per cell, the feature vector or an error message: a kept exception
-        # would keep its traceback's frames, and so the crop, alive
+        # a feature vector or an error message per cell, then per raw crop: a kept
+        # exception would keep its traceback's frames, and so the crop, alive
         row = []
-        for cfg in cfgs:
+        for cfg in cfgs + [None] * (include_raw_training and i < n_train):
             try:
-                details = process_utterance_details(x, cfg, enhancer, noise_seed)
-                row.append(detector.extract_features(details.x_tilde, feature_config))
+                y = x
+                if cfg is not None:
+                    y = process_utterance_details(x, cfg, enhancer, noise_seed).x_tilde
+                row.append(detector.extract_features(y, feature_config))
             except SpoofampError as e:
                 row.append(str(e))
-        return raw, row
+        return row
 
     rows = _map_entries(range(len(entries)), features, config.parallelism)
-    raw_train_features = []
-    if include_raw_training:
-        raw_train_features = [raw for raw, _ in rows[:n_train]]
+    raw = [row.pop() for row in rows[:n_train]] if include_raw_training else []
     cells = []
     for k, value in enumerate(values):
-        feats = [row[k] for _, row in rows]
-        error = next((f for f in feats if isinstance(f, str)), None)
+        train_feats = [row[k] for row in rows[:n_train]] + raw
+        eval_feats = [row[k] for row in rows[n_train:]]
+        error = next((f for f in train_feats + eval_feats if isinstance(f, str)), None)
         eer = tdcf = None
         if error is None:
             try:
-                train_feats = feats[:n_train] + raw_train_features
                 model = detector.fit(train_feats, train_labels, feature_config)
                 records = [
                     metrics.ScoreRecord(
                         e.utterance_id, e.label, e.attack_id, detector.score(model, f)
                     )
-                    for e, f in zip(entries[n_train:], feats[n_train:])
+                    for e, f in zip(entries[n_train:], eval_feats)
                 ]
                 eer, tdcf = metrics.eer(records), metrics.min_tdcf(records, tdcf_params)
             except SpoofampError as e:

@@ -4,6 +4,7 @@ import os
 import re
 import stat
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,20 @@ class TestWavErrors:
         assert str(e.value) == (
             f"cannot write {out}: a float32 WAV holds at most 1073741823 Hz, got 1073741824"
         )
+        assert sorted(os.listdir(tmp_path)) == ["top.wav"]  # no file, no temp file
+
+    def test_sample_beyond_float32_range_refused(self, tmp_path):
+        # float32 rounds 1e39 to inf, which read_wav refuses; the largest float32 survives
+        top = np.finfo(np.float32).max.item()
+        assert top == 3.4028234663852886e38
+        write_wav(Waveform(np.array([0.0, -top, top]), 16000), str(tmp_path / "top.wav"))
+        assert read_wav(str(tmp_path / "top.wav")).samples.tolist() == [0.0, -top, top]
+        out = tmp_path / "a.wav"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warning must not leak
+            with pytest.raises(DegenerateSignalError) as e:
+                write_wav(Waveform(np.array([0.0, 1e39]), 16000), str(out))
+        assert str(e.value) == f"cannot write {out}: a sample lies beyond the float32 range"
         assert sorted(os.listdir(tmp_path)) == ["top.wav"]  # no file, no temp file
 
 

@@ -185,6 +185,18 @@ class TestSignalCommands:
         )
         assert os.listdir(tmp_path) == ["fast.wav"]  # no output, no temp file
 
+    def test_amplified_beyond_float32_range_runtime_error(self, ws, tmp_path, capsys):
+        # no upper bound on alpha: 1e40 times the input exceeds float32, which read_wav refuses
+        src = os.path.join(ws["corpus"], "SYN_B_0000.wav")
+        out = tmp_path / "x.wav"
+        rc = main(["amplify", "--in", src, "--residual", src, "--alpha", "1e40",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {out}: a sample lies beyond the float32 range\n"
+        )
+        assert os.listdir(tmp_path) == []  # no output, no temp file
+
     def test_mix(self, ws, tmp_path):
         src = os.path.join(ws["corpus"], "SYN_B_0000.wav")
         out = str(tmp_path / "mixed.wav")
@@ -769,6 +781,29 @@ class TestSweepCommand:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: class 'bonafide' has 1 examples; need at least 2\n"
+        )
+        assert reads == []
+        assert not out.exists()
+
+    def test_one_class_eval_runtime_error_before_any_read(
+        self, ws, tmp_path, capsys, monkeypatch
+    ):
+        # a bona-fide-only eval split: no cell could have an EER, so no WAV is read
+        entries = load_manifest(ws["manifest"])
+        eval_ = tmp_path / "bonafide_only.tsv"
+        write_manifest(str(eval_), [e for e in entries if e.label == "bonafide"])
+        n_bona = sum(e.label == "bonafide" for e in entries)
+        reads = []
+        monkeypatch.setattr(pipeline, "read_wav", lambda path: reads.append(path))
+        out = tmp_path / "s.csv"
+        rc = main([
+            "sweep", "--config", ws["config"], "--train-manifest", ws["manifest"],
+            "--eval-manifest", str(eval_), "--axis", "alpha", "--values", "1.0,2.0",
+            "--n-bands", "4", "--out", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: need both classes, got {n_bona} bonafide and 0 spoof\n"
         )
         assert reads == []
         assert not out.exists()

@@ -299,6 +299,9 @@ class TestModelIO:
             (_model_text(variance=[0.0] + [1.0] * 5), "finite variances > 0"),
             (_model_text(variance=[float("nan")] * 6), "finite variances > 0"),
             (_model_text(variance=[float("inf")] * 6), "finite variances > 0"),
+            (_model_text(mean=[float("nan")] * 6), "finite means"),
+            (_model_text(mean=[float("inf")] * 6), "finite means"),
+            (_model_text(mean=[0.25] * 6).replace("0.25", "1e999"), "finite means"),
             (_model_text(prior=0.0), r"a prior in \(0, 1\)"),
             (_model_text(prior=1.5), r"a prior in \(0, 1\)"),
             # overflows a float conversion
@@ -308,8 +311,8 @@ class TestModelIO:
         ],
         ids=[
             "invalid_json", "no_classes", "short_mean", "long_variance", "zero_variance",
-            "nan_variance", "inf_variance", "zero_prior", "prior_above_one", "huge_int_prior",
-            "infinite_n_bands",
+            "nan_variance", "inf_variance", "nan_mean", "inf_mean", "overflowing_mean",
+            "zero_prior", "prior_above_one", "huge_int_prior", "infinite_n_bands",
         ],
     )
     def test_malformed_model_rejected(self, tmp_path, text, match):

@@ -205,6 +205,23 @@ class TestRunPipeline:
         }
         assert os.listdir(out) == ["run_log.json"]  # no WAV, no temp file
 
+    def test_output_beyond_float32_range_logged_at_io(self, corpus, tmp_path):
+        # alpha has no upper bound; an output float32 cannot hold fails its write
+        entries, _ = corpus
+        out = tmp_path / "run"
+        result = run_pipeline(_config(alpha=1e40), entries[:1], str(out))
+        assert (result.n_ok, result.n_failed) == (0, 1)
+        with open(result.log_path) as f:
+            [failed] = json.load(f)["entries"]
+        assert failed == {
+            "utterance_id": entries[0].utterance_id,
+            "status": "failed",
+            "stage": "io",
+            "error": f"cannot write {out / entries[0].utterance_id}.wav: "
+            "a sample lies beyond the float32 range",
+        }
+        assert os.listdir(out) == ["run_log.json"]  # no WAV, no temp file
+
     def test_memory_does_not_grow_with_corpus(self, tmp_path):
         # only each utterance's log record outlives it, never its waveforms
         path = str(tmp_path / "x.wav")
@@ -704,6 +721,60 @@ class TestSweep:
         )
         assert [c.error for c in cells] == [None]
         assert len(reads) == len(train) + len(entries)
+
+    def test_one_class_eval_raises_before_any_read(self, corpus, monkeypatch):
+        # EER and min t-DCF need both classes, and the eval labels are known up front
+        entries, _ = corpus
+        bona = [e for e in entries if e.label == "bonafide"]
+        reads = _record_reads(monkeypatch)
+        with pytest.raises(
+            DegenerateSignalError, match=r"^need both classes, got 3 bonafide and 0 spoof$"
+        ):
+            sweep(
+                _config(), entries, bona, "alpha", [1.0, 2.0, 3.0], UNIT_PARAMS,
+                feature_config=FeatureConfig(n_bands=4),
+            )
+        assert reads == []
+
+    def test_raw_feature_fault_fails_every_cell(self, corpus):
+        # a 0.02 s crop (320 samples) is too short for a 512-sample feature frame,
+        # the crop's own features under include_raw_training included
+        entries, _ = corpus
+        cells = sweep(
+            _config(crop_seconds=0.02), entries, entries, "alpha", [1.0, 2.0], UNIT_PARAMS,
+            include_raw_training=True,
+        )
+        error = "input too short for features: 320 < 512 samples"
+        assert [(c.value, c.eer, c.min_tdcf, c.error) for c in cells] == [
+            (1.0, None, None, error), (2.0, None, None, error)
+        ]
+
+    def test_scoring_fault_fails_only_its_cell(self, corpus, monkeypatch, caplog):
+        # a fault after the features, in fit, score or the metrics, fails only its cell
+        entries, _ = corpus
+        real_min_tdcf = pipeline.metrics.min_tdcf
+        calls = []
+
+        def min_tdcf_once_degenerate(records, params):
+            calls.append(len(records))
+            if len(calls) == 1:
+                raise DegenerateSignalError("score for 'SYN_B_0000' is not finite: nan")
+            return real_min_tdcf(records, params)
+
+        monkeypatch.setattr(pipeline.metrics, "min_tdcf", min_tdcf_once_degenerate)
+        with caplog.at_level("WARNING", logger="spoofamp.pipeline"):
+            cells = sweep(
+                _config(), entries, entries, "alpha", [1.0, 2.0, 3.0], UNIT_PARAMS,
+                feature_config=FeatureConfig(n_bands=4),
+            )
+        assert [c.error for c in cells] == [
+            "score for 'SYN_B_0000' is not finite: nan", None, None
+        ]
+        assert cells[0].eer is None and cells[0].min_tdcf is None
+        assert all(c.eer is not None and c.min_tdcf is not None for c in cells[1:])
+        assert caplog.messages == [
+            "sweep cell alpha=1.0 failed: score for 'SYN_B_0000' is not finite: nan"
+        ]
 
     def test_load_fault_is_a_stage_error(self, corpus, monkeypatch):
         # each entry is loaded once, by the worker that then runs every cell on
