@@ -138,8 +138,6 @@ _ON_OFF = {"on": True, "true": True, "1": True, "yes": True,
 
 def _parse_axis_values(axis, text):
     tokens = [t.strip() for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise ConfigError("no sweep values given")
     if axis in ("alpha", "snr_db"):
         try:
             return [float(t) for t in tokens]
@@ -156,8 +154,7 @@ def _parse_axis_values(axis, text):
 def _cmd_sweep(args):
     config = load_config(args.config) if args.config else PipelineConfig()
     values = _parse_axis_values(args.axis, args.values)
-    for value in values:  # the config's own check, so a bad value is usage before any work
-        config.with_overrides(**{args.axis: value})
+    pipeline._sweep_configs(config, args.axis, values)  # a bad value is usage before any read
     train_entries = _load_entries(args, prefix="train-")
     eval_entries = _load_entries(args, prefix="eval-")
     params = pipeline.load_tdcf_params(args.tdcf_params)
@@ -196,20 +193,17 @@ def _cmd_report(args):
     rows = []
     hashes = []
     for score_path in args.scores:
-        parsed = metrics.parse_score_file(score_path)
-        rows.extend(parsed.rows)
-        if parsed.config_hash is not None:
-            hashes.append((score_path, parsed.config_hash))
-    distinct = {h for _, h in hashes}
-    if len(distinct) > 1 and not args.force:
+        file_rows, config_hash = metrics.parse_score_file(score_path)
+        rows.extend(file_rows)
+        if config_hash is not None:
+            hashes.append((score_path, config_hash))
+    if len({h for _, h in hashes}) > 1 and not args.force:
         detail = ", ".join(f"{os.path.basename(p)}={h}" for p, h in hashes)
         raise ConfigError(
             f"refusing to merge score files with differing config hashes ({detail}); "
             "pass --force to override"
         )
-    records, n_extra = pipeline.join_scores(
-        entries, rows, polarity_flip=args.flip_polarity, source="merged scores"
-    )
+    records, n_extra = pipeline.join_scores(entries, rows, polarity_flip=args.flip_polarity)
     rep = metrics.report(records, params, group_by_attack=args.per_attack)
     sys.stdout.write(rep.text())
     if n_extra:

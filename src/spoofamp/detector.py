@@ -46,23 +46,6 @@ class FeatureConfig:
     def dim(self):
         return 2 * self.n_bands + 2
 
-    def to_dict(self):
-        return {
-            "n_bands": self.n_bands,
-            "window_length": WINDOW_LENGTH,
-            "hop": HOP,
-            "split_hz": _SPLIT_HZ,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        config = cls(n_bands=d["n_bands"])
-        # the model format stores the window, hop and split, which are fixed
-        for key, fixed in (("window_length", WINDOW_LENGTH), ("hop", HOP), ("split_hz", _SPLIT_HZ)):
-            if d[key] != fixed:
-                raise ConfigError(f"{key} must be {fixed}, got {d[key]!r}")
-        return config
-
 
 def _mel(f):
     return 2595.0 * np.log10(1.0 + f / 700.0)
@@ -147,12 +130,16 @@ def fit(features, labels, feature_config=FeatureConfig()):
     TrainingDataError
         A label outside LABELS, or a class missing or with fewer than 2
         examples.
+    DegenerateSignalError
+        Vectors and labels that differ in number, or vectors of differing shapes.
     """
     features = [np.asarray(f, dtype=np.float64) for f in features]
     labels = list(labels)
     if len(features) != len(labels):
         raise DegenerateSignalError(f"{len(features)} feature vectors vs {len(labels)} labels")
     _check_labels(labels)
+    if len({f.shape for f in features}) > 1:
+        raise DegenerateSignalError("feature vectors differ in shape")
     means, variances, priors = {}, {}, {}
     for label in LABELS:
         rows = [f for f, l in zip(features, labels) if l == label]
@@ -189,14 +176,30 @@ def score(model, f):
 
 _MODEL_FORMAT = "spoofamp-gaussian-model"
 _MODEL_VERSION = 1
+# the model file stores the STFT window and hop and the band split, which are fixed
+_FIXED_FEATURES = {"window_length": WINDOW_LENGTH, "hop": HOP, "split_hz": _SPLIT_HZ}
+
+
+def _check_model(model, path):
+    """load_model's rule, which save_model applies before it writes."""
+    dim = model.feature_config.dim
+    for label in LABELS:
+        mean, var = model.means[label], model.variances[label]  # NaN fails both comparisons below
+        if not (mean.shape == var.shape == (dim,) and np.all(np.isfinite(mean))
+                and np.all((var > 0) & (var < np.inf)) and 0.0 < model.priors[label] < 1.0):
+            raise TrainingDataError(
+                f"{path}: malformed model: class {label!r} needs a mean and a variance of "
+                f"{dim} values, finite means, finite variances > 0 and a prior in (0, 1)"
+            )
 
 
 def save_model(model, path):
-    """Serialize a model as versioned JSON."""
+    """Serialize a model as versioned JSON, refusing one that load_model would refuse."""
+    _check_model(model, path)
     doc = {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
-        "feature_config": model.feature_config.to_dict(),
+        "feature_config": {"n_bands": model.feature_config.n_bands, **_FIXED_FEATURES},
         "classes": {
             label: {
                 "mean": model.means[label].tolist(),
@@ -225,18 +228,13 @@ def load_model(path):
             means[label] = np.asarray(cls["mean"], dtype=np.float64)
             variances[label] = np.asarray(cls["variance"], dtype=np.float64)
             priors[label] = float(cls["prior"])
-        feature_config = FeatureConfig.from_dict(doc["feature_config"])
+        stored = doc["feature_config"]
+        feature_config = FeatureConfig(n_bands=stored["n_bands"])
+        for key, fixed in _FIXED_FEATURES.items():
+            if stored[key] != fixed:
+                raise ConfigError(f"{key} must be {fixed}, got {stored[key]!r}")
     except (KeyError, TypeError, ValueError, OverflowError, SpoofampError) as e:
         raise TrainingDataError(f"{path}: malformed model: {e!r}") from e
-    dim = feature_config.dim
-    for label in LABELS:
-        var = variances[label]  # NaN fails both comparisons below
-        if not (means[label].shape == var.shape == (dim,) and np.all(np.isfinite(means[label]))
-                and np.all((var > 0) & (var < np.inf)) and 0.0 < priors[label] < 1.0):
-            raise TrainingDataError(
-                f"{path}: malformed model: class {label!r} needs a mean and a variance of "
-                f"{dim} values, finite means, finite variances > 0 and a prior in (0, 1)"
-            )
-    return GaussianModel(
-        means=means, variances=variances, priors=priors, feature_config=feature_config
-    )
+    model = GaussianModel(means, variances, priors, feature_config)
+    _check_model(model, path)
+    return model

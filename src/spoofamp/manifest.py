@@ -58,6 +58,22 @@ def _check_entry(where, utterance_id, label, attack_id):
         )
 
 
+def _check_entries(path, entries):
+    """The entries as a list; write_manifest's id, label and attack id rules raise
+    ManifestError naming path and the entry. Run before a file is named by id."""
+    entries = list(entries)
+    seen = {}
+    for i, e in enumerate(entries, start=1):
+        _check_entry(f"{path}: entry {i}", e.utterance_id, e.label, e.attack_id)
+        if e.utterance_id in seen:
+            raise ManifestError(
+                f"{path}: duplicate utterance id {e.utterance_id!r} "
+                f"in entries {seen[e.utterance_id]} and {i}"
+            )
+        seen[e.utterance_id] = i
+    return entries
+
+
 def load_manifest(path, fmt="simple_tsv", audio_root=None):
     """Parse a manifest file into a list of ManifestEntry.
 
@@ -131,18 +147,10 @@ def write_manifest(path, entries):
     """
     base_dir = os.path.dirname(os.path.abspath(path))
     lines = []
-    seen = {}
-    for i, e in enumerate(entries, start=1):
+    for i, e in enumerate(_check_entries(path, entries), start=1):
         where = f"{path}: entry {i}"
-        _check_entry(where, e.utterance_id, e.label, e.attack_id)
         if any(c in e.path for c in "\t\n\r"):  # the reader reads "\r" as a line break
             raise ManifestError(f"{where}: path {e.path!r} holds a tab or line break")
-        if e.utterance_id in seen:
-            raise ManifestError(
-                f"{path}: duplicate utterance id {e.utterance_id!r} "
-                f"in entries {seen[e.utterance_id]} and {i}"
-            )
-        seen[e.utterance_id] = i
         p = os.path.abspath(e.path)
         try:
             rel = os.path.relpath(p, base_dir)

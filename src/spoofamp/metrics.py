@@ -88,15 +88,11 @@ def _check_both_classes(labels):  # no EER or t-DCF is defined on one class
         raise DegenerateSignalError(f"need both classes, got {n_bona} bonafide and {n_spoof} spoof")
 
 
-def _split_scores(records):
+def _det(records):
+    """p_miss and p_fa at every distinct score and at +inf."""
     _check_both_classes([r.label for r in records])
     bona = np.sort(np.array([r.score for r in records if r.label == "bonafide"], dtype=np.float64))
     spoof = np.sort(np.array([r.score for r in records if r.label == "spoof"], dtype=np.float64))
-    return bona, spoof
-
-
-def _det_arrays(bona, spoof):
-    """p_miss and p_fa at every distinct score and at +inf."""
     thresholds = np.concatenate([np.unique(np.concatenate([bona, spoof])), [np.inf]])
     p_miss = np.searchsorted(bona, thresholds, side="left") / bona.size
     p_fa = (spoof.size - np.searchsorted(spoof, thresholds, side="left")) / spoof.size
@@ -121,8 +117,7 @@ def _lower_hull(points):
 
 def eer(records):
     """Equal error rate on the lower convex envelope of the DET points."""
-    bona, spoof = _split_scores(records)
-    p_miss, p_fa = _det_arrays(bona, spoof)
+    p_miss, p_fa = _det(records)
     # keep the best (lowest) miss rate at each distinct false-alarm rate: p_fa
     # falls and p_miss rises with the threshold, so that is the rate's first index
     fa, first = np.unique(p_fa, return_index=True)
@@ -164,9 +159,8 @@ def min_tdcf(records, params):
     DegenerateSignalError
         Records hold only one class.
     """
-    bona, spoof = _split_scores(records)
+    p_miss, p_fa = _det(records)
     c0, c1, c2 = tdcf_coefficients(params)
-    p_miss, p_fa = _det_arrays(bona, spoof)
     costs = c0 + c1 * p_miss + c2 * p_fa
     return float(np.min(costs) / (c0 + min(c1, c2)))
 
@@ -232,18 +226,15 @@ def report(records, params, group_by_attack=False):
     )
 
 
-@dataclass(frozen=True)
-class ScoreFile:
-    """Parsed score file: raw rows plus any embedded config hash."""
-
-    rows: list  # (utterance_id, attack_id or None, label or None, score)
-    config_hash: str | None
-
-
 def parse_score_file(path):
     """Read a score file with 4-column (id attack label score) or 2-column
     (id score) whitespace-separated lines. Lines starting with '#' are
-    comments; '# config_hash=<hex>' is captured for merge checking."""
+    comments; '# config_hash=<hex>' is captured for merge checking, and a
+    second one that differs from the first raises ScoreFileError.
+
+    Returns (rows, config_hash): rows of (utterance_id, attack_id or None,
+    label or None, score), and the hash or None.
+    """
     rows = []
     config_hash = None
     lines = _read_text(path, "score file", ScoreFileError).split("\n")
@@ -254,7 +245,12 @@ def parse_score_file(path):
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("config_hash="):
-                config_hash = body.split("=", 1)[1].strip()
+                value = body.split("=", 1)[1].strip()
+                if config_hash not in (None, value):
+                    raise ScoreFileError(
+                        f"{path}:{lineno}: config hash {value!r} differs from {config_hash!r} above"
+                    )
+                config_hash = value
             continue
         tokens = line.split()
         if len(tokens) == 4:
@@ -278,7 +274,7 @@ def parse_score_file(path):
         if not np.isfinite(score):
             raise ScoreFileError(f"{path}:{lineno}: non-finite score {score_s!r}")
         rows.append((utt, attack, label, score))
-    return ScoreFile(rows=rows, config_hash=config_hash)
+    return rows, config_hash
 
 
 def _is_config_hash(value):

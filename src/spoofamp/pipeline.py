@@ -19,6 +19,7 @@ from .audio import crop_or_pad, read_wav, write_wav
 from .config import config_doc, config_hash, derive_seed
 from .enhance import EnhancerKind
 from .errors import ConfigError, ScoreFileError, SpoofampError, StageError, _stage
+from .manifest import _check_entries
 
 _log = logging.getLogger(__name__)
 
@@ -87,9 +88,11 @@ def run_pipeline(config, entries, out_dir):
 
     Outputs are float32 WAVs named by utterance id. The log records the
     config hash, per-utterance seeds, projection weights, and energies.
-    Failures are logged per utterance and counted, never raised.
+    Failures are logged per utterance and counted, never raised. An id, label or
+    attack id that write_manifest refuses raises ManifestError before any file.
     """
     chash = config_hash(config)  # before any WAV is written: a failure here leaves nothing
+    entries = _check_entries(out_dir, entries)  # a repeated id would race on one temp file
     _make_dir(out_dir, "output")
     log_path = os.path.join(out_dir, _RUN_LOG)
     _remove_file(log_path)  # a previous run's log must not outlive a run that stops midway
@@ -158,6 +161,15 @@ def sweep_csv_text(cells):
     return "\n".join(lines) + "\n"
 
 
+def _sweep_configs(config, axis, values):
+    """One config per value; a bad axis or value, or no value, raises ConfigError."""
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    if not values:
+        raise ConfigError("no sweep values given")
+    return [config.with_overrides(**{axis: value}) for value in values]
+
+
 def sweep(
     config,
     train_entries,
@@ -178,14 +190,12 @@ def sweep(
     ones, and EER / min t-DCF computed on the eval split. A fault fails only
     its cell, with the error of its first failing vector in train, raw, eval
     order, so a raw fault fails every cell. A failed read or crop raises
-    StageError('io'). Before any read, a refused axis or value raises
-    ConfigError, train labels the fit would refuse TrainingDataError, and an
-    eval split of one class DegenerateSignalError.
+    StageError('io'). Before any read, a refused axis or value, or none, raises
+    ConfigError, train labels the fit would refuse TrainingDataError, and an eval
+    split of one class DegenerateSignalError.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     values = list(values)
-    cfgs = [config.with_overrides(**{axis: value}) for value in values]
+    cfgs = _sweep_configs(config, axis, values)
     # no swept axis touches the enhancer, so one serves every cell
     enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
     train_entries = list(train_entries)
@@ -238,7 +248,7 @@ def sweep(
     return cells
 
 
-def join_scores(entries, rows, polarity_flip=False, source="score file"):
+def join_scores(entries, rows, polarity_flip=False):
     """Join manifest labels onto parsed score rows.
 
     The row ids must form a superset of the manifest ids; extra ids are
@@ -250,17 +260,17 @@ def join_scores(entries, rows, polarity_flip=False, source="score file"):
     by_id = {}
     for utt, attack, label, score in rows:
         if utt in by_id:
-            raise ScoreFileError(f"{source}: duplicate score for id {utt!r}")
+            raise ScoreFileError(f"merged scores: duplicate score for id {utt!r}")
         by_id[utt] = (attack, label, score)
     records = []
     for e in entries:
         if e.utterance_id not in by_id:
-            raise ScoreFileError(f"manifest id {e.utterance_id!r} missing from {source}")
+            raise ScoreFileError(f"manifest id {e.utterance_id!r} missing from merged scores")
         _attack, label, score = by_id[e.utterance_id]
         if label is not None and label != e.label:
             raise ScoreFileError(
                 f"label conflict for {e.utterance_id!r}: manifest says {e.label!r}, "
-                f"{source} says {label!r}"
+                f"merged scores says {label!r}"
             )
         if polarity_flip:
             score = -score

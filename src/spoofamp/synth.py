@@ -17,7 +17,7 @@ from ._files import _make_dir
 from .audio import Waveform, _check_seconds, _Fresh, write_wav
 from .config import derive_seed
 from .errors import ConfigError, _is_finite_number, _is_integer
-from .manifest import ManifestEntry, write_manifest
+from .manifest import ManifestEntry, _check_entries, write_manifest
 from .noise import _check_sample_rate, generate
 
 ARTIFACT_KINDS = ("comb_filter", "quantization", "band_notch")
@@ -204,24 +204,18 @@ def synth_corpus(spec, out_dir, prefix="SYN"):
     """Generate the corpus into out_dir and write its simple_tsv manifest.tsv.
 
     Returns (entries, manifest_path). File and manifest content are byte
-    identical across reruns of the same spec.
+    identical across reruns of the same spec. A prefix that makes ids the
+    manifest would refuse raises ManifestError before anything is made.
     """
-    _make_dir(out_dir, "corpus")
-    entries = []
-    jobs = [(f"{prefix}_B_{i:04d}", False) for i in range(spec.n_bonafide)]
-    jobs += [(f"{prefix}_S_{i:04d}", True) for i in range(spec.n_spoof)]
-    for utt_id, spoof in jobs:
-        w = synth_utterance(utt_id, spec, spoof)
-        path = os.path.join(out_dir, utt_id + ".wav")
-        write_wav(w, path)
-        entries.append(
-            ManifestEntry(
-                utterance_id=utt_id,
-                path=path,
-                label="spoof" if spoof else "bonafide",
-                attack_id=spec.artifact_kind if spoof else "-",
-            )
-        )
+    jobs = [(f"{prefix}_B_{i:04d}", "bonafide", "-") for i in range(spec.n_bonafide)]
+    jobs += [(f"{prefix}_S_{i:04d}", "spoof", spec.artifact_kind) for i in range(spec.n_spoof)]
     manifest_path = os.path.join(out_dir, "manifest.tsv")
+    entries = _check_entries(manifest_path, [
+        ManifestEntry(utt_id, os.path.join(out_dir, utt_id + ".wav"), label, attack_id)
+        for utt_id, label, attack_id in jobs
+    ])
+    _make_dir(out_dir, "corpus")
+    for e in entries:
+        write_wav(synth_utterance(e.utterance_id, spec, e.label == "spoof"), e.path)
     write_manifest(manifest_path, entries)
     return entries, manifest_path

@@ -360,10 +360,10 @@ class TestFitScore:
         assert doc["feature_config"]["n_bands"] == 4
 
     def test_score_file_carries_run_hash(self, ws):
-        parsed = parse_score_file(ws["scores"])
-        assert len(parsed.rows) == 6
+        rows, chash = parse_score_file(ws["scores"])
+        assert len(rows) == 6
         with open(os.path.join(ws["processed"], "run_log.json")) as f:
-            assert parsed.config_hash == json.load(f)["config_hash"]
+            assert chash == json.load(f)["config_hash"]
 
     @pytest.mark.parametrize(
         "damage",
@@ -392,7 +392,7 @@ class TestFitScore:
         # with no run log at all the scores are written without a hash
         (audio / "run_log.json").unlink()
         assert main(argv) == 0
-        assert parse_score_file(str(scores)).config_hash is None
+        assert parse_score_file(str(scores))[1] is None
 
     def test_failed_utterances_skipped(self, ws, tmp_path, capsys):
         manifest = _manifest_with_missing_file(ws, tmp_path, "BAD")
@@ -414,10 +414,10 @@ class TestFitScore:
             "--out-scores", scores,
         ])
         assert rc == 0
-        parsed = parse_score_file(scores)
-        assert len(parsed.rows) == 6
+        rows, chash = parse_score_file(scores)
+        assert len(rows) == 6
         with open(os.path.join(amp, "run_log.json")) as f:
-            assert parsed.config_hash == json.load(f)["config_hash"]
+            assert chash == json.load(f)["config_hash"]
         # report still needs a score for every manifest id
         assert main(["report", "--manifest", manifest, "--scores", scores]) == 1
         assert "'BAD'" in capsys.readouterr().err
@@ -554,6 +554,15 @@ class TestReport:
         rc = main(["report", "--manifest", ws["manifest"], "--scores", a, b])
         assert rc == 0
         assert "pooled EER" in capsys.readouterr().out
+
+    def test_concatenated_files_of_two_hashes_refused(self, ws, tmp_path, capsys):
+        # cat a.txt b.txt > ab.txt hides the merge from --scores, not from the reader
+        a, b = self._split_score_files(ws, tmp_path, "bbbb")
+        ab = tmp_path / "ab.txt"
+        ab.write_text((tmp_path / "a.txt").read_text() + (tmp_path / "b.txt").read_text())
+        rc = main(["report", "--manifest", ws["manifest"], "--scores", str(ab)])
+        assert rc == 1
+        assert "ab.txt:5: config hash 'bbbb' differs from 'aaaa'" in capsys.readouterr().err
 
 
 class TestDegenerateTdcf:

@@ -37,6 +37,12 @@ def _model_text(**spoof):
     })
 
 
+def _fitted(config=FeatureConfig()):
+    """A model fit on vectors of config.dim values, so save_model writes it."""
+    feats = np.arange(4.0 * config.dim).reshape(4, config.dim)
+    return fit(feats, ["bonafide", "spoof"] * 2, config)
+
+
 def _hand_model(mu_b, mu_s, var=0.01, prior_b=0.5):
     return GaussianModel(
         means={"bonafide": np.array([mu_b]), "spoof": np.array([mu_s])},
@@ -55,15 +61,21 @@ class TestFeatureConfig:
             with pytest.raises(ConfigError, match="n_bands must be an integer in"):
                 FeatureConfig(n_bands=bad)
 
-    def test_dict_roundtrip(self):
+    def test_dict_roundtrip(self, tmp_path):
+        # the model file stores the feature config as one object, in this key order
         cfg = FeatureConfig(n_bands=10)
-        assert cfg.to_dict() == {
-            "n_bands": 10, "window_length": 512, "hop": 256, "split_hz": 4000.0
-        }
-        assert FeatureConfig.from_dict(cfg.to_dict()) == cfg
+        path = tmp_path / "model.json"
+        save_model(_fitted(cfg), str(path))
+        doc = json.loads(path.read_text())
+        assert list(doc["feature_config"].items()) == [
+            ("n_bands", 10), ("window_length", 512), ("hop", 256), ("split_hz", 4000.0)
+        ]
+        assert '"split_hz": 4000.0' in path.read_text()
+        assert load_model(str(path)).feature_config == cfg
         # a stored constant equal in value but not in type still loads
-        stored = dict(cfg.to_dict(), window_length=512.0, split_hz=4000)
-        assert FeatureConfig.from_dict(stored) == cfg
+        doc["feature_config"].update(window_length=512.0, split_hz=4000)
+        path.write_text(json.dumps(doc))
+        assert load_model(str(path)).feature_config == cfg
 
     @pytest.mark.parametrize(
         "key,value",
@@ -76,15 +88,12 @@ class TestFeatureConfig:
     )
     def test_rejects_other_fixed_values(self, tmp_path, key, value):
         # the model format stores n_bands and the window, hop and band split, which are fixed
-        stored = dict(FeatureConfig().to_dict(), **{key: value})
-        with pytest.raises(ConfigError, match=key):
-            FeatureConfig.from_dict(stored)
         path = tmp_path / "model.json"
-        save_model(fit(np.eye(4).repeat(2, axis=0), ["bonafide", "spoof"] * 4), str(path))
+        save_model(_fitted(), str(path))
         doc = json.loads(path.read_text())
-        doc["feature_config"] = stored
+        doc["feature_config"][key] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(TrainingDataError, match=key):
+        with pytest.raises(TrainingDataError, match=rf"malformed model: ConfigError\(.*{key}"):
             load_model(str(path))
 
 
@@ -200,6 +209,14 @@ class TestFit:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DegenerateSignalError, match="1 feature vectors vs 2 labels"):
             fit([np.array([0.0])], ["bonafide", "spoof"])
+
+    @pytest.mark.parametrize(
+        "dims", [(6, 7, 6, 6), (50, 50, 52, 52)], ids=["within_a_class", "between_classes"]
+    )
+    def test_vectors_of_differing_lengths_rejected(self, dims):
+        feats = [np.zeros(n) + i for i, n in enumerate(dims)]
+        with pytest.raises(DegenerateSignalError, match="feature vectors differ in shape"):
+            fit(feats, ["bonafide", "bonafide", "spoof", "spoof"])
 
 
 class TestScore:
@@ -320,6 +337,29 @@ class TestModelIO:
         path.write_text(text)
         with pytest.raises(TrainingDataError, match=match):
             load_model(str(path))
+
+    @pytest.mark.parametrize(
+        "make, match",
+        [
+            # fit takes any one length; the file holds the feature config's
+            (lambda: fit(np.arange(40.0).reshape(4, 10), ["bonafide", "spoof"] * 2),
+             "class 'bonafide' needs a mean and a variance of 50 values"),
+            (lambda: fit(np.where(np.eye(4, 50) > 0, np.nan, 1.0), ["bonafide", "spoof"] * 2),
+             "class 'bonafide' needs .* finite means"),
+            (lambda: GaussianModel(
+                means={"bonafide": np.zeros(50), "spoof": np.zeros(52)},
+                variances={"bonafide": np.ones(50), "spoof": np.ones(52)},
+                priors={"bonafide": 0.5, "spoof": 0.5},
+            ), "class 'spoof' needs a mean and a variance of 50 values"),
+        ],
+        ids=["ten_dims_under_default", "nan_feature", "classes_of_50_and_52"],
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, make, match):
+        path = tmp_path / "model.json"
+        pattern = re.escape(f"{path}: malformed model: ") + match
+        with pytest.raises(TrainingDataError, match=pattern):
+            save_model(make(), str(path))
+        assert not path.exists()
 
     def test_save_to_directory_unwritable(self, tmp_path):
         with pytest.raises(UnwritablePathError, match=re.escape(f"cannot write {tmp_path}")):

@@ -160,7 +160,7 @@ class TestFuzzedReaders:
         _check(load_manifest, valid["path"], _MANIFEST)
         assert len(load_manifest(valid["path"])) == 3
         _check(parse_score_file, valid["path"], _SCORES)
-        assert len(parse_score_file(valid["path"]).rows) == 3
+        assert len(parse_score_file(valid["path"])[0]) == 3
         _check(_read_run_log, valid["run_log"], json.dumps(_RUN_LOG).encode("utf-8"))
         kept, chash = _read_run_log(valid["run_log"])
         assert [e.utterance_id for e in kept] == ["U1"] and chash == "0123456789abcdef"

@@ -306,10 +306,10 @@ class TestScoreFiles:
         recs = _records([0.75, -0.001953125], [0.5])
         p = tmp_path / "scores.txt"
         write_score_file(str(p), recs, config_hash="0123456789abcdef")
-        parsed = parse_score_file(str(p))
-        assert parsed.config_hash == "0123456789abcdef"
-        assert len(parsed.rows) == 3
-        utt, attack, label, score = parsed.rows[0]
+        rows, chash = parse_score_file(str(p))
+        assert chash == "0123456789abcdef"
+        assert len(rows) == 3
+        utt, attack, label, score = rows[0]
         assert (utt, attack, label) == ("B0", "-", "bonafide")
         assert score == recs[0].score  # repr round-trips floats exactly
 
@@ -367,16 +367,14 @@ class TestScoreFiles:
         except ScoreFileError:
             assert not p.exists()
             return
-        parsed = parse_score_file(str(p))
-        assert parsed.rows == list(rows)
-        assert parsed.config_hash == config_hash
+        assert parse_score_file(str(p)) == (list(rows), config_hash)
 
     def test_two_column_format(self, tmp_path):
         p = tmp_path / "scores.txt"
         p.write_text("U1 0.5\nU2 -1.25\n")
-        parsed = parse_score_file(str(p))
-        assert parsed.rows == [("U1", None, None, 0.5), ("U2", None, None, -1.25)]
-        assert parsed.config_hash is None
+        rows, chash = parse_score_file(str(p))
+        assert rows == [("U1", None, None, 0.5), ("U2", None, None, -1.25)]
+        assert chash is None
 
     def test_crlf_and_cr_line_ends(self, tmp_path):
         p = tmp_path / "scores.txt"
@@ -384,9 +382,9 @@ class TestScoreFiles:
         with pytest.raises(ScoreFileError, match=r":4: expected 2 or 4"):
             parse_score_file(str(p))
         p.write_bytes(b"# config_hash=abc\r\nU1 0.5\r\nU2 -1.25\r")
-        parsed = parse_score_file(str(p))
-        assert parsed.config_hash == "abc"
-        assert parsed.rows == [("U1", None, None, 0.5), ("U2", None, None, -1.25)]
+        rows, chash = parse_score_file(str(p))
+        assert chash == "abc"
+        assert rows == [("U1", None, None, 0.5), ("U2", None, None, -1.25)]
 
     def test_write_to_directory_unwritable(self, tmp_path):
         with pytest.raises(UnwritablePathError, match=f"cannot write {tmp_path}"):
@@ -395,7 +393,21 @@ class TestScoreFiles:
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "scores.txt"
         p.write_text("# a comment\n\nU1 0.5\n")
-        assert len(parse_score_file(str(p)).rows) == 1
+        rows, _ = parse_score_file(str(p))
+        assert len(rows) == 1
+
+    def test_differing_config_hashes_refused(self, tmp_path):
+        # two files from two configs, concatenated, must not pass as one
+        p = tmp_path / "scores.txt"
+        p.write_text("# config_hash=0123456789abcdef\nU1 0.5\n# config_hash=zz\nU2 0.25\n")
+        message = f"{p}:3: config hash 'zz' differs from '0123456789abcdef' above"
+        with pytest.raises(ScoreFileError, match=re.escape(message)):
+            parse_score_file(str(p))
+
+    def test_repeated_equal_config_hash_loads(self, tmp_path):
+        p = tmp_path / "scores.txt"
+        p.write_text("# config_hash=0123456789abcdef\nU1 0.5\n# config_hash=0123456789abcdef\n")
+        assert parse_score_file(str(p)) == ([("U1", None, None, 0.5)], "0123456789abcdef")
 
     def test_bad_column_count(self, tmp_path):
         p = tmp_path / "scores.txt"

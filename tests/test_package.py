@@ -35,7 +35,7 @@ _PUBLIC_SURFACE = {
     },
     "manifest": {"ManifestEntry", "load_manifest", "write_manifest"},
     "metrics": {
-        "Report", "ScoreFile", "ScoreRecord", "TdcfParams", "eer", "min_tdcf",
+        "Report", "ScoreRecord", "TdcfParams", "eer", "min_tdcf",
         "parse_score_file", "report", "tdcf_coefficients", "write_score_file",
     },
     "mixing": {"add_noise_at_snr"},

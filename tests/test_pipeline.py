@@ -23,6 +23,7 @@ from spoofamp.config import PipelineConfig, config_hash, derive_seed
 from spoofamp.errors import (
     ConfigError,
     DegenerateSignalError,
+    ManifestError,
     ScoreFileError,
     StageError,
     TrainingDataError,
@@ -169,6 +170,16 @@ class TestRunPipeline:
         out.write_text("")
         with pytest.raises(UnwritablePathError, match=f"cannot create output directory {out}"):
             run_pipeline(_config(), entries, str(out))
+
+    def test_repeated_id_refused_before_anything_is_made(self, corpus, tmp_path):
+        # copies of one entry would race on one temp file name at parallelism 2
+        entries, _ = corpus
+        out = tmp_path / "run"
+        utt = entries[0].utterance_id
+        message = f"{out}: duplicate utterance id {utt!r} in entries 1 and 2"
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            run_pipeline(_config(parallelism=2), [entries[0]] * 8, str(out))
+        assert not out.exists()
 
     def test_partial_sample_file_logged_not_raised(self, corpus, tmp_path):
         entries, _ = corpus
@@ -631,6 +642,16 @@ class TestSweep:
         with pytest.raises(ConfigError, match=r"^unknown noise color 'infrared'; "):
             sweep(
                 _config(), entries, entries, "noise_color", ["white", "infrared"],
+                UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
+            )
+        assert reads == []
+
+    def test_no_values_raise_before_any_read(self, corpus, monkeypatch):
+        entries, _ = corpus
+        reads = _record_reads(monkeypatch)
+        with pytest.raises(ConfigError, match=r"^no sweep values given$"):
+            sweep(
+                _config(), entries, entries, "alpha", iter([]),
                 UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
             )
         assert reads == []

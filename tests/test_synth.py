@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_noise_wave
 from spoofamp.detector import FeatureConfig, extract_features, fit, score
-from spoofamp.errors import ConfigError, UnwritablePathError
+from spoofamp.errors import ConfigError, ManifestError, UnwritablePathError
 from spoofamp.manifest import load_manifest
 from spoofamp.metrics import ScoreRecord, eer
 from spoofamp.synth import (
@@ -265,6 +265,12 @@ class TestSynthCorpus:
             SynthSpec(1, 1, duration_s=0.25, seed=1), str(tmp_path), prefix="SYNTR"
         )
         assert entries[0].utterance_id == "SYNTR_B_0000"
+
+    def test_prefix_the_manifest_refuses_writes_nothing(self, tmp_path):
+        out = tmp_path / "corpus"
+        with pytest.raises(ManifestError, match="utterance id '#x_B_0000' must not start with '#'"):
+            synth_corpus(SMALL, str(out), prefix="#x")
+        assert not out.exists()
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
