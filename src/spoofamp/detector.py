@@ -8,6 +8,7 @@ with a variance floor, so training is deterministic for a fixed example order
 and insensitive to reordering up to floating-point summation.
 """
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -55,8 +56,9 @@ def _mel_inv(m):
     return 700.0 * (10.0 ** (m / 2595.0) - 1.0)
 
 
+@functools.lru_cache(maxsize=16)
 def _band_edges(config, sample_rate):
-    """Bin indices of mel-spaced band edges, strictly increasing."""
+    """Bin indices of mel-spaced band edges, strictly increasing; cached, read-only."""
     n_bins = WINDOW_LENGTH // 2 + 1
     hz = _mel_inv(np.linspace(0.0, _mel(sample_rate / 2.0), config.n_bands + 1))
     spacing = sample_rate / WINDOW_LENGTH
@@ -66,7 +68,18 @@ def _band_edges(config, sample_rate):
     # force at least one bin per band
     for i in range(1, len(edges)):
         edges[i] = max(edges[i], edges[i - 1] + 1)
+    edges.flags.writeable = False
     return edges
+
+
+@functools.lru_cache(maxsize=16)
+def _split_masks(sample_rate):
+    """(bins at or above 4 kHz, bins below it) as boolean masks; cached, read-only."""
+    freqs = np.fft.rfftfreq(WINDOW_LENGTH, d=1.0 / sample_rate)
+    masks = freqs >= _SPLIT_HZ, freqs < _SPLIT_HZ
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
 
 
 def extract_features(w, config=FeatureConfig()):
@@ -92,9 +105,9 @@ def extract_features(w, config=FeatureConfig()):
     log_power = power + _EPS
     np.log(log_power, out=log_power)
     flatness = np.exp(np.mean(log_power, axis=1)) / (power.mean(axis=1) + _EPS)
-    freqs = np.fft.rfftfreq(WINDOW_LENGTH, d=1.0 / w.sample_rate)
-    hi = float(power[:, freqs >= _SPLIT_HZ].sum())
-    lo = float(power[:, freqs < _SPLIT_HZ].sum())
+    above, below = _split_masks(w.sample_rate)
+    hi = float(power[:, above].sum())
+    lo = float(power[:, below].sum())
     ratio = hi / (lo + _EPS)
     return np.concatenate([means, variances, [float(flatness.mean())], [ratio]])
 

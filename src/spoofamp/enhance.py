@@ -5,7 +5,9 @@ Both classical enhancers run one STFT mask body: take the STFT, turn its
 magnitudes into a gain in place, scale the spectra by that gain and invert.
 They differ only in the gain rule, spectral subtraction or Wiener. Both rules
 estimate the noise magnitude per STFT bin as the 10th percentile of that
-bin's frame magnitudes over the utterance. For Gaussian noise the bin
+bin's frame magnitudes over the utterance. It is taken from a sorted per-bin
+copy of the magnitudes in the thread's STFT frame scratch and equals
+np.percentile(mag, 10, axis=0) byte for byte. For Gaussian noise the bin
 magnitude is Rayleigh distributed, whose 10th percentile sits far below its
 mean, so the raw percentile underestimates the noise; the constants below
 rescale it to the Rayleigh mean amplitude (for spectral subtraction) or RMS
@@ -26,7 +28,7 @@ from .errors import (
     EnhancerError,
     _is_finite_number,
 )
-from .stft import istft, stft
+from .stft import _frame_scratch, istft, stft
 
 # the parameters each kind accepts and their defaults; an external command has none
 _PARAM_DEFAULTS = {
@@ -107,8 +109,33 @@ def _match_length(samples, n):
     return np.concatenate([samples, np.zeros(n - samples.size)])
 
 
+def _noise_profile(mag, sqrt=False):
+    """Per bin, the 10th percentile over frames of mag (frames, bins), or of
+    its square roots with sqrt; np.percentile(..., 10, axis=0) to the byte.
+
+    Each bin's values are written as one row of this thread's STFT frame
+    scratch and sorted in place there, then neighbouring order statistics
+    are interpolated as numpy's linear method does. A bin holding NaN gets NaN.
+    """
+    n_frames, n_bins = mag.shape
+    rows = _frame_scratch(n_frames).reshape(-1)[: n_bins * n_frames].reshape(n_bins, n_frames)
+    if sqrt:
+        np.sqrt(mag.T, out=rows)
+    else:
+        np.copyto(rows, mag.T)
+    rows.sort(axis=1)
+    index = _NOISE_PERCENTILE / 100 * (n_frames - 1)
+    lo = min(int(index), n_frames - 2)  # one frame: numpy pairs columns -1 and 0 at weight 1
+    t = index - lo
+    below, above = rows[:, lo], rows[:, lo + 1]
+    diff = above - below
+    profile = above - diff * (1 - t) if t >= 0.5 else below + diff * t
+    profile[np.isnan(rows[:, -1])] = np.nan
+    return profile
+
+
 def _subtraction_gain(mag, subtraction_factor, floor):
-    magnitude_q10 = np.percentile(mag, _NOISE_PERCENTILE, axis=0)
+    magnitude_q10 = _noise_profile(mag)
     nhat = _OVERSUBTRACTION * _RAYLEIGH_MEAN_OVER_Q10 * magnitude_q10
     # gain = max(mag - subtraction_factor * nhat, floor * mag) / mag, and floor where mag is 0
     kept = floor * mag
@@ -120,8 +147,7 @@ def _subtraction_gain(mag, subtraction_factor, floor):
 
 def _wiener_gain(gain, floor):
     gain **= 2  # the power, turned into the gain in place once the profile is taken
-    # the magnitude is a throwaway, so the percentile may partition it in place
-    magnitude_q10 = np.percentile(np.sqrt(gain), _NOISE_PERCENTILE, axis=0, overwrite_input=True)
+    magnitude_q10 = _noise_profile(gain, sqrt=True)
     nhat = _OVERSUBTRACTION * _RAYLEIGH_RMS_OVER_Q10 * magnitude_q10
     np.maximum(gain, 1e-300, out=gain)
     np.divide(nhat[None, :] ** 2, gain, out=gain)

@@ -229,8 +229,9 @@ def report(records, params, group_by_attack=False):
 def parse_score_file(path):
     """Read a score file with 4-column (id attack label score) or 2-column
     (id score) whitespace-separated lines. Lines starting with '#' are
-    comments; '# config_hash=<hex>' is captured for merge checking, and a
-    second one that differs from the first raises ScoreFileError.
+    comments; '# config_hash=<hex>' is captured for merge checking. A hash
+    that is not 16 lowercase hex digits, or a second one that differs from
+    the first, raises ScoreFileError.
 
     Returns (rows, config_hash): rows of (utterance_id, attack_id or None,
     label or None, score), and the hash or None.
@@ -246,6 +247,10 @@ def parse_score_file(path):
             body = line[1:].strip()
             if body.startswith("config_hash="):
                 value = body.split("=", 1)[1].strip()
+                if not _is_config_hash(value):
+                    raise ScoreFileError(
+                        f"{path}:{lineno}: config hash {value!r} is not 16 lowercase hex"
+                    )
                 if config_hash not in (None, value):
                     raise ScoreFileError(
                         f"{path}:{lineno}: config hash {value!r} differs from {config_hash!r} above"

@@ -8,6 +8,8 @@ by f**exponent in amplitude (pink -1/2, violet +1, giving power laws 1/f and
 f**2), the DC bin zeroed, and the result inverse transformed.
 """
 
+import functools
+
 import numpy as np
 
 from .audio import Waveform, _Fresh
@@ -27,6 +29,16 @@ def _check_noise_color(color):
 def _check_sample_rate(sample_rate):
     if not (_is_integer(sample_rate) and sample_rate > 0):
         raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
+
+
+@functools.lru_cache(maxsize=8)
+def _shaping_weights(color, length, sample_rate):
+    """The rfft bins' amplitude weights f**exponent with DC zeroed; cached, read-only."""
+    weights = np.fft.rfftfreq(length, d=1.0 / sample_rate)
+    weights[1:] **= _AMPLITUDE_EXPONENT[color]
+    weights[0] = 0.0  # zero DC so the output is exactly zero mean
+    weights.flags.writeable = False
+    return weights
 
 
 def generate(color, length, sample_rate, seed):
@@ -58,10 +70,7 @@ def generate(color, length, sample_rate, seed):
     else:
         spectrum = np.fft.rfft(white)
         del white
-        weights = np.fft.rfftfreq(length, d=1.0 / sample_rate)
-        weights[1:] **= _AMPLITUDE_EXPONENT[color]
-        weights[0] = 0.0  # zero DC so the output is exactly zero mean
-        spectrum *= weights
+        spectrum *= _shaping_weights(color, length, sample_rate)
         shaped = np.fft.irfft(spectrum, n=length)
         del spectrum
     rms = np.sqrt(np.mean(shaped**2))

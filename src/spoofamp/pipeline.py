@@ -252,8 +252,8 @@ def join_scores(entries, rows, polarity_flip=False):
     """Join manifest labels onto parsed score rows.
 
     The row ids must form a superset of the manifest ids; extra ids are
-    ignored (their count is returned). Rows carrying their own label must
-    agree with the manifest.
+    ignored (their count is returned). Rows carrying their own label and
+    attack id must agree with the manifest.
 
     Returns (records, n_extra_ids).
     """
@@ -266,11 +266,16 @@ def join_scores(entries, rows, polarity_flip=False):
     for e in entries:
         if e.utterance_id not in by_id:
             raise ScoreFileError(f"manifest id {e.utterance_id!r} missing from merged scores")
-        _attack, label, score = by_id[e.utterance_id]
+        attack, label, score = by_id[e.utterance_id]
         if label is not None and label != e.label:
             raise ScoreFileError(
                 f"label conflict for {e.utterance_id!r}: manifest says {e.label!r}, "
                 f"merged scores says {label!r}"
+            )
+        if attack is not None and attack != e.attack_id:
+            raise ScoreFileError(
+                f"attack id conflict for {e.utterance_id!r}: manifest says {e.attack_id!r}, "
+                f"merged scores says {attack!r}"
             )
         if polarity_flip:
             score = -score

@@ -1,16 +1,19 @@
 """The in-place stage bodies against their out-of-place oracles, to the bit,
-and the ownership rules of Waveform storage."""
+the ownership rules of Waveform storage and of the cached per-call constants,
+and the enhancers' sorted noise profile against np.percentile."""
 
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from spoofamp import noise
+from spoofamp import detector, noise
 from spoofamp.amplify import amplify, extract_residual
 from spoofamp.audio import Waveform, crop_or_pad, read_wav
 from spoofamp.detector import FeatureConfig, extract_features
-from spoofamp.enhance import EnhancerKind, enhance
+from spoofamp.enhance import EnhancerKind, _noise_profile, enhance
 from spoofamp.mixing import add_noise_at_snr
 from spoofamp.stft import stft
 from spoofamp.synth import ARTIFACT_KINDS, SynthSpec, synth_utterance
@@ -210,3 +213,78 @@ class TestStorage:
             assert not w.samples.flags.writeable
             with pytest.raises(ValueError):
                 w.samples[0] = 0.0
+
+
+def _profile_cases(n, rng):
+    """(n, 8) columns: random, rounded normal (ties, negatives, -0.0), half zero,
+    scaled by 1e-300, with +inf, with -inf, with NaN, and all +inf."""
+    base = rng.random(n)
+    cols = [
+        base,
+        np.round(3.0 * rng.standard_normal(n)),
+        np.where(rng.random(n) < 0.5, 0.0, base),
+        base * 1e-300,
+    ]
+    for value in (np.inf, -np.inf, np.nan):
+        col = rng.random(n)
+        col[rng.integers(0, n, 1 + n // 50)] = value
+        cols.append(col)
+    cols.append(np.full(n, np.inf))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("sqrt", [False, True], ids=["magnitude", "power"])
+def test_noise_profile_is_percentile(sqrt):
+    rng = np.random.default_rng(26)
+    with np.errstate(invalid="ignore"):
+        for n in [*range(1, 601), 1001, 4001]:
+            m = _profile_cases(n, rng)
+            if sqrt:
+                m = np.abs(m) ** 2
+            want = np.percentile(np.sqrt(m) if sqrt else m, 10, axis=0)
+            assert _same(_noise_profile(m, sqrt=sqrt), want), n
+        for n in (1001, 4001):  # the full bin count of a 512-sample window
+            m = rng.rayleigh(size=(n, 257))
+            assert _same(_noise_profile(m), np.percentile(m, 10, axis=0)), n
+
+
+def test_enhance_in_two_threads_matches_serial():
+    inputs = [_wave(16000, 20), _wave(64000 + 77, 21)]
+    kinds = [EnhancerKind("wiener"), EnhancerKind("spectral_subtraction")]
+    serial = [[enhance(k, x).samples for k in kinds] for x in inputs]
+    results = [[] for _ in inputs]
+    start = threading.Barrier(len(inputs), timeout=30)
+
+    def work(i):
+        start.wait()
+        for _ in range(5):
+            results[i].append([enhance(k, inputs[i]).samples for k in kinds])
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for want, runs in zip(serial, results):
+        assert len(runs) == 5
+        for got in runs:
+            assert all(_same(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("constant", [
+    lambda: detector._band_edges(detector.FeatureConfig(), SR),
+    lambda: detector._split_masks(SR)[0],
+    lambda: detector._split_masks(SR)[1],
+    lambda: noise._shaping_weights("pink", 4000, SR),
+    lambda: noise._shaping_weights("violet", 4000, SR),
+], ids=["band_edges", "split_above", "split_below", "pink_weights", "violet_weights"])
+def test_cached_constants_are_read_only(constant):
+    with pytest.raises(ValueError):
+        constant()[0] = 1
+    assert constant() is constant()

@@ -528,41 +528,54 @@ class TestReport:
         assert rc == 0
         assert "(ignored 1 score ids not in manifest)" in capsys.readouterr().out
 
+    def test_attack_id_conflict_fails(self, ws, tmp_path, capsys):
+        with open(ws["scores"]) as f:
+            lines = f.read().splitlines()
+        i = next(i for i, line in enumerate(lines) if " spoof " in line)
+        utt, attack, label, score = lines[i].split()
+        lines[i] = f"{utt} A99 {label} {score}"
+        scores = tmp_path / "scores.txt"
+        scores.write_text("\n".join(lines) + "\n")
+        rc = main(["report", "--manifest", ws["manifest"], "--scores", str(scores)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"attack id conflict for {utt!r}: manifest says {attack!r}" in err
+
     def _split_score_files(self, ws, tmp_path, hash_b):
         with open(ws["scores"]) as f:
             lines = [l for l in f.read().splitlines() if not l.startswith("#")]
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
-        a.write_text("# config_hash=aaaa\n" + "\n".join(lines[:3]) + "\n")
+        a.write_text("# config_hash=aaaaaaaaaaaaaaaa\n" + "\n".join(lines[:3]) + "\n")
         b.write_text(f"# config_hash={hash_b}\n" + "\n".join(lines[3:]) + "\n")
         return str(a), str(b)
 
     def test_merge_conflicting_hashes_refused(self, ws, tmp_path, capsys):
-        a, b = self._split_score_files(ws, tmp_path, "bbbb")
+        a, b = self._split_score_files(ws, tmp_path, "bbbbbbbbbbbbbbbb")
         rc = main(["report", "--manifest", ws["manifest"], "--scores", a, b])
         assert rc == 2
         assert "--force" in capsys.readouterr().err
 
     def test_merge_forced(self, ws, tmp_path, capsys):
-        a, b = self._split_score_files(ws, tmp_path, "bbbb")
+        a, b = self._split_score_files(ws, tmp_path, "bbbbbbbbbbbbbbbb")
         rc = main(["report", "--manifest", ws["manifest"], "--scores", a, b, "--force"])
         assert rc == 0
         assert "pooled EER" in capsys.readouterr().out
 
     def test_merge_same_hash_allowed(self, ws, tmp_path, capsys):
-        a, b = self._split_score_files(ws, tmp_path, "aaaa")
+        a, b = self._split_score_files(ws, tmp_path, "aaaaaaaaaaaaaaaa")
         rc = main(["report", "--manifest", ws["manifest"], "--scores", a, b])
         assert rc == 0
         assert "pooled EER" in capsys.readouterr().out
 
     def test_concatenated_files_of_two_hashes_refused(self, ws, tmp_path, capsys):
         # cat a.txt b.txt > ab.txt hides the merge from --scores, not from the reader
-        a, b = self._split_score_files(ws, tmp_path, "bbbb")
+        a, b = self._split_score_files(ws, tmp_path, "bbbbbbbbbbbbbbbb")
         ab = tmp_path / "ab.txt"
         ab.write_text((tmp_path / "a.txt").read_text() + (tmp_path / "b.txt").read_text())
         rc = main(["report", "--manifest", ws["manifest"], "--scores", str(ab)])
         assert rc == 1
-        assert "ab.txt:5: config hash 'bbbb' differs from 'aaaa'" in capsys.readouterr().err
+        assert "ab.txt:5: config hash 'bbbbbbbbbbbbbbbb' differs from 'aaaaaaaaaaaaaaaa'" in capsys.readouterr().err
 
 
 class TestDegenerateTdcf:

@@ -41,7 +41,7 @@ _MANIFEST = (
     b"U3\tc.wav\tspoof\tA02\n"
 )
 _PROTOCOL = b"LA_0079 LA_T_1 - - bonafide\nLA_0079 LA_T_2 - A01 spoof\n"
-_SCORES = b"# config_hash=abc123\nU1 - bonafide 0.5\nU2 A01 spoof -1.25\n\nU3 0.75\n"
+_SCORES = b"# config_hash=0000000000abc123\nU1 - bonafide 0.5\nU2 A01 spoof -1.25\n\nU3 0.75\n"
 _CONFIG = {"snr_db": 5.0, "noise_color": "pink", "enhancer": "spectral_subtraction",
            "enhancer_params": {"floor": 0.02}, "alpha": 1.4, "crop_seconds": 2.0,
            "extraction_mode": "naive", "skip_noise_addition": False, "global_seed": 7,

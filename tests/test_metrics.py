@@ -378,12 +378,12 @@ class TestScoreFiles:
 
     def test_crlf_and_cr_line_ends(self, tmp_path):
         p = tmp_path / "scores.txt"
-        p.write_bytes(b"# config_hash=abc\r\nU1 0.5\r\nU2 -1.25\rU3 x y\r\n")
+        p.write_bytes(b"# config_hash=00000000000abc00\r\nU1 0.5\r\nU2 -1.25\rU3 x y\r\n")
         with pytest.raises(ScoreFileError, match=r":4: expected 2 or 4"):
             parse_score_file(str(p))
-        p.write_bytes(b"# config_hash=abc\r\nU1 0.5\r\nU2 -1.25\r")
+        p.write_bytes(b"# config_hash=00000000000abc00\r\nU1 0.5\r\nU2 -1.25\r")
         rows, chash = parse_score_file(str(p))
-        assert chash == "abc"
+        assert chash == "00000000000abc00"
         assert rows == [("U1", None, None, 0.5), ("U2", None, None, -1.25)]
 
     def test_write_to_directory_unwritable(self, tmp_path):
@@ -399,8 +399,16 @@ class TestScoreFiles:
     def test_differing_config_hashes_refused(self, tmp_path):
         # two files from two configs, concatenated, must not pass as one
         p = tmp_path / "scores.txt"
-        p.write_text("# config_hash=0123456789abcdef\nU1 0.5\n# config_hash=zz\nU2 0.25\n")
-        message = f"{p}:3: config hash 'zz' differs from '0123456789abcdef' above"
+        p.write_text("# config_hash=0123456789abcdef\nU1 0.5\n# config_hash=fedcba9876543210\nU2 0.25\n")
+        message = f"{p}:3: config hash 'fedcba9876543210' differs from '0123456789abcdef' above"
+        with pytest.raises(ScoreFileError, match=re.escape(message)):
+            parse_score_file(str(p))
+
+    @pytest.mark.parametrize("value", ["zz", "", "abc", "0123456789ABCDEF", "0123456789abcdef0"])
+    def test_malformed_config_hash_refused(self, tmp_path, value):
+        p = tmp_path / "scores.txt"
+        p.write_text(f"U1 0.5\n# config_hash={value}\nU2 0.25\n")
+        message = f"{p}:2: config hash {value!r} is not 16 lowercase hex"
         with pytest.raises(ScoreFileError, match=re.escape(message)):
             parse_score_file(str(p))
 

@@ -915,6 +915,12 @@ class TestJoinScores:
         with pytest.raises(ScoreFileError, match="conflict"):
             join_scores(entries, rows)
 
+    def test_attack_id_conflict(self):
+        entries = [ManifestEntry("U1", "/x", "spoof", "A01")]
+        message = "attack id conflict for 'U1': manifest says 'A01', merged scores says 'A99'"
+        with pytest.raises(ScoreFileError, match=re.escape(message)):
+            join_scores(entries, [("U1", "A99", "spoof", 0.5)])
+
     def test_matching_labels_accepted(self):
         entries = _entries(("U1", "bonafide"))
         rows = [("U1", "-", "bonafide", 0.5)]
