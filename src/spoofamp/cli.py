@@ -315,7 +315,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (SpoofampError, OSError) as e:
+    except (SpoofampError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2 if isinstance(e, ConfigError) else 1
 

@@ -72,16 +72,6 @@ def _band_edges(config, sample_rate):
     return edges
 
 
-@functools.lru_cache(maxsize=16)
-def _split_masks(sample_rate):
-    """(bins at or above 4 kHz, bins below it) as boolean masks; cached, read-only."""
-    freqs = np.fft.rfftfreq(WINDOW_LENGTH, d=1.0 / sample_rate)
-    masks = freqs >= _SPLIT_HZ, freqs < _SPLIT_HZ
-    for mask in masks:
-        mask.flags.writeable = False
-    return masks
-
-
 def extract_features(w, config=FeatureConfig()):
     """Deterministic feature vector of length config.dim for one waveform.
 
@@ -105,9 +95,9 @@ def extract_features(w, config=FeatureConfig()):
     log_power = power + _EPS
     np.log(log_power, out=log_power)
     flatness = np.exp(np.mean(log_power, axis=1)) / (power.mean(axis=1) + _EPS)
-    above, below = _split_masks(w.sample_rate)
-    hi = float(power[:, above].sum())
-    lo = float(power[:, below].sum())
+    freqs = np.fft.rfftfreq(WINDOW_LENGTH, d=1.0 / w.sample_rate)
+    hi = float(power[:, freqs >= _SPLIT_HZ].sum())
+    lo = float(power[:, freqs < _SPLIT_HZ].sum())
     ratio = hi / (lo + _EPS)
     return np.concatenate([means, variances, [float(flatness.mean())], [ratio]])
 

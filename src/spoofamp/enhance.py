@@ -3,15 +3,15 @@ adapter that round-trips audio through an external command.
 
 Both classical enhancers run one STFT mask body: take the STFT, turn its
 magnitudes into a gain in place, scale the spectra by that gain and invert.
-They differ only in the gain rule, spectral subtraction or Wiener. Both rules
-estimate the noise magnitude per STFT bin as the 10th percentile of that
-bin's frame magnitudes over the utterance. It is taken from a sorted per-bin
-copy of the magnitudes in the thread's STFT frame scratch and equals
-np.percentile(mag, 10, axis=0) byte for byte. For Gaussian noise the bin
-magnitude is Rayleigh distributed, whose 10th percentile sits far below its
-mean, so the raw percentile underestimates the noise; the constants below
-rescale it to the Rayleigh mean amplitude (for spectral subtraction) or RMS
-(for the Wiener gain's power estimate).
+They differ only in the gain rule, spectral subtraction or Wiener. The body
+takes one noise profile for both rules, once per call: per STFT bin, the
+10th percentile of that bin's frame magnitudes over the utterance. It is
+taken from a sorted per-bin copy of the magnitudes in the thread's STFT
+frame scratch and equals np.percentile(mag, 10, axis=0) byte for byte.
+For Gaussian noise the bin magnitude is Rayleigh distributed, whose 10th
+percentile sits far below its mean, so the raw percentile underestimates the
+noise; the constants below rescale it to the Rayleigh mean amplitude (for
+spectral subtraction) or RMS (for the Wiener gain's power estimate).
 """
 
 import shlex
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import Waveform, _Fresh, read_wav, write_wav
+from .audio import Waveform, _check_seconds, _Fresh, read_wav, write_wav
 from .errors import (
     AudioIOError,
     ConfigError,
@@ -68,12 +68,14 @@ class EnhancerKind:
     Raises
     ------
     ConfigError
-        Unknown tag or key, a number that is not finite and >= 0, a zero
-        timeout_s, or an external command without {in} and {out}.
+        Unknown tag or key, a number that is not finite and >= 0, a timeout_s
+        that is no duration in seconds (audio's rule: > 0 and <= 86400), or
+        an external command without {in} and {out} or that shlex cannot split.
     """
 
     tag: str
     params: dict = field(default_factory=dict)
+    _tokens: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag not in ENHANCER_KINDS:
@@ -98,8 +100,12 @@ class EnhancerKind:
             cmd = checked["command"]
             if not isinstance(cmd, str) or "{in}" not in cmd or "{out}" not in cmd:
                 raise ConfigError("external enhancer requires a 'command' with {in} and {out}")
-            if checked["timeout_s"] <= 0:
-                raise ConfigError(f"timeout_s must be positive, got {checked['timeout_s']}")
+            try:
+                tokens = tuple(shlex.split(cmd))
+            except ValueError as e:
+                raise ConfigError(f"external enhancer command cannot be split: {e}") from e
+            object.__setattr__(self, "_tokens", tokens)
+            _check_seconds(checked["timeout_s"])
         object.__setattr__(self, "params", checked)
 
 
@@ -109,9 +115,9 @@ def _match_length(samples, n):
     return np.concatenate([samples, np.zeros(n - samples.size)])
 
 
-def _noise_profile(mag, sqrt=False):
-    """Per bin, the 10th percentile over frames of mag (frames, bins), or of
-    its square roots with sqrt; np.percentile(..., 10, axis=0) to the byte.
+def _noise_profile(mag):
+    """Per bin, the 10th percentile over frames of mag (frames, bins);
+    np.percentile(mag, 10, axis=0) to the byte.
 
     Each bin's values are written as one row of this thread's STFT frame
     scratch and sorted in place there, then neighbouring order statistics
@@ -119,10 +125,7 @@ def _noise_profile(mag, sqrt=False):
     """
     n_frames, n_bins = mag.shape
     rows = _frame_scratch(n_frames).reshape(-1)[: n_bins * n_frames].reshape(n_bins, n_frames)
-    if sqrt:
-        np.sqrt(mag.T, out=rows)
-    else:
-        np.copyto(rows, mag.T)
+    np.copyto(rows, mag.T)
     rows.sort(axis=1)
     index = _NOISE_PERCENTILE / 100 * (n_frames - 1)
     lo = min(int(index), n_frames - 2)  # one frame: numpy pairs columns -1 and 0 at weight 1
@@ -134,8 +137,7 @@ def _noise_profile(mag, sqrt=False):
     return profile
 
 
-def _subtraction_gain(mag, subtraction_factor, floor):
-    magnitude_q10 = _noise_profile(mag)
+def _subtraction_gain(mag, magnitude_q10, subtraction_factor, floor):
     nhat = _OVERSUBTRACTION * _RAYLEIGH_MEAN_OVER_Q10 * magnitude_q10
     # gain = max(mag - subtraction_factor * nhat, floor * mag) / mag, and floor where mag is 0
     kept = floor * mag
@@ -145,22 +147,22 @@ def _subtraction_gain(mag, subtraction_factor, floor):
     mag[~nonzero] = floor
 
 
-def _wiener_gain(gain, floor):
-    gain **= 2  # the power, turned into the gain in place once the profile is taken
-    magnitude_q10 = _noise_profile(gain, sqrt=True)
+def _wiener_gain(gain, magnitude_q10, floor):
     nhat = _OVERSUBTRACTION * _RAYLEIGH_RMS_OVER_Q10 * magnitude_q10
+    gain **= 2  # the power, turned into the gain in place
     np.maximum(gain, 1e-300, out=gain)
     np.divide(nhat[None, :] ** 2, gain, out=gain)
     np.subtract(1.0, gain, out=gain)
     np.maximum(gain, floor, out=gain)
 
 
-def _run_external(y, command, timeout_s):
+def _run_external(y, tokens, timeout_s):
     """Round-trip a waveform through an external enhancer command.
 
-    The template must contain {in} and {out} placeholders; the input is
-    written as float32 WAV, the command executed without a shell, and the
-    output read back and trimmed or zero padded to the input length.
+    tokens is the command template as EnhancerKind split it, with {in} and
+    {out} placeholders; the input is written as float32 WAV, the command
+    executed without a shell, and the output read back and trimmed or zero
+    padded to the input length.
 
     Raises
     ------
@@ -172,10 +174,7 @@ def _run_external(y, command, timeout_s):
         in_path = f"{tmpdir}/in.wav"
         out_path = f"{tmpdir}/out.wav"
         write_wav(y, in_path)
-        tokens = [
-            tok.replace("{in}", in_path).replace("{out}", out_path)
-            for tok in shlex.split(command)
-        ]
+        tokens = [tok.replace("{in}", in_path).replace("{out}", out_path) for tok in tokens]
         try:
             proc = subprocess.run(
                 tokens, capture_output=True, text=True, errors="replace", timeout=timeout_s
@@ -211,7 +210,9 @@ def enhance(kind, y, reference_clean=None):
     """Run the selected enhancer on y; output always has y's length and rate.
 
     oracle_clean requires reference_clean and returns it (the perfect-enhancer
-    stand-in used by fixpoint tests); identity returns y unchanged.
+    stand-in used by fixpoint tests); identity returns y unchanged. The two
+    classical enhancers take the noise profile once, of the STFT magnitude,
+    and hand it to their gain rule.
     """
     if kind.tag == "identity":
         return y
@@ -220,10 +221,11 @@ def enhance(kind, y, reference_clean=None):
             raise ConfigError("oracle_clean enhancer needs a clean reference")
         return y.with_samples(_match_length(reference_clean.samples, len(y)))
     if kind.tag == "external":
-        return _run_external(y, **kind.params)
+        return _run_external(y, kind._tokens, kind.params["timeout_s"])
     spectra = stft(y.samples)
     gain = np.abs(spectra)
-    (_subtraction_gain if kind.tag == "spectral_subtraction" else _wiener_gain)(gain, **kind.params)
+    rule = _subtraction_gain if kind.tag == "spectral_subtraction" else _wiener_gain
+    rule(gain, _noise_profile(gain), **kind.params)
     spectra *= gain
     del gain
     return y.with_samples(_Fresh(istft(spectra, len(y))))

@@ -160,6 +160,19 @@ class TestSignalCommands:
         assert capsys.readouterr().err == f"error: {match}\n"
         assert not out.exists()
 
+    def test_allocation_failure_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 1.23 PiB for an array")
+
+        monkeypatch.setattr("spoofamp.cli.generate", out_of_memory)
+        out = tmp_path / "x.wav"
+        rc = main(["gen-noise", "--color", "white", "--seconds", "1", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 1.23 PiB for an array\n"
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -276,10 +289,11 @@ class TestProcess:
             {"enhancer_params": {"floor": float("nan")}},
             {"enhancer": "external"},
             {"enhancer": "external", "enhancer_params": {"command": "cp a b"}},
+            {"enhancer": "external", "enhancer_params": {"command": "cp '{in} {out}"}},
         ],
         ids=[
             "non_number", "unknown_key", "nan", "external_without_command",
-            "external_without_placeholders",
+            "external_without_placeholders", "external_unsplittable",
         ],
     )
     def test_bad_enhancer_params_usage_error(self, ws, tmp_path, capsys, fields):
@@ -295,6 +309,7 @@ class TestProcess:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
         assert not (out / "run_log.json").exists()
+        assert not list(out.rglob("*.wav"))
 
     @pytest.mark.parametrize(
         "fields",

@@ -40,6 +40,13 @@ class TestEnhancerKind:
             EnhancerKind("external", {"command": "prog {in} {out}", "timeout_s": 0})
         EnhancerKind("external", {"command": "prog {in} {out}"})
 
+    def test_timeout_s_is_a_duration_in_seconds(self):
+        for bad in (0, 86401, 1e10, 1e308):
+            with pytest.raises(ConfigError, match="duration in seconds must be"):
+                EnhancerKind("external", {"command": "prog {in} {out}", "timeout_s": bad})
+        kind = EnhancerKind("external", {"command": "prog {in} {out}", "timeout_s": 86400})
+        assert kind.params["timeout_s"] == 86400.0
+
     def test_missing_placeholders_rejected(self):
         for command in ("prog --flag", "prog {in} out.wav", "prog in.wav {out}"):
             with pytest.raises(ConfigError, match="{in} and {out}"):
