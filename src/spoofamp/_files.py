@@ -23,9 +23,9 @@ def _read_file(path, what, error):
 
 
 def _read_text(path, what, error):
-    """The file at path as UTF-8 text, newlines translated as text mode does."""
+    """The file at path as UTF-8 text less a leading BOM, newlines translated as text mode does."""
     try:
-        text = _read_file(path, what, error).decode("utf-8")
+        text = _read_file(path, what, error).decode("utf-8-sig")
     except UnicodeDecodeError as e:
         raise error(f"{path}: {what} is not UTF-8 text: {e}") from e
     return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -24,6 +24,7 @@ from .errors import (
 _FMT_PCM = 0x0001
 _FMT_IEEE_FLOAT = 0x0003
 _FMT_EXTENSIBLE = 0xFFFE
+_MAX_RATE = 1073741823  # the highest a float32 WAV holds: its byte rate, 4 * rate, fills 32 bits
 
 # GUID suffix shared by all EXTENSIBLE subformats; first two bytes carry the tag
 _EXT_GUID_TAIL = b"\x00\x00\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
@@ -188,10 +189,7 @@ def write_wav(w, path):
         A sample whose float32 rounding is infinite, which read_wav refuses.
     UnwritablePathError
     """
-    if w.sample_rate > 1073741823:  # before any file is made
-        raise DegenerateSignalError(
-            f"cannot write {path}: a float32 WAV holds at most 1073741823 Hz, got {w.sample_rate}"
-        )
+    _check_wav_rate(w.sample_rate, path)  # before any file is made
     with np.errstate(over="ignore"):
         payload = w.samples.astype("<f4")
     if not np.all(np.isfinite(payload)):
@@ -216,11 +214,18 @@ def write_wav(w, path):
     _write_file(path, b"".join([header, fmt, fact, data_head, payload]))
 
 
-def _check_seconds(seconds):
+def _check_wav_rate(sample_rate, path):
+    if sample_rate > _MAX_RATE:
+        raise DegenerateSignalError(
+            f"cannot write {path}: a float32 WAV holds at most {_MAX_RATE} Hz, got {sample_rate}"
+        )
+
+
+def _check_seconds(seconds, name):
     if not (_is_finite_number(seconds) and seconds > 0):
-        raise ConfigError(f"duration in seconds must be finite and positive, got {seconds}")
+        raise ConfigError(f"{name} must be finite and positive, got {seconds}")
     if seconds > 86400:  # one day; far longer ones overflow seconds * sample_rate
-        raise ConfigError(f"duration in seconds must be at most 86400, got {seconds}")
+        raise ConfigError(f"{name} must be at most 86400, got {seconds}")
 
 
 def crop_or_pad(w, target_seconds, rng_seed):
@@ -231,7 +236,7 @@ def crop_or_pad(w, target_seconds, rng_seed):
     end-to-end and truncated. Tiling rather than zero padding keeps the
     signal's energy statistics intact for the SNR arithmetic downstream.
     """
-    _check_seconds(target_seconds)
+    _check_seconds(target_seconds, "crop_seconds")
     if not (_is_integer(rng_seed) and rng_seed >= 0):
         raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
     out_len = int(round(target_seconds * w.sample_rate))

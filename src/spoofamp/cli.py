@@ -13,7 +13,7 @@ from . import detector, metrics, pipeline, synth
 from .amplify import EXTRACTION_MODES, extract_residual
 from .amplify import amplify as _amplify_op
 from ._files import _write_file
-from .audio import _check_seconds, read_wav, write_wav
+from .audio import _check_seconds, _check_wav_rate, read_wav, write_wav
 from .config import PipelineConfig, derive_seed, load_config
 from .errors import ConfigError, SpoofampError
 from .manifest import MANIFEST_FORMATS, load_manifest
@@ -59,7 +59,8 @@ def _audio_entries(args):
 
 
 def _cmd_gen_noise(args):
-    _check_seconds(args.seconds)
+    _check_seconds(args.seconds, "seconds")
+    _check_wav_rate(args.sample_rate, args.out)  # before any sample is made
     n = int(round(args.seconds * args.sample_rate))
     write_wav(generate(args.color, n, args.sample_rate, args.seed), args.out)
     print(f"wrote {args.out}: {args.color} noise, {n} samples at {args.sample_rate} Hz")

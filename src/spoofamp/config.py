@@ -29,7 +29,8 @@ def _plain(value):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every knob of the per-utterance pipeline plus batch execution."""
+    """Every knob of the per-utterance pipeline plus batch execution. _enhancer, no field,
+    is the EnhancerKind the batch layer runs; hashes, run logs, == and repr ignore it."""
 
     snr_db: float = 0.0
     noise_color: str = "white"
@@ -46,9 +47,9 @@ class PipelineConfig:
         _check_snr_db(self.snr_db)
         _check_noise_color(self.noise_color)
         # checks the tag and its parameters; the fields keep the values as given
-        EnhancerKind(self.enhancer, self.enhancer_params)
+        object.__setattr__(self, "_enhancer", EnhancerKind(self.enhancer, self.enhancer_params))
         _check_alpha(self.alpha)
-        _check_seconds(self.crop_seconds)
+        _check_seconds(self.crop_seconds, "crop_seconds")
         _check_extraction_mode(self.extraction_mode)
         if not isinstance(self.skip_noise_addition, bool):
             raise ConfigError("skip_noise_addition must be a boolean")

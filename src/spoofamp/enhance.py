@@ -105,7 +105,7 @@ class EnhancerKind:
             except ValueError as e:
                 raise ConfigError(f"external enhancer command cannot be split: {e}") from e
             object.__setattr__(self, "_tokens", tokens)
-            _check_seconds(checked["timeout_s"])
+            _check_seconds(checked["timeout_s"], "timeout_s")
         object.__setattr__(self, "params", checked)
 
 

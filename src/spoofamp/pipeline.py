@@ -17,7 +17,6 @@ from ._files import _make_dir, _read_json_object, _remove_file, _write_file
 from .amplify import process_utterance_details
 from .audio import crop_or_pad, read_wav, write_wav
 from .config import config_doc, config_hash, derive_seed
-from .enhance import EnhancerKind
 from .errors import ConfigError, ScoreFileError, SpoofampError, StageError, _stage
 from .manifest import _check_entries
 
@@ -38,21 +37,21 @@ class RunResult:
 
 
 def _load(entry, config):
-    """Read and crop one entry. Returns (x, crop_seed, noise_seed); both seeds
-    come from the global seed and the utterance id alone."""
+    """Read and crop one entry, in stage 'io'. Returns (x, crop_seed, noise_seed);
+    both seeds come from the global seed and the utterance id alone."""
     crop_seed = derive_seed(config.global_seed, entry.utterance_id, "crop")
     noise_seed = derive_seed(config.global_seed, entry.utterance_id, "noise")
-    x = crop_or_pad(read_wav(entry.path), config.crop_seconds, crop_seed)
+    with _stage("io"):
+        x = crop_or_pad(read_wav(entry.path), config.crop_seconds, crop_seed)
     return x, crop_seed, noise_seed
 
 
-def _process_one(entry, config, enhancer, out_dir):
-    """Process one entry and write its WAV. Only the run-log record is
-    returned, so no waveform outlives its utterance."""
+def _process_one(entry, config, out_dir):
+    """Process one entry with the config's enhancer and write its WAV. Only the
+    run-log record is returned, so no waveform outlives its utterance."""
     try:
-        with _stage("io"):
-            x, crop_seed, noise_seed = _load(entry, config)
-        details = process_utterance_details(x, config, enhancer, noise_seed)
+        x, crop_seed, noise_seed = _load(entry, config)
+        details = process_utterance_details(x, config, config._enhancer, noise_seed)
         with _stage("io"):
             write_wav(details.x_tilde, _wav_path(out_dir, entry.utterance_id))
     except StageError as e:
@@ -96,10 +95,7 @@ def run_pipeline(config, entries, out_dir):
     _make_dir(out_dir, "output")
     log_path = os.path.join(out_dir, _RUN_LOG)
     _remove_file(log_path)  # a previous run's log must not outlive a run that stops midway
-    enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
-    records = _map_entries(
-        entries, lambda e: _process_one(e, config, enhancer, out_dir), config.parallelism
-    )
+    records = _map_entries(entries, lambda e: _process_one(e, config, out_dir), config.parallelism)
     n_failed = sum(1 for r in records if r["status"] != "ok")
     n_ok = len(records) - n_failed
     log_doc = {
@@ -196,8 +192,6 @@ def sweep(
     """
     values = list(values)
     cfgs = _sweep_configs(config, axis, values)
-    # no swept axis touches the enhancer, so one serves every cell
-    enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
     train_entries = list(train_entries)
     n_train = len(train_entries)
     train_labels = [e.label for e in train_entries] * (2 if include_raw_training else 1)
@@ -207,8 +201,7 @@ def sweep(
 
     def features(i):
         # the swept axes touch neither seed, so one crop serves every cell
-        with _stage("io"):
-            x, _, noise_seed = _load(entries[i], config)
+        x, _, noise_seed = _load(entries[i], config)
         # a feature vector or an error message per cell, then per raw crop: a kept
         # exception would keep its traceback's frames, and so the crop, alive
         row = []
@@ -216,7 +209,7 @@ def sweep(
             try:
                 y = x
                 if cfg is not None:
-                    y = process_utterance_details(x, cfg, enhancer, noise_seed).x_tilde
+                    y = process_utterance_details(x, cfg, cfg._enhancer, noise_seed).x_tilde
                 row.append(detector.extract_features(y, feature_config))
             except SpoofampError as e:
                 row.append(str(e))

@@ -24,24 +24,25 @@ from concurrent.futures import ThreadPoolExecutor
 from spoofamp.amplify import process_utterance_details
 from spoofamp.config import PipelineConfig, derive_seed
 from spoofamp.detector import FeatureConfig, extract_features
-from spoofamp.enhance import ENHANCER_KINDS, EnhancerKind
+from spoofamp.enhance import ENHANCER_KINDS
 from spoofamp.synth import SynthSpec, synth_utterance
 
 
-def _chain(x, config, enhancer, noise_seed):
-    details = process_utterance_details(x, config, enhancer, noise_seed)
+def _chain(x, config, noise_seed):
+    # the config's own enhancer, as the batch layer runs it
+    details = process_utterance_details(x, config, config._enhancer, noise_seed)
     return extract_features(details.x_tilde, FeatureConfig())
 
 
-def _measure(corpus, config, enhancer, workers):
+def _measure(corpus, config, workers):
     """(user ms, system ms, minor faults, voluntary switches) per utterance for one pass."""
     before = resource.getrusage(resource.RUSAGE_SELF)
     if workers == 1:
         for x, seed in corpus:
-            _chain(x, config, enhancer, seed)
+            _chain(x, config, seed)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda item: _chain(item[0], config, enhancer, item[1]), corpus))
+            list(pool.map(lambda item: _chain(item[0], config, item[1]), corpus))
     after = resource.getrusage(resource.RUSAGE_SELF)
     n = len(corpus)
     return (
@@ -61,17 +62,16 @@ def main():
                         default=PipelineConfig().enhancer)
     args = parser.parse_args()
     config = PipelineConfig(enhancer=args.enhancer)
-    enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
     spec = SynthSpec(args.utterances, args.utterances, duration_s=args.seconds, seed=1)
     corpus = [
         (synth_utterance(f"PROBE_{i:04d}", spec, i % 2 == 1),
          derive_seed(config.global_seed, f"PROBE_{i:04d}", "noise"))
         for i in range(args.utterances)
     ]
-    _measure(corpus, config, enhancer, 1)  # warm-up: imports, FFT plans, first arenas
+    _measure(corpus, config, 1)  # warm-up: imports, FFT plans, first arenas
     print("workers  user_ms/utt  sys_ms/utt  minflt/utt  nvcsw/utt")
     for workers in (1, 2):
-        runs = [_measure(corpus, config, enhancer, workers) for _ in range(args.repeats)]
+        runs = [_measure(corpus, config, workers) for _ in range(args.repeats)]
         user, system, faults, switches = (statistics.median(col) for col in zip(*runs))
         print(f"{workers:7d}  {user:11.2f}  {system:10.2f}  {faults:10.0f}  {switches:9.1f}")
 

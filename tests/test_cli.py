@@ -147,7 +147,7 @@ class TestSignalCommands:
             (["mix", "--in", "{src}", "--snr-db", "4000"],
              "|snr_db| must be at most 300 dB, got 4000.0"),
             (["gen-noise", "--color", "white", "--seconds", "1e308"],
-             "duration in seconds must be at most 86400, got 1e+308"),
+             "seconds must be at most 86400, got 1e+308"),
         ],
         ids=["amplify_negative_alpha", "mix_nan_snr", "gen_noise_zero_rate", "mix_huge_snr",
              "gen_noise_huge_seconds"],
@@ -159,6 +159,35 @@ class TestSignalCommands:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {match}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, rc, message",
+        [
+            (["synth", "--n-bonafide", "1", "--n-spoof", "1", "--duration", "0.0001",
+              "--sample-rate", "1073741824", "--out-dir", "{out}"], 2,
+             "sample_rate must be at most 1073741823, got 1073741824"),
+            (["synth", "--n-bonafide", "1", "--n-spoof", "1", "--duration", "0.00001",
+              "--out-dir", "{out}"], 2,
+             "duration_s must hold at least 3 samples, got 1e-05"),
+            # the writer's own error, as for a 2 GHz WAV read by mix
+            (["gen-noise", "--color", "white", "--seconds", "0.0001",
+              "--sample-rate", "1073741824", "--out", "{out}"], 1,
+             "cannot write {out}: a float32 WAV holds at most 1073741823 Hz, got 1073741824"),
+        ],
+        ids=["synth_rate", "synth_too_short", "gen_noise_rate"],
+    )
+    def test_unwritable_rate_or_length_refused_first(self, tmp_path, capsys, monkeypatch, argv,
+                                                     rc, message):
+        # refused before any directory, file or sample exists
+        def no_samples(*args):
+            raise AssertionError("noise generated before the check")
+
+        monkeypatch.setattr("spoofamp.cli.generate", no_samples)
+        monkeypatch.setattr("spoofamp.synth.generate", no_samples)
+        out = tmp_path / "out"
+        assert main([a.format(out=out) for a in argv]) == rc
+        assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_allocation_failure_is_an_error_line(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):
@@ -333,6 +362,28 @@ class TestProcess:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not (out / "run_log.json").exists()
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"crop_seconds": 0}, "crop_seconds must be finite and positive, got 0"),
+            ({"enhancer": "external",
+              "enhancer_params": {"command": "cp {in} {out}", "timeout_s": 0}},
+             "timeout_s must be finite and positive, got 0.0"),
+        ],
+        ids=["crop_seconds", "timeout_s"],
+    )
+    def test_bad_duration_names_its_knob(self, ws, tmp_path, capsys, fields, message):
+        bad = str(tmp_path / "bad.json")
+        with open(bad, "w") as f:
+            json.dump(fields, f)
+        out = tmp_path / "out"
+        rc = main([
+            "process", "--config", bad, "--manifest", ws["manifest"], "--out-dir", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_non_number_knob_names_its_rule(self, ws, tmp_path, capsys):
         bad = str(tmp_path / "bad.json")

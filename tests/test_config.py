@@ -11,11 +11,13 @@ from spoofamp.audio import Waveform, crop_or_pad, write_wav
 from spoofamp.config import (
     RELEASE_SEED,
     PipelineConfig,
+    config_doc,
     config_hash,
     derive_seed,
     load_config,
 )
 from spoofamp.detector import FeatureConfig
+from spoofamp.enhance import EnhancerKind
 from spoofamp.errors import ConfigError
 from spoofamp.manifest import ManifestEntry
 from spoofamp.mixing import add_noise_at_snr
@@ -45,7 +47,7 @@ _KNOBS = {
     ),
     "extraction_mode": ([lambda v: extract_residual(_X, _X, v)], set(_VALUES)),
     "crop_seconds": (
-        [lambda v: crop_or_pad(_X, v, 0), lambda v: SynthSpec(1, 1, duration_s=v)],
+        [lambda v: crop_or_pad(_X, v, 0)],
         {"nan", "inf", "minus_one", "zero"} | _NOT_NUMBERS | _HUGE,
     ),
 }
@@ -92,6 +94,49 @@ class TestPipelineConfig:
             cfg.with_overrides(noise_color="magenta")
 
 
+class TestKeptEnhancer:
+    """A config keeps the EnhancerKind that checked its enhancer fields."""
+
+    def test_kind_of_the_fields(self):
+        cfg = PipelineConfig(
+            enhancer="spectral_subtraction", enhancer_params={"floor": np.float32(0.1)}
+        )
+        assert cfg._enhancer == EnhancerKind(cfg.enhancer, cfg.enhancer_params)
+        assert cfg._enhancer == EnhancerKind("spectral_subtraction", {"floor": np.float32(0.1)})
+
+    def test_with_overrides_rebuilds_it(self):
+        cfg = PipelineConfig()
+        assert cfg.with_overrides(alpha=0.6)._enhancer is not cfg._enhancer
+        floor = cfg.with_overrides(enhancer_params={"floor": 0.2})
+        assert floor._enhancer == EnhancerKind("wiener", {"floor": 0.2})
+        spectral = cfg.with_overrides(enhancer="spectral_subtraction")
+        assert spectral._enhancer == EnhancerKind("spectral_subtraction")
+
+    def test_no_field(self):
+        # pinned values: a kept kind that reached config_doc would move every run
+        # log's config_hash
+        a = PipelineConfig(
+            enhancer="spectral_subtraction", enhancer_params={"floor": np.float32(0.1)}
+        )
+        b = PipelineConfig(
+            enhancer="spectral_subtraction", enhancer_params={"floor": float(np.float32(0.1))}
+        )
+        assert a._enhancer is not b._enhancer
+        assert a == b
+        assert list(config_doc(a)) == [
+            "snr_db", "noise_color", "enhancer", "enhancer_params", "alpha", "crop_seconds",
+            "extraction_mode", "skip_noise_addition", "global_seed",
+        ]
+        assert config_hash(a) == "ad26424297ae430f"
+        assert config_hash(PipelineConfig()) == "f20279b9c23b4195"
+        assert repr(a) == (
+            "PipelineConfig(snr_db=0.0, noise_color='white', enhancer='spectral_subtraction', "
+            "enhancer_params={'floor': 0.10000000149011612}, alpha=1.4, crop_seconds=4.0, "
+            "extraction_mode='projection', skip_noise_addition=False, global_seed=555, "
+            "parallelism=1)"
+        )
+
+
 @pytest.mark.parametrize(
     "field, value_id",
     [(field, v) for field, (_, rejected) in _KNOBS.items() for v in _VALUES if v in rejected],
@@ -107,6 +152,18 @@ def test_config_and_stage_share_one_rule(field, value_id):
         with pytest.raises(ConfigError) as from_stage:
             stage(value)
         assert str(from_stage.value) == str(from_config.value)
+
+
+@pytest.mark.parametrize("value_id", sorted(_KNOBS["crop_seconds"][1]))
+def test_synth_duration_shares_the_crop_rule(value_id):
+    """SynthSpec's duration_s and crop_seconds are durations under one rule: the
+    same values fail, with ConfigError and messages that differ only in the knob's name."""
+    value = _VALUES[value_id]
+    with pytest.raises(ConfigError) as from_config:
+        PipelineConfig(crop_seconds=value)
+    with pytest.raises(ConfigError) as from_synth:
+        SynthSpec(1, 1, duration_s=value)
+    assert str(from_synth.value) == str(from_config.value).replace("crop_seconds", "duration_s")
 
 
 _INTEGER_KNOBS = {
@@ -158,6 +215,13 @@ class TestLoadConfig:
         p.write_text("[" * 100000)
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(str(p))
+
+    def test_byte_order_mark_is_not_part_of_the_file(self, tmp_path):
+        text = '{"alpha": 0.6, "noise_color": "pink"}'
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert load_config(str(marked)) == load_config(str(plain))
 
     def test_not_utf8_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"

@@ -42,7 +42,7 @@ class TestEnhancerKind:
 
     def test_timeout_s_is_a_duration_in_seconds(self):
         for bad in (0, 86401, 1e10, 1e308):
-            with pytest.raises(ConfigError, match="duration in seconds must be"):
+            with pytest.raises(ConfigError, match="timeout_s must be"):
                 EnhancerKind("external", {"command": "prog {in} {out}", "timeout_s": bad})
         kind = EnhancerKind("external", {"command": "prog {in} {out}", "timeout_s": 86400})
         assert kind.params["timeout_s"] == 86400.0

@@ -162,6 +162,16 @@ class TestSharedBehavior:
         p.write_text("\nU1\ta.wav\tbonafide\t-\n\n")
         assert len(load_manifest(str(p))) == 1
 
+    def test_byte_order_mark_is_not_part_of_the_first_id(self, tmp_path):
+        # Excel and Notepad save UTF-8 with a leading byte-order mark
+        text = "U1\tU1.wav\tbonafide\t-\nU2\tU2.wav\tspoof\tA01\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        entries = load_manifest(str(marked))
+        assert entries == load_manifest(str(plain))
+        assert entries[0].utterance_id == "U1"
+
     def test_empty_manifest_warns_but_succeeds(self, tmp_path, caplog):
         p = tmp_path / "manifest.tsv"
         p.write_text("")

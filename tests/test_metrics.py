@@ -313,6 +313,15 @@ class TestScoreFiles:
         assert (utt, attack, label) == ("B0", "-", "bonafide")
         assert score == recs[0].score  # repr round-trips floats exactly
 
+    @pytest.mark.parametrize("config_hash", [None, "0123456789abcdef"], ids=["rows", "hash"])
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path, config_hash):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        write_score_file(str(plain), _records([0.75], [0.5]), config_hash=config_hash)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        rows, chash = parse_score_file(str(marked))
+        assert (rows, chash) == parse_score_file(str(plain))
+        assert (rows[0][0], chash) == ("B0", config_hash)
+
     def test_write_rejects_a_hash_not_of_config_hash_form(self, tmp_path):
         p = tmp_path / "scores.txt"
         with pytest.raises(ConfigError, match="is not 16 lowercase hex"):

@@ -41,6 +41,7 @@ from spoofamp.pipeline import (
     sweep_csv_text,
 )
 from spoofamp.detector import FeatureConfig, extract_features, fit, score
+from spoofamp.enhance import EnhancerKind
 from spoofamp.synth import SynthSpec, synth_corpus
 
 from conftest import make_speechlike, write_minimal_wav
@@ -75,6 +76,16 @@ def corpus(tmp_path_factory):
 
 
 class TestRunPipeline:
+    def test_runs_the_configs_enhancer(self, corpus, tmp_path, monkeypatch):
+        cfg = _config()
+        builds = _record_enhancer_builds(monkeypatch)
+        calls = _record_chain_calls(monkeypatch)
+        result = run_pipeline(cfg, corpus[0], str(tmp_path / "run"))
+        assert result.n_ok == len(corpus[0])
+        assert builds == []
+        assert len(calls) == len(corpus[0])
+        assert all(c is cfg and e is cfg._enhancer for c, e in calls)
+
     def test_outputs_and_log(self, corpus, tmp_path):
         entries, _ = corpus
         cfg = _config()
@@ -565,6 +576,20 @@ class TestBenchmarkWiring:
 
 
 class TestSweep:
+    def test_each_cell_runs_its_configs_enhancer(self, corpus, monkeypatch):
+        entries, _ = corpus
+        cfg = _config()
+        builds = _record_enhancer_builds(monkeypatch)
+        calls = _record_chain_calls(monkeypatch)
+        cells = sweep(cfg, entries, entries, "alpha", [1.0, 2.0], UNIT_PARAMS,
+                      feature_config=FeatureConfig(n_bands=4))
+        assert [c.error for c in cells] == [None, None]
+        assert len(builds) == 2  # one per value, by its cell config
+        n_reads = 2 * len(entries)  # the entries serve as both splits
+        assert sorted(c.alpha for c, _ in calls) == [1.0] * n_reads + [2.0] * n_reads
+        assert all(e is c._enhancer for c, e in calls)
+        assert {id(e) for _, e in calls} == {id(b) for b in builds}
+
     def test_zero_alpha_cell_matches_raw_baseline(self, corpus):
         entries, _ = corpus
         train = entries[:2] + entries[3:5]  # two per class
@@ -867,6 +892,32 @@ def _record_reads(monkeypatch):
 
     monkeypatch.setattr(pipeline, "read_wav", read_wav_spy)
     return reads
+
+
+def _record_enhancer_builds(monkeypatch):
+    """The EnhancerKinds built from now on, recorded as each is checked."""
+    builds = []
+    real_post_init = EnhancerKind.__post_init__
+
+    def post_init(self):
+        builds.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(EnhancerKind, "__post_init__", post_init)
+    return builds
+
+
+def _record_chain_calls(monkeypatch):
+    """(config, enhancer) of every pipeline.process_utterance_details call."""
+    calls = []
+    real = pipeline.process_utterance_details
+
+    def spy(x, config, enhancer, noise_seed):
+        calls.append((config, enhancer))
+        return real(x, config, enhancer, noise_seed)
+
+    monkeypatch.setattr(pipeline, "process_utterance_details", spy)
+    return calls
 
 
 def _fault_noise(monkeypatch, faults):

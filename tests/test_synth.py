@@ -9,6 +9,7 @@ from spoofamp.errors import ConfigError, ManifestError, UnwritablePathError
 from spoofamp.manifest import load_manifest
 from spoofamp.metrics import ScoreRecord, eer
 from spoofamp.synth import (
+    ARTIFACT_KINDS,
     COMB_DELAY_SAMPLES,
     SynthSpec,
     _harmonic_bank,
@@ -131,6 +132,22 @@ class TestSynthSpec:
 
     def test_full_strength_allowed(self):
         SynthSpec(n_bonafide=1, n_spoof=1, artifact_strength=1.0)
+
+    def test_rate_and_length_its_wavs_can_hold(self):
+        # a float32 WAV holds at most 1073741823 Hz; 1 or 2 samples synthesise all zeros
+        with pytest.raises(ConfigError) as e:
+            SynthSpec(1, 1, duration_s=1e-4, sample_rate=1073741824)
+        assert str(e.value) == "sample_rate must be at most 1073741823, got 1073741824"
+        SynthSpec(1, 1, duration_s=1e-4, sample_rate=1073741823)
+        for n in (1, 2):
+            with pytest.raises(ConfigError) as e:
+                SynthSpec(1, 1, duration_s=n / 16000)
+            assert str(e.value) == f"duration_s must hold at least 3 samples, got {n / 16000}"
+        for kind in ARTIFACT_KINDS:
+            spec = SynthSpec(1, 1, duration_s=3 / 16000, artifact_kind=kind)
+            for spoof in (False, True):
+                w = synth_utterance("U0", spec, spoof)
+                assert len(w) == 3 and np.any(w.samples != 0)
 
 
 class TestCombFilter:
