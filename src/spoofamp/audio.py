@@ -189,7 +189,10 @@ def write_wav(w, path):
         A sample whose float32 rounding is infinite, which read_wav refuses.
     UnwritablePathError
     """
-    _check_wav_rate(w.sample_rate, path)  # before any file is made
+    if w.sample_rate > _MAX_RATE:  # before any file is made
+        raise DegenerateSignalError(
+            f"cannot write {path}: a float32 WAV holds at most {_MAX_RATE} Hz, got {w.sample_rate}"
+        )
     with np.errstate(over="ignore"):
         payload = w.samples.astype("<f4")
     if not np.all(np.isfinite(payload)):
@@ -212,13 +215,6 @@ def write_wav(w, path):
     riff_size = 4 + len(fmt) + len(fact) + len(data_head) + payload.nbytes
     header = struct.pack("<4sI4s", b"RIFF", riff_size, b"WAVE")
     _write_file(path, b"".join([header, fmt, fact, data_head, payload]))
-
-
-def _check_wav_rate(sample_rate, path):
-    if sample_rate > _MAX_RATE:
-        raise DegenerateSignalError(
-            f"cannot write {path}: a float32 WAV holds at most {_MAX_RATE} Hz, got {sample_rate}"
-        )
 
 
 def _check_seconds(seconds, name):

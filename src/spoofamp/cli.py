@@ -13,12 +13,12 @@ from . import detector, metrics, pipeline, synth
 from .amplify import EXTRACTION_MODES, extract_residual
 from .amplify import amplify as _amplify_op
 from ._files import _write_file
-from .audio import _check_seconds, _check_wav_rate, read_wav, write_wav
+from .audio import read_wav, write_wav
 from .config import PipelineConfig, derive_seed, load_config
 from .errors import ConfigError, SpoofampError
 from .manifest import MANIFEST_FORMATS, load_manifest
 from .mixing import add_noise_at_snr
-from .noise import NOISE_COLORS, generate
+from .noise import NOISE_COLORS, _output_length, generate
 from .synth import ARTIFACT_KINDS, SynthSpec
 
 
@@ -59,9 +59,7 @@ def _audio_entries(args):
 
 
 def _cmd_gen_noise(args):
-    _check_seconds(args.seconds, "seconds")
-    _check_wav_rate(args.sample_rate, args.out)  # before any sample is made
-    n = int(round(args.seconds * args.sample_rate))
+    n = _output_length(args.seconds, args.sample_rate, "seconds", 1)
     write_wav(generate(args.color, n, args.sample_rate, args.seed), args.out)
     print(f"wrote {args.out}: {args.color} noise, {n} samples at {args.sample_rate} Hz")
     return 0

@@ -45,7 +45,7 @@ def _resolve_protocol_path(where, audio_root, utterance_id):
 def _check_entry(where, utterance_id, label, attack_id):
     """The id names the entry's output files and a score line, the label is
     one of LABELS, and the attack id is one field of a score line."""
-    if not _is_token(utterance_id) or "/" in utterance_id or os.sep in utterance_id:
+    if not _is_token(utterance_id) or any(c in utterance_id for c in ("/", os.sep, "\0")):
         raise ManifestError(f"{where}: utterance id {utterance_id!r} cannot name a file")
     if utterance_id.startswith("#"):  # a score file reads the line as a comment
         raise ManifestError(f"{where}: utterance id {utterance_id!r} must not start with '#'")

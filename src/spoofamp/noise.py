@@ -12,7 +12,7 @@ import functools
 
 import numpy as np
 
-from .audio import Waveform, _Fresh
+from .audio import _MAX_RATE, Waveform, _check_seconds, _Fresh
 from .errors import ConfigError, DegenerateSignalError, _is_integer
 
 NOISE_COLORS = ("white", "pink", "violet")
@@ -29,6 +29,19 @@ def _check_noise_color(color):
 def _check_sample_rate(sample_rate):
     if not (_is_integer(sample_rate) and sample_rate > 0):
         raise ConfigError(f"sample_rate must be positive, got {sample_rate}")
+
+
+def _output_length(seconds, sample_rate, name, fewest):
+    """The sample count of a generated WAV; a bad duration, rate or count raises ConfigError."""
+    _check_seconds(seconds, name)
+    _check_sample_rate(sample_rate)
+    if sample_rate > _MAX_RATE:
+        raise ConfigError(f"sample_rate must be at most {_MAX_RATE}, got {sample_rate}")
+    n = int(round(seconds * sample_rate))
+    if n < fewest:
+        unit = "samples" if fewest > 1 else "sample"
+        raise ConfigError(f"{name} must hold at least {fewest} {unit}, got {seconds}")
+    return n
 
 
 @functools.lru_cache(maxsize=8)

@@ -6,6 +6,7 @@ global seed, and the run log is assembled in manifest order after all workers
 finish, so outputs and logs are byte identical at any parallelism level.
 """
 
+import contextlib
 import json
 import logging
 import os
@@ -88,10 +89,18 @@ def run_pipeline(config, entries, out_dir):
     Outputs are float32 WAVs named by utterance id. The log records the
     config hash, per-utterance seeds, projection weights, and energies.
     Failures are logged per utterance and counted, never raised. An id, label or
-    attack id that write_manifest refuses raises ManifestError before any file.
+    attack id that write_manifest refuses raises ManifestError, and an input the
+    run would write over raises ConfigError, before any file.
     """
     chash = config_hash(config)  # before any WAV is written: a failure here leaves nothing
     entries = _check_entries(out_dir, entries)  # a repeated id would race on one temp file
+    # an input the run writes over is lost: a WAV is written through a symlink, a log removed
+    written = {os.path.realpath(_wav_path(out_dir, e.utterance_id)) for e in entries}
+    written.add(os.path.join(os.path.realpath(out_dir), _RUN_LOG))
+    for e in entries:
+        with contextlib.suppress(ValueError):  # a NUL byte names no file; its read fails at io
+            if os.path.realpath(e.path) in written:
+                raise ConfigError(f"refusing to overwrite input {e.path} of {e.utterance_id!r}")
     _make_dir(out_dir, "output")
     log_path = os.path.join(out_dir, _RUN_LOG)
     _remove_file(log_path)  # a previous run's log must not outlive a run that stops midway

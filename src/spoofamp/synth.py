@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._files import _make_dir
-from .audio import _MAX_RATE, Waveform, _check_seconds, _Fresh, write_wav
+from .audio import Waveform, _Fresh, write_wav
 from .config import derive_seed
 from .errors import ConfigError, _is_finite_number, _is_integer
 from .manifest import ManifestEntry, _check_entries, write_manifest
-from .noise import _check_sample_rate, generate
+from .noise import _output_length, generate
 
 ARTIFACT_KINDS = ("comb_filter", "quantization", "band_notch")
 
@@ -63,12 +63,7 @@ class SynthSpec:
     def __post_init__(self):
         if not all(_is_integer(n) and n >= 1 for n in (self.n_bonafide, self.n_spoof)):
             raise ConfigError("corpus needs at least one item per class")
-        _check_seconds(self.duration_s, "duration_s")
-        _check_sample_rate(self.sample_rate)
-        if self.sample_rate > _MAX_RATE:  # the most a float32 WAV holds
-            raise ConfigError(f"sample_rate must be at most {_MAX_RATE}, got {self.sample_rate}")
-        if round(self.duration_s * self.sample_rate) < 3:  # 1 or 2 synthesise all zeros
-            raise ConfigError(f"duration_s must hold at least 3 samples, got {self.duration_s}")
+        _output_length(self.duration_s, self.sample_rate, "duration_s", 3)  # 1 or 2 are all zeros
         _check_artifact(self.artifact_kind, self.artifact_strength)
         if not _is_integer(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")

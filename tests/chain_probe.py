@@ -29,9 +29,10 @@ from spoofamp.synth import SynthSpec, synth_utterance
 
 
 def _chain(x, config, noise_seed):
-    # the config's own enhancer, as the batch layer runs it
-    details = process_utterance_details(x, config, config._enhancer, noise_seed)
-    return extract_features(details.x_tilde, FeatureConfig())
+    # the config's own enhancer, as the batch layer runs it; like sweep and
+    # process_utterance, keep only x_tilde alive while features are extracted
+    x_tilde = process_utterance_details(x, config, config._enhancer, noise_seed).x_tilde
+    return extract_features(x_tilde, FeatureConfig())
 
 
 def _measure(corpus, config, workers):

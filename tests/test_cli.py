@@ -169,12 +169,18 @@ class TestSignalCommands:
             (["synth", "--n-bonafide", "1", "--n-spoof", "1", "--duration", "0.00001",
               "--out-dir", "{out}"], 2,
              "duration_s must hold at least 3 samples, got 1e-05"),
-            # the writer's own error, as for a 2 GHz WAV read by mix
+            # the same rule as synth's, not the writer's check of a rate read from a file
             (["gen-noise", "--color", "white", "--seconds", "0.0001",
-              "--sample-rate", "1073741824", "--out", "{out}"], 1,
-             "cannot write {out}: a float32 WAV holds at most 1073741823 Hz, got 1073741824"),
+              "--sample-rate", "1073741824", "--out", "{out}"], 2,
+             "sample_rate must be at most 1073741823, got 1073741824"),
+            (["gen-noise", "--color", "white", "--seconds", "2e-6",
+              "--sample-rate", "2000000000", "--out", "{out}"], 2,
+             "sample_rate must be at most 1073741823, got 2000000000"),
+            (["gen-noise", "--color", "white", "--seconds", "0.00001", "--out", "{out}"], 2,
+             "seconds must hold at least 1 sample, got 1e-05"),
         ],
-        ids=["synth_rate", "synth_too_short", "gen_noise_rate"],
+        ids=["synth_rate", "synth_too_short", "gen_noise_rate", "gen_noise_2ghz",
+             "gen_noise_too_short"],
     )
     def test_unwritable_rate_or_length_refused_first(self, tmp_path, capsys, monkeypatch, argv,
                                                      rc, message):
@@ -188,6 +194,25 @@ class TestSignalCommands:
         assert main([a.format(out=out) for a in argv]) == rc
         assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "rate, seconds",
+        [(1073741824, 1.0), (2000000000, 1.0), (2**40, 1e-3), (16000, 1e-5), (16000, 3e-5),
+         (8000, 1e-9), (1, 0.4)],
+    )
+    def test_generators_share_one_size_rule(self, tmp_path, capsys, monkeypatch, rate, seconds):
+        # SynthSpec and gen-noise refuse the same rate and duration with one
+        # message, up to the duration's knob and its floor of samples
+        monkeypatch.setattr("spoofamp.cli.generate", lambda *args: pytest.fail("noise made"))
+        with pytest.raises(ConfigError) as e:
+            SynthSpec(1, 1, duration_s=seconds, sample_rate=rate)
+        out = tmp_path / "n.wav"
+        rc = main(["gen-noise", "--color", "white", "--seconds", repr(seconds),
+                   "--sample-rate", str(rate), "--out", str(out)])
+        assert rc == 2
+        expected = str(e.value).replace("duration_s", "seconds").replace("3 samples", "1 sample")
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
 
     def test_allocation_failure_is_an_error_line(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(*args):
@@ -205,12 +230,10 @@ class TestSignalCommands:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["gen-noise", "--color", "white", "--seconds", "2e-6",
-             "--sample-rate", "2000000000"],
             ["mix", "--in", "{fast}"],
             ["amplify", "--in", "{fast}", "--residual", "{fast}"],
         ],
-        ids=["gen-noise", "mix", "amplify"],
+        ids=["mix", "amplify"],
     )
     def test_unwritable_sample_rate_runtime_error(self, ws, tmp_path, capsys, argv):
         # a 2 GHz WAV reads, but its float32 byte rate does not fit the writer's header
@@ -298,6 +321,23 @@ class TestProcess:
         ])
         assert rc == 1
         assert "1 failed" in capsys.readouterr().out
+
+    def test_out_dir_holding_the_inputs_usage_error(self, tmp_path, capsys):
+        # process --out-dir <corpus> would replace every input WAV with its output
+        corpus = str(tmp_path / "corpus")
+        assert main(["synth", "--out-dir", corpus, "--n-bonafide", "1", "--n-spoof", "1",
+                     "--duration", "0.5"]) == 0
+        names = sorted(os.listdir(corpus))
+        before = {n: (tmp_path / "corpus" / n).read_bytes() for n in names}
+        capsys.readouterr()
+        rc = main(["process", "--manifest", os.path.join(corpus, "manifest.tsv"),
+                   "--out-dir", corpus])
+        assert rc == 2
+        wav = os.path.join(corpus, "SYN_B_0000.wav")
+        assert capsys.readouterr().err == (
+            f"error: refusing to overwrite input {wav} of 'SYN_B_0000'\n"
+        )
+        assert {n: (tmp_path / "corpus" / n).read_bytes() for n in os.listdir(corpus)} == before
 
     def test_bad_config_usage_error(self, ws, tmp_path, capsys):
         bad = str(tmp_path / "bad.json")

@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -65,6 +66,11 @@ def _config(**overrides):
     )
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+def _bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +197,73 @@ class TestRunPipeline:
         with pytest.raises(ManifestError, match=re.escape(message)):
             run_pipeline(_config(parallelism=2), [entries[0]] * 8, str(out))
         assert not out.exists()
+
+    def _copied_corpus(self, corpus, tmp_path):
+        entries, _ = corpus
+        src = tmp_path / "corpus"
+        src.mkdir()
+        copied = []
+        for e in entries:
+            path = src / os.path.basename(e.path)
+            shutil.copyfile(e.path, path)
+            copied.append(ManifestEntry(e.utterance_id, str(path), e.label, e.attack_id))
+        return copied
+
+    def _assert_refused(self, entries, out_dir, victim):
+        # nothing is written, removed or made: every input and a previous run's log survive
+        before = {e.path: _bytes(e.path) for e in entries if os.path.isfile(e.path)}
+        listing = sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else None
+        message = f"refusing to overwrite input {victim.path} of {victim.utterance_id!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_pipeline(_config(parallelism=2), entries, str(out_dir))
+        assert {p: _bytes(p) for p in before} == before
+        assert (sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else None) == listing
+
+    def test_input_in_its_own_output_slot_refused(self, corpus, tmp_path):
+        # process --out-dir <the corpus directory> would replace each input with its output;
+        # an entry whose path holds a NUL byte names no file and is passed over
+        entries = self._copied_corpus(corpus, tmp_path)
+        out = tmp_path / "corpus"
+        (out / "run_log.json").write_text("{}")
+        nul = ManifestEntry("NUL", str(tmp_path / "x\0y.wav"), "bonafide", "-")
+        self._assert_refused([nul] + entries, out, entries[0])
+        assert (out / "run_log.json").read_text() == "{}"
+
+    def test_input_another_entry_writes_refused(self, corpus, tmp_path):
+        # A reading <out>/B.wav races B's write of it at parallelism 2
+        entries = self._copied_corpus(corpus, tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        b = entries[1]
+        b_output = out / (b.utterance_id + ".wav")
+        shutil.copyfile(b.path, b_output)
+        a = ManifestEntry(entries[0].utterance_id, str(b_output), "bonafide", "-")
+        self._assert_refused([a] + entries[1:], out, a)
+        assert not os.path.exists(out / (a.utterance_id + ".wav"))
+
+    def test_output_name_linked_to_an_input_refused(self, corpus, tmp_path):
+        # the writer writes through <out>/B.wav, a symlink, onto B's own input
+        entries = self._copied_corpus(corpus, tmp_path)
+        out = tmp_path / "run"
+        out.mkdir()
+        b = entries[1]
+        (out / (b.utterance_id + ".wav")).symlink_to(b.path)
+        self._assert_refused(entries, out, b)
+
+    def test_id_with_a_nul_byte_refused_before_anything_is_made(self, corpus, tmp_path):
+        # such an id names no output file, so it is refused as a manifest would refuse it
+        out = tmp_path / "run"
+        bad = ManifestEntry("a\0b", corpus[0][0].path, "bonafide", "-")
+        with pytest.raises(ManifestError, match=re.escape(f"utterance id {bad.utterance_id!r}")):
+            run_pipeline(_config(), [bad], str(out))
+        assert not out.exists()
+
+    def test_output_dir_reached_through_a_symlink_refused(self, corpus, tmp_path):
+        entries = self._copied_corpus(corpus, tmp_path)
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "corpus")
+        self._assert_refused(entries, link, entries[0])
+        run_pipeline(_config(), entries, str(tmp_path / "elsewhere"))  # a separate dir runs
 
     def test_partial_sample_file_logged_not_raised(self, corpus, tmp_path):
         entries, _ = corpus
