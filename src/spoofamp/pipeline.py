@@ -23,7 +23,9 @@ from .manifest import _check_entries
 
 _log = logging.getLogger(__name__)
 
-SWEEP_AXES = ("alpha", "snr_db", "noise_color", "extraction_mode", "skip_noise_addition")
+SWEEP_AXES = (
+    "alpha", "snr_db", "noise_color", "extraction_mode", "skip_noise_addition", "enhancer"
+)
 _RUN_LOG = "run_log.json"
 
 
@@ -90,17 +92,25 @@ def run_pipeline(config, entries, out_dir):
     config hash, per-utterance seeds, projection weights, and energies.
     Failures are logged per utterance and counted, never raised. An id, label or
     attack id that write_manifest refuses raises ManifestError, and an input the
-    run would write over raises ConfigError, before any file.
+    run would write over or an <out_dir>/<id>.wav that is a symlink raises
+    ConfigError, before any file.
     """
     chash = config_hash(config)  # before any WAV is written: a failure here leaves nothing
     entries = _check_entries(out_dir, entries)  # a repeated id would race on one temp file
-    # an input the run writes over is lost: a WAV is written through a symlink, a log removed
-    written = {os.path.realpath(_wav_path(out_dir, e.utterance_id)) for e in entries}
-    written.add(os.path.join(os.path.realpath(out_dir), _RUN_LOG))
+    # a WAV is written through a symlink and a log removed: an input the run writes over
+    # is lost, and so is a file a link leads to, in the run or outside it
+    real_out = os.path.realpath(out_dir)
+    written = [os.path.realpath(_wav_path(out_dir, e.utterance_id)) for e in entries]
+    targets = set(written) | {os.path.join(real_out, _RUN_LOG)}
     for e in entries:
         with contextlib.suppress(ValueError):  # a NUL byte names no file; its read fails at io
-            if os.path.realpath(e.path) in written:
+            if os.path.realpath(e.path) in targets:
                 raise ConfigError(f"refusing to overwrite input {e.path} of {e.utterance_id!r}")
+    for e, path in zip(entries, written):
+        if path != _wav_path(real_out, e.utterance_id):
+            raise ConfigError(
+                f"refusing to write {_wav_path(out_dir, e.utterance_id)} through a link to {path}"
+            )
     _make_dir(out_dir, "output")
     log_path = os.path.join(out_dir, _RUN_LOG)
     _remove_file(log_path)  # a previous run's log must not outlive a run that stops midway

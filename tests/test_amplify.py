@@ -1,9 +1,16 @@
 """Residual extraction (projection and naive), amplification, and the
 per-utterance pipeline composition."""
 
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from spoofamp import amplify as amplify_module
+from spoofamp import noise as noise_module
 from spoofamp.amplify import (
     EXTRACTION_MODES,
     amplify,
@@ -13,8 +20,9 @@ from spoofamp.amplify import (
 )
 from spoofamp.audio import Waveform
 from spoofamp.config import PipelineConfig
+from spoofamp.detector import extract_features
 from spoofamp.enhance import EnhancerKind
-from spoofamp.errors import ConfigError, DegenerateSignalError, StageError
+from spoofamp.errors import ConfigError, DegenerateSignalError, EnhancerError, StageError
 
 from conftest import make_speechlike
 
@@ -211,3 +219,151 @@ class TestProcessUtterance:
         with pytest.raises(StageError) as exc:
             process_utterance(x, config, kind, noise_seed=1)
         assert exc.value.stage == "enhance"
+
+
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """Counts of the noise draws and enhancements the chain runs from now on."""
+    counts = {"noise": 0, "enhance": 0}
+    real_generate, real_enhance = noise_module.generate, amplify_module.enhance
+
+    def generate(*args):
+        counts["noise"] += 1
+        return real_generate(*args)
+
+    def enhance(*args, **kwargs):
+        counts["enhance"] += 1
+        return real_enhance(*args, **kwargs)
+
+    monkeypatch.setattr(noise_module, "generate", generate)
+    monkeypatch.setattr(amplify_module, "enhance", enhance)
+    return counts
+
+
+def _fresh(x, config, kind, noise_seed):
+    """The chain on a copy of x: another Waveform object, so nothing is reused."""
+    return process_utterance_details(Waveform(x.samples, x.sample_rate), config, kind, noise_seed)
+
+
+class TestEnhancedReuse:
+    """A thread that runs one utterance again, changing only alpha or the
+    extraction mode, reuses its enhanced estimate x_hat."""
+
+    _CONFIG = PipelineConfig(global_seed=1)
+    _KIND = EnhancerKind("wiener")
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"skip_noise_addition": True},
+            {"noise_color": "pink"},
+            {"snr_db": 5.0},
+            {"noise_seed": 8},
+            {"enhancer": EnhancerKind("wiener", {"floor": 0.02})},
+            {"x": "an equal copy"},
+        ],
+        ids=["skip_noise_addition", "noise_color", "snr_db", "noise_seed", "enhancer", "x"],
+    )
+    def test_an_upstream_change_recomputes(self, chain_calls, change):
+        x = make_speechlike(seed=80, seconds=0.5)
+        process_utterance_details(x, self._CONFIG, self._KIND, 7)
+        downstream = self._CONFIG.with_overrides(alpha=4.0, extraction_mode="naive")
+        process_utterance_details(x, downstream, EnhancerKind("wiener", {"floor": 0.01}), 7)
+        assert chain_calls["enhance"] == 1  # an equal kind built apart is the same enhancer
+        change = dict(change)
+        y = Waveform(x.samples, x.sample_rate) if change.pop("x", None) else x
+        kind = change.pop("enhancer", self._KIND)
+        noise_seed = change.pop("noise_seed", 7)
+        got = process_utterance_details(y, self._CONFIG.with_overrides(**change), kind, noise_seed)
+        assert chain_calls["enhance"] == 2
+        want = _fresh(x, self._CONFIG.with_overrides(**change), kind, noise_seed)
+        assert np.array_equal(got.enhanced.samples, want.enhanced.samples)
+
+    def test_a_hit_equals_a_fresh_chain(self, chain_calls):
+        x = make_speechlike(seed=81, seconds=1.0)
+        configs = [
+            self._CONFIG.with_overrides(alpha=alpha, extraction_mode=mode)
+            for mode in ("projection", "naive") for alpha in (0.0, 1.4, 4.0)
+        ]
+        hits = [process_utterance_details(x, c, self._KIND, 3) for c in configs]
+        assert (chain_calls["noise"], chain_calls["enhance"]) == (1, 1)
+        for config, hit in zip(configs, hits):
+            fresh = _fresh(x, config, self._KIND, 3)
+            assert np.array_equal(hit.x_tilde.samples, fresh.x_tilde.samples)
+            assert hit.residual.projection_weight == fresh.residual.projection_weight
+            assert np.array_equal(extract_features(hit.x_tilde), extract_features(fresh.x_tilde))
+
+    def test_threads_do_not_share_an_entry(self, chain_calls):
+        x = make_speechlike(seed=82, seconds=0.5)
+        mine = process_utterance_details(x, self._CONFIG, self._KIND, 4)
+        theirs = []
+        worker = threading.Thread(
+            target=lambda: theirs.append(process_utterance_details(x, self._CONFIG, self._KIND, 4))
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert chain_calls["enhance"] == 2
+        assert theirs[0].enhanced is not mine.enhanced
+        assert np.array_equal(theirs[0].enhanced.samples, mine.enhanced.samples)
+        again = process_utterance_details(x, self._CONFIG, self._KIND, 4)
+        assert chain_calls["enhance"] == 2  # the worker's run left this thread's entry
+        assert again.enhanced is mine.enhanced
+
+    def test_threads_sharing_utterances_match_a_serial_run(self):
+        # more workers than cores on shared Waveforms, switching threads as often as
+        # the interpreter allows: each task runs two utterances through every config
+        xs = [make_speechlike(seed=90 + k, seconds=0.25) for k in range(4)]
+        configs = [self._CONFIG.with_overrides(alpha=a, extraction_mode=m)
+                   for m in ("projection", "naive") for a in (0.0, 4.0)]
+        want = [[_fresh(x, c, self._KIND, k).x_tilde.samples for c in configs]
+                for k, x in enumerate(xs)]
+
+        def task(i):
+            return [[process_utterance_details(xs[k], c, self._KIND, k).x_tilde.samples
+                     for c in configs] for k in (i % 4, (i + 1) % 4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(task, range(32), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for i, rows in enumerate(got):
+            for k, row in zip((i % 4, (i + 1) % 4), rows):
+                assert all(np.array_equal(g, w) for g, w in zip(row, want[k]))
+
+    @pytest.mark.parametrize("skip", [False, True], ids=["wiener", "identity_skip_noise"])
+    def test_entry_dies_with_its_utterance(self, skip):
+        config = self._CONFIG.with_overrides(skip_noise_addition=skip)
+        kind = EnhancerKind("identity") if skip else self._KIND
+        x = make_speechlike(seed=83, seconds=0.5)
+        details = process_utterance_details(x, config, kind, 5)
+        x_hat, x_ref = weakref.ref(details.enhanced), weakref.ref(x)
+        del details
+        if not skip:  # without noise or enhancer x_hat is x, and nothing is stored
+            assert x_hat() is not None
+        del x
+        assert x_ref() is None
+        assert x_hat() is None
+
+    def test_failed_enhancement_stores_nothing(self, chain_calls, monkeypatch):
+        x = make_speechlike(seed=84, seconds=0.5)
+        earlier = weakref.ref(process_utterance_details(x, self._CONFIG, self._KIND, 5).enhanced)
+        real_enhance = amplify_module.enhance
+
+        def failing(*args, **kwargs):
+            real_enhance(*args, **kwargs)
+            raise EnhancerError("enhancer crashed")
+
+        monkeypatch.setattr(amplify_module, "enhance", failing)
+        with pytest.raises(StageError) as exc:
+            process_utterance_details(x, self._CONFIG, self._KIND, 6)
+        assert exc.value.stage == "enhance"
+        assert earlier() is None  # a miss drops the last entry before its chain runs
+        monkeypatch.setattr(amplify_module, "enhance", real_enhance)
+        got = process_utterance_details(x, self._CONFIG, self._KIND, 6)
+        assert chain_calls["enhance"] == 3
+        want = _fresh(x, self._CONFIG, self._KIND, 6)
+        assert np.array_equal(got.x_tilde.samples, want.x_tilde.samples)

@@ -339,6 +339,23 @@ class TestProcess:
         )
         assert {n: (tmp_path / "corpus" / n).read_bytes() for n in os.listdir(corpus)} == before
 
+    def test_out_dir_linking_outside_the_run_usage_error(self, ws, tmp_path, capsys):
+        # a symlink <out-dir>/<id>.wav would have the output written onto the file it names
+        out = tmp_path / "out"
+        out.mkdir()
+        victim = tmp_path / "victim.wav"
+        victim.write_bytes(b"keep")
+        link = out / "SYN_B_0000.wav"
+        link.symlink_to(victim)
+        rc = main(["process", "--config", ws["config"], "--manifest", ws["manifest"],
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: refusing to write {link} through a link to {os.path.realpath(victim)}\n"
+        )
+        assert victim.read_bytes() == b"keep"
+        assert os.listdir(out) == [link.name]
+
     def test_bad_config_usage_error(self, ws, tmp_path, capsys):
         bad = str(tmp_path / "bad.json")
         with open(bad, "w") as f:
@@ -863,6 +880,13 @@ class TestSweepCommand:
             ["skip_noise_addition", "on"], ["skip_noise_addition", "off"]
         ]
 
+    def test_enhancer_sweep_rows(self, tmp_path, capsys):
+        rows = self._sweep_lines(tmp_path, capsys, "enhancer",
+                                 "wiener,spectral_subtraction,identity")
+        assert [row.split(",")[:2] for row in rows] == [
+            ["enhancer", "wiener"], ["enhancer", "spectral_subtraction"], ["enhancer", "identity"]
+        ]
+
     @pytest.mark.parametrize(
         "axis, values, message",
         [
@@ -872,10 +896,11 @@ class TestSweepCommand:
             ("noise_color", "white,red", "error: "),
             ("skip_noise_addition", "on,maybe", "error: "),
             ("alpha", " , ", "error: no sweep values given"),
+            ("enhancer", "wiener,dnn", "error: unknown enhancer 'dnn'"),
         ],
         ids=[
             "alpha-zero", "alpha-negative", "alpha-nan", "noise_color-red", "on_off-maybe",
-            "no-values",
+            "no-values", "enhancer-dnn",
         ],
     )
     def test_bad_axis_value_usage_error(self, tmp_path, capsys, axis, values, message):

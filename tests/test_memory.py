@@ -8,6 +8,7 @@ copies a stage's own array again, crosses it. A sweep that holds every crop
 for every cell again crosses the bound on its growth with the corpus.
 """
 
+import itertools
 import tracemalloc
 
 from spoofamp import noise
@@ -44,12 +45,27 @@ def _peak_bytes(fn):
 def test_process_utterance_peak():
     # a 4 s utterance is 0.5 MiB of float64 and its spectra 1 MiB; the release
     # chain peaks at 3.0 MiB, in the iSTFT of the Wiener output while the
-    # mixture and its spectra are alive; the out-of-place chain took 5.5 MiB
+    # mixture and its spectra are alive; the out-of-place chain took 5.5 MiB.
+    # Each call draws new noise, so none reuses the last call's enhanced signal.
     config = PipelineConfig()
     enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
     x = make_speechlike(seed=0, seconds=4.0)
-    peak = _peak_bytes(lambda: process_utterance_details(x, config, enhancer, 1))
+    seeds = itertools.count(1)
+    peak = _peak_bytes(lambda: process_utterance_details(x, config, enhancer, next(seeds)))
     assert peak <= 4.0 * MIB
+
+
+def test_reused_enhancement_peak():
+    # a call that changes only the extraction mode or alpha reuses the enhanced
+    # signal and runs extraction and amplification alone: their two results, 1.0 MiB
+    # at 4 s; a call that runs the chain again peaks at 2.1 MiB here
+    config = PipelineConfig()
+    enhancer = EnhancerKind(config.enhancer, config.enhancer_params)
+    x = make_speechlike(seed=0, seconds=4.0)
+    process_utterance_details(x, config, enhancer, 1)
+    naive = config.with_overrides(extraction_mode="naive")
+    peak = _peak_bytes(lambda: process_utterance_details(x, naive, enhancer, 1))
+    assert peak <= 1.5 * MIB
 
 
 def test_wiener_enhance_peak():

@@ -250,6 +250,25 @@ class TestRunPipeline:
         (out / (b.utterance_id + ".wav")).symlink_to(b.path)
         self._assert_refused(entries, out, b)
 
+    @pytest.mark.parametrize("target", ["outside", "another_output"])
+    def test_output_name_linked_elsewhere_refused(self, corpus, tmp_path, target):
+        # the writer writes through <out>/A.wav onto the file it names, in the run or not
+        entries, _ = corpus
+        out = tmp_path / "run"
+        out.mkdir()
+        victim = tmp_path / "victim.wav"
+        if target == "another_output":
+            victim = out / (entries[1].utterance_id + ".wav")
+        victim.write_bytes(b"keep")
+        link = out / (entries[0].utterance_id + ".wav")
+        link.symlink_to(victim)
+        listing = sorted(os.listdir(out))
+        message = f"refusing to write {link} through a link to {os.path.realpath(victim)}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_pipeline(_config(parallelism=2), entries, str(out))
+        assert victim.read_bytes() == b"keep"
+        assert sorted(os.listdir(out)) == listing
+
     def test_id_with_a_nul_byte_refused_before_anything_is_made(self, corpus, tmp_path):
         # such an id names no output file, so it is refused as a manifest would refuse it
         out = tmp_path / "run"
@@ -666,26 +685,60 @@ class TestSweep:
     def test_zero_alpha_cell_matches_raw_baseline(self, corpus):
         entries, _ = corpus
         train = entries[:2] + entries[3:5]  # two per class
-        eval_ = entries
-        cfg = _config()
         fc = FeatureConfig(n_bands=6)
-        cells = sweep(cfg, train, eval_, "alpha", [0.0], UNIT_PARAMS, feature_config=fc)
+        cells = sweep(_config(), train, entries, "alpha", [0.0], UNIT_PARAMS, feature_config=fc)
         assert len(cells) == 1
         assert cells[0].error is None
+        assert cells[0].eer == _raw_eer(train, entries, fc)
 
-        def crops(es):
-            return [
-                crop_or_pad(read_wav(e.path), 0.5, derive_seed(99, e.utterance_id, "crop"))
-                for e in es
-            ]
+    def test_oracle_clean_cell_matches_raw_baseline(self, corpus):
+        # the upper control: x_hat = x, so a zero residual and x_tilde = x to the bit
+        entries, _ = corpus
+        train = entries[:2] + entries[3:5]
+        fc = FeatureConfig(n_bands=4)  # 6 bands separate every cell: all EERs 0
+        cells = sweep(_config(), train, entries, "enhancer", ["wiener", "oracle_clean"],
+                      UNIT_PARAMS, feature_config=fc)
+        assert [c.error for c in cells] == [None, None]
+        assert cells[0].eer != _raw_eer(train, entries, fc) == cells[1].eer
 
-        feats_train = [extract_features(x, fc) for x in crops(train)]
-        model = fit(feats_train, [e.label for e in train], fc)
-        recs = [
-            ScoreRecord(e.utterance_id, e.label, e.attack_id, score(model, f))
-            for e, f in zip(eval_, [extract_features(x, fc) for x in crops(eval_)])
+    def test_enhancer_cells_match_each_kinds_chain(self, corpus, monkeypatch):
+        entries, _ = corpus
+        fc = FeatureConfig(n_bands=4)
+        kinds = ["wiener", "spectral_subtraction", "identity"]
+        got = []
+
+        def features_spy(w, feature_config):
+            got.append(extract_features(w, feature_config))
+            return got[-1]
+
+        monkeypatch.setattr(pipeline.detector, "extract_features", features_spy)
+        cells = sweep(_config(), entries, entries, "enhancer", kinds, UNIT_PARAMS,
+                      feature_config=fc)
+        assert [(c.axis, c.value, c.error) for c in cells] == [
+            ("enhancer", k, None) for k in kinds
         ]
-        assert cells[0].eer == eer(recs)
+        want = []
+        for e in entries + entries:  # train, then eval; the cells inner
+            x = crop_or_pad(read_wav(e.path), 0.5, derive_seed(99, e.utterance_id, "crop"))
+            noise_seed = derive_seed(99, e.utterance_id, "noise")
+            for k in kinds:
+                d = amplify_module.process_utterance_details(
+                    x, _config(enhancer=k), EnhancerKind(k), noise_seed
+                )
+                want.append(extract_features(d.x_tilde, fc))
+        assert len(got) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    def test_enhancer_params_a_kind_refuses_raise_before_any_read(self, corpus, monkeypatch):
+        entries, _ = corpus
+        reads = _record_reads(monkeypatch)
+        message = r"^unknown identity enhancer parameter 'floor'; "
+        with pytest.raises(ConfigError, match=message):
+            sweep(
+                _config(enhancer_params={"floor": 0.1}), entries, entries, "enhancer",
+                ["wiener", "identity"], UNIT_PARAMS, feature_config=FeatureConfig(n_bands=4),
+            )
+        assert reads == []
 
     def test_include_raw_training_appends_raw_features(self, corpus, monkeypatch):
         entries, _ = corpus
@@ -953,6 +1006,24 @@ class TestSweep:
         assert lines[3] == "skip_noise_addition,off,0.500000,1.000000,ok"
         assert lines[4] == "noise_color,infrared,,,error: bad; very bad"
         assert all(len(line.split(",")) == 5 for line in lines)
+
+
+def _raw_eer(train, eval_, fc):
+    """EER of a detector fit and scored on the raw crops, as _config crops them."""
+
+    def features(es):
+        return [
+            extract_features(
+                crop_or_pad(read_wav(e.path), 0.5, derive_seed(99, e.utterance_id, "crop")), fc
+            )
+            for e in es
+        ]
+
+    model = fit(features(train), [e.label for e in train], fc)
+    return eer([
+        ScoreRecord(e.utterance_id, e.label, e.attack_id, score(model, f))
+        for e, f in zip(eval_, features(eval_))
+    ])
 
 
 def _record_reads(monkeypatch):
